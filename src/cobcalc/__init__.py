@@ -35,6 +35,7 @@ from .gkm import (
     GKMClass,
     GKMGraph,
     TensorClass,
+    TupleSystem,
     approx_flag_ring,
     constant_class,
     flag_gkm,
@@ -42,6 +43,7 @@ from .gkm import (
     invariants_basis,
     line_bundle_class,
     membership,
+    span_equal,
     subring_basis,
     surjectivity_probe,
     tensor_to_gkm,

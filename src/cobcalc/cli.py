@@ -62,10 +62,8 @@ def _add_common(p: argparse.ArgumentParser):
                    default=_env("rational", "") not in ("", "0", "false"),
                    help="compute with rational coefficients")
     p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    p.add_argument("--cache-dir", default=_env("cache-dir"))
     p.add_argument("--out", default=_env("out"),
                    help="also write the JSON artifact to this path")
-    p.add_argument("--threads", type=int, default=int(_env("threads", 1)))
     p.add_argument("--case", default=_env("case", "group:psl2"),
                    help="symmetric case tag, e.g. group:psl2")
     p.add_argument("--word", default=_env("word", ""),
@@ -107,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gkm", help="moment graph commands")
     gkm_sub = p.add_subparsers(dest="subcommand", required=True)
     _add_common(gkm_sub.add_parser("verify", help="check graph/class congruences"))
-    _add_common(gkm_sub.add_parser("basis", help="graded congruence-tuple basis"))
 
     p = sub.add_parser("symmetric", help="wonderful symmetric variety commands")
     sym_sub = p.add_subparsers(dest="subcommand", required=True)
@@ -134,8 +131,6 @@ def _config(args) -> RunConfig:
         case=args.case,
         rational=args.rational,
         seed=args.seed,
-        cache_dir=args.cache_dir,
-        threads=args.threads,
         word=_parse_word(args.word),
         count=args.count,
         probe_degree=None if args.probe_degree < 0 else args.probe_degree,
@@ -162,61 +157,55 @@ def _summarize(report: dict) -> None:
         )
 
 
+def _cmd_bott_samelson(cfg: RunConfig) -> dict:
+    datum = build_root_datum(cfg.type_tag)
+    graph = flag_gkm(datum, cfg.context())
+    return bott_samelson(cfg.word, graph).to_json()
+
+
 def _cmd_compute(args, cfg: RunConfig) -> dict:
-    what = args.what if hasattr(args, "what") else "bott-samelson"
-    if what == "bott-samelson":
-        datum = build_root_datum(cfg.type_tag)
-        ctx = cfg.context()
+    if args.what == "bott-samelson":
+        return _cmd_bott_samelson(cfg)
+    datum = build_root_datum(cfg.type_tag)
+    ctx = build_law(cfg.law_spec(), max(5, cfg.degree), rational=cfg.rational)
+    if args.what == "subring-basis":
         graph = flag_gkm(datum, ctx)
-        cls = bott_samelson(cfg.word, graph)
-        return cls.to_json()
-    if what == "subring-basis":
-        datum = build_root_datum(cfg.type_tag)
-        ctx = build_law(cfg.law_spec(), max(5, cfg.degree),
-                        rational=cfg.rational, cache_dir=cfg.cache_dir)
-        graph = flag_gkm(datum, ctx)
-        basis = subring_basis(graph, cfg.degree)
-        return {
-            "type": cfg.type_tag,
-            "degree": cfg.degree,
-            "rank": len(basis),
-            "basis": [c.to_json() for c in basis],
-        }
-    if what == "invariants":
-        datum = build_root_datum(cfg.type_tag)
-        ctx = build_law(cfg.law_spec(), max(5, cfg.degree),
-                        rational=cfg.rational, cache_dir=cfg.cache_dir)
-        basis = invariants_basis(datum, ctx, cfg.degree)
-        return {
-            "type": cfg.type_tag,
-            "degree": cfg.degree,
-            "rank": len(basis),
-            "basis": [s.to_json(ctx.ngens) for s in basis],
-        }
-    raise ConfigError(f"unknown artifact {what!r}")
+        basis = [c.to_json() for c in subring_basis(graph, cfg.degree)]
+    else:
+        basis = [s.to_json(ctx.ngens) for s in invariants_basis(datum, ctx, cfg.degree)]
+    return {
+        "type": cfg.type_tag,
+        "degree": cfg.degree,
+        "rank": len(basis),
+        "basis": basis,
+    }
+
+
+def _read_class(path: str, graph) -> GKMClass:
+    """A class on ``graph`` from a vertex-keyed JSON file of series."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        values = [GradedSeries.from_json(data[vid]) for vid in graph.ids]
+    except OSError as exc:
+        raise ConfigError(f"cannot read class file {path!r}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise ConfigError(f"class file {path!r} lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed class file {path!r}: {exc}") from None
+    if any(v.nvars != graph.nvars for v in values):
+        raise ConfigError(f"class file {path!r} has series in the wrong number "
+                          f"of variables (expected {graph.nvars})")
+    return GKMClass(graph, values)
 
 
 def _cmd_gkm(args, cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
-    if args.subcommand == "basis":
-        ctx = build_law(cfg.law_spec(), max(5, cfg.degree),
-                        rational=cfg.rational, cache_dir=cfg.cache_dir)
-        graph = flag_gkm(datum, ctx)
-        basis = subring_basis(graph, cfg.degree)
-        return {
-            "type": cfg.type_tag,
-            "degree": cfg.degree,
-            "rank": len(basis),
-            "basis": [c.to_json() for c in basis],
-        }
     ctx = cfg.context()
     graph = flag_gkm(datum, ctx)
     checks = []
     if args.class_file:
-        with open(args.class_file) as fh:
-            data = json.load(fh)
-        values = [GradedSeries.from_json(data[vid]) for vid in graph.ids]
-        ok, witness = membership(GKMClass(graph, values), graph)
+        ok, witness = membership(_read_class(args.class_file, graph), graph)
         checks.append({"name": "class_congruences", "pass": ok, "witness": witness})
     else:
         expected_edges = graph.nvertices * len(datum.positive_roots) // 2
@@ -261,7 +250,7 @@ def main(argv=None) -> int:
         elif args.command == "compute":
             report = _cmd_compute(args, cfg)
         elif args.command == "schubert":
-            report = _cmd_compute(argparse.Namespace(what="bott-samelson"), cfg)
+            report = _cmd_bott_samelson(cfg)
         elif args.command == "gkm":
             report = _cmd_gkm(args, cfg)
         elif args.command == "symmetric":

@@ -13,9 +13,6 @@ is exactly what one application of a Demazure operator consumes.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
 
 from .coeffs import Coeff
@@ -30,8 +27,6 @@ from .errors import (
 )
 from .linalg import mat_inverse_int, unimodular_with_first_column
 from .series import GradedSeries, Substitution, divide_exact
-
-CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -147,7 +142,6 @@ class FGLContext:
             bx = binv.substitute([x])
             by = binv.substitute([y])
             f_int = b.substitute([bx + by])
-        self._law_int = f_int
         self.group_law = f_int.truncate(self.precision)
 
         # inverse: the unique series with F(x, inv(x)) = 0
@@ -162,7 +156,6 @@ class FGLContext:
             )
         if not f_int.substitute([u, inv_int]).is_zero():
             raise InternalConsistencyError("inverse series does not invert")
-        self._inverse_int = inv_int
         self.inverse = inv_int.truncate(self.precision)
 
         # kappa = (x + inv(x)) / (x * inv(x)); exact by construction
@@ -267,75 +260,14 @@ class FGLContext:
         )
         return back.apply(shifted)
 
-    # -- cache file support -----------------------------------------------------
-
-    def cache_key(self) -> str:
-        text = f"cobcalc-fgl|{CACHE_FORMAT}|{self.law.canonical()}|{self.precision}"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    def to_cache_json(self) -> dict:
-        series = {
-            "F": self._law_int.to_json(self.ngens),
-            "iota": self._inverse_int.to_json(self.ngens),
-            "kappa": self.kappa.to_json(self.ngens),
-        }
-        for k, s in sorted(self._k_cache.items()):
-            series[f"k_{k}"] = s.to_json(self.ngens)
-        return {
-            "format": CACHE_FORMAT,
-            "law": self.law.canonical(),
-            "precision": self.precision,
-            "series": series,
-        }
-
-    def save_cache(self, cache_dir: str) -> str:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, self.cache_key() + ".json")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_cache_json(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
-
-    def _adopt_cache(self, obj: dict) -> bool:
-        if obj.get("format") != CACHE_FORMAT:
-            return False
-        if obj.get("law") != self.law.canonical():
-            return False
-        if obj.get("precision") != self.precision:
-            return False
-        series = obj["series"]
-        for name, data in series.items():
-            if name.startswith("k_"):
-                self._k_cache[int(name[2:])] = GradedSeries.from_json(data)
-        return True
-
 
 def build_law(
-    spec: LawSpec | str,
-    precision: int,
-    rational: bool = False,
-    cache_dir: str | None = None,
+    spec: LawSpec | str, precision: int, rational: bool = False
 ) -> FGLContext:
-    """Construct (or load from cache and revalidate) a formal group law context.
-
-    Caches are advisory: a stale or mismatched file is regenerated, never
-    trusted across law or precision changes.
-    """
+    """Construct a formal group law context from a spec or its text form."""
     if isinstance(spec, str):
         spec = LawSpec.parse(spec)
-    ctx = FGLContext(spec, precision, rational=rational)
-    if cache_dir:
-        path = os.path.join(cache_dir, ctx.cache_key() + ".json")
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    ctx._adopt_cache(json.load(fh))
-            except (OSError, ValueError, KeyError):
-                pass
-        ctx.save_cache(cache_dir)
-    return ctx
+    return FGLContext(spec, precision, rational=rational)
 
 
 def inverse_series(ctx: FGLContext) -> GradedSeries:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from .coeffs import Coeff, ZERO
 from .errors import (
+    InternalConsistencyError,
     NotDivisibleError,
     NVarsMismatchError,
     PrecisionExhaustedError,
     UnsupportedTypeError,
 )
-from .linalg import canonical_sign, kernel_int
-from .roots import RootDatum, WeylElement, _mat_mul, weyl_act
+from .linalg import canonical_sign, kernel_int, span_equal_int, span_equal_rational
+from .roots import RootDatum, WeylElement, mat_mul, weyl_act
 from .series import GradedSeries, complete_homogeneous, elementary_symmetric
 
 # When true, every produced class is membership-checked (slow; used in tests).
@@ -57,7 +58,8 @@ class GKMGraph:
         self.nvars = nvars if nvars is not None else (datum.rank if datum else 0)
         self.kind = kind
         for (i, j, chi) in self.edges:
-            assert any(chi), "edge character must be nonzero"
+            if not any(chi):
+                raise InternalConsistencyError("edge character must be nonzero")
 
     @property
     def nvertices(self) -> int:
@@ -67,13 +69,13 @@ class GKMGraph:
         """Left translation: the vertex of w * (coset of vertex i)."""
         if self.element_to_vertex is None or self.weyl_vertices is None:
             raise UnsupportedTypeError("graph has no Weyl vertex action")
-        return self.element_to_vertex[_mat_mul(w.matrix, self.weyl_vertices[i].matrix)]
+        return self.element_to_vertex[mat_mul(w.matrix, self.weyl_vertices[i].matrix)]
 
     def act_vertex_right(self, i: int, s: WeylElement) -> int:
         """Right multiplication, used for the {w, w s_alpha} edge pairing."""
         if self.element_to_vertex is None or self.weyl_vertices is None:
             raise UnsupportedTypeError("graph has no Weyl vertex action")
-        return self.element_to_vertex[_mat_mul(self.weyl_vertices[i].matrix, s.matrix)]
+        return self.element_to_vertex[mat_mul(self.weyl_vertices[i].matrix, s.matrix)]
 
     def to_json(self) -> dict:
         return {
@@ -151,10 +153,14 @@ def constant_class(graph: GKMGraph, f) -> GKMClass:
     return GKMClass(graph, [f] * graph.nvertices)
 
 
-def _validate(cls: GKMClass) -> GKMClass:
+def validate(cls: GKMClass) -> GKMClass:
+    """Membership-check ``cls`` when DEBUG_VALIDATE is set; returns it."""
     if DEBUG_VALIDATE:
         ok, witness = membership(cls, cls.graph)
-        assert ok, f"produced class violates congruences: {witness}"
+        if not ok:
+            raise InternalConsistencyError(
+                f"produced class violates congruences: {witness}"
+            )
     return cls
 
 
@@ -173,7 +179,7 @@ def flag_gkm(datum: RootDatum, ctx, precision: int | None = None) -> GKMGraph:
     edges = {}
     for i, w in enumerate(weyl):
         for beta in datum.positive_roots:
-            m2 = _mat_mul(
+            m2 = mat_mul(
                 w.matrix, datum._reflection_from(beta, datum.coroot_of[beta])
             )
             j = index[m2]
@@ -182,8 +188,8 @@ def flag_gkm(datum: RootDatum, ctx, precision: int | None = None) -> GKMGraph:
                 prev = edges.get((i, j))
                 if prev is None:
                     edges[(i, j)] = chi
-                else:
-                    assert prev == chi, "conflicting edge characters"
+                elif prev != chi:
+                    raise InternalConsistencyError("conflicting edge characters")
     edge_list = [(i, j, chi) for (i, j), chi in sorted(edges.items())]
     return GKMGraph(
         ctx,
@@ -205,7 +211,7 @@ def line_bundle_class(chi, graph: GKMGraph) -> GKMClass:
     values = [
         graph.ctx.formal_sum(w.act(chi)) for w in graph.weyl_vertices
     ]
-    return _validate(GKMClass(graph, values))
+    return validate(GKMClass(graph, values))
 
 
 def membership(c, graph: GKMGraph):
@@ -306,33 +312,87 @@ def ambient_monomials(ctx, nvars: int, coh_degree: int) -> list[tuple]:
     return out
 
 
-def _remainder_rows(graph: GKMGraph, chi, monomials):
-    """For each monomial (as a series), the coordinates of its remainder after
-    the basis change carrying chi to the first variable.
+def _coords(s: GradedSeries) -> dict:
+    """A series as sparse coordinates {(t-exponent, b-exponent): value}."""
+    return {(e, b): val for e, c in s.terms.items() for b, val in c.terms.items()}
 
-    Returns {monomial index: {(t'-exp, b-exp): value}}.
+
+def _remainder(g: GradedSeries) -> dict:
+    """Coordinates of the terms of g free of t1: its remainder modulo t1,
+    which after a character transform is the remainder modulo x_chi."""
+    return {
+        (e, b): val
+        for e, c in g.terms.items()
+        if e[0] == 0
+        for b, val in c.terms.items()
+    }
+
+
+class TupleSystem:
+    """Linear conditions on tuples of series, one per vertex, each an unknown
+    integer combination of the monomials ``monos`` ((t-exponent, b-exponent)
+    pairs); the unknown for (vertex v, monomial k) is column v * len(monos) + k.
     """
-    ctx = graph.ctx
-    fwd, _ = ctx.character_transform(tuple(chi))
-    out = {}
-    for k, mono in enumerate(monomials):
-        if isinstance(mono, GradedSeries):
-            series = mono
-        else:
-            texp, bexp = mono
-            series = GradedSeries(
-                graph.nvars, graph.precision, {texp: Coeff.monomial(bexp)}
-            )
-        img = fwd.apply(series)
-        coords = {}
-        for e, c in img.terms.items():
-            if e[0] != 0:
-                continue
-            for bexp2, val in c.terms.items():
-                coords[(e, bexp2)] = val
-        if coords:
-            out[k] = coords
-    return out
+
+    def __init__(self, ctx, nvars: int, nvertices: int, monos):
+        self.ctx = ctx
+        self.nvars = nvars
+        self.nvertices = nvertices
+        self.monos = list(monos)
+        self.monomials = [
+            GradedSeries(nvars, ctx.precision, {t: Coeff.monomial(b)})
+            for t, b in self.monos
+        ]
+        self.rows: list[list] = []
+
+    def require(self, parts, chi=None) -> None:
+        """Impose one linear condition on the unknown tuple f.
+
+        A part ``(v, scale, images)`` stands for ``scale * T(f_v)``, with the
+        linear map T given on monomials by ``images[k] = T(monomials[k])``.
+        The parts must sum to zero, exactly or, given ``chi``, modulo x_chi.
+        Adds one row per touched coordinate (of the remainder, modulo x_chi)
+        in sorted order and drops zero rows; each distinct images list is
+        reduced once.
+        """
+        fwd = None if chi is None else self.ctx.character_transform(tuple(chi))[0]
+        nm = len(self.monos)
+        coords: dict = {}
+        reduced: dict = {}
+        for v, scale, images in parts:
+            red = reduced.get(id(images))
+            if red is None:
+                red = reduced[id(images)] = [
+                    _coords(s) if fwd is None else _remainder(fwd.apply(s))
+                    for s in images
+                ]
+            for k, img in enumerate(red):
+                col = v * nm + k
+                for key, val in img.items():
+                    entry = coords.setdefault(key, {})
+                    entry[col] = entry.get(col, 0) + scale * val
+        for key in sorted(coords):
+            row = [0] * (self.nvertices * nm)
+            for col, val in coords[key].items():
+                row[col] = val
+            if any(row):
+                self.rows.append(row)
+
+    def solve(self) -> list[list[GradedSeries]]:
+        """A lattice basis of the integer solutions, each as one series per
+        vertex."""
+        nm = len(self.monos)
+        out = []
+        for vec in kernel_int(self.rows, self.nvertices * nm):
+            values = []
+            for v in range(self.nvertices):
+                terms: dict = {}
+                for (texp, bexp), c in zip(self.monos, vec[v * nm:(v + 1) * nm]):
+                    if c:
+                        terms[texp] = terms.get(texp, ZERO) + Coeff.monomial(bexp, c)
+                values.append(GradedSeries(self.nvars, self.ctx.precision, terms))
+            out.append(values)
+        return out
 
 
 def subring_basis(graph: GKMGraph, d: int) -> list[GKMClass]:
@@ -344,52 +404,24 @@ def subring_basis(graph: GKMGraph, d: int) -> list[GKMClass]:
     """
     if d > graph.precision:
         raise PrecisionExhaustedError("degree exceeds graph precision")
-    n = graph.nvars
-    monos = t_monomials(n, d)
-    nm = len(monos)
-    ncols = graph.nvertices * nm
-
-    def col(v, k):
-        return v * nm + k
-
-    mono_series = [
-        GradedSeries(n, graph.precision, {m: Coeff.from_value(1)}) for m in monos
-    ]
-    rows = []
+    system = TupleSystem(
+        graph.ctx,
+        graph.nvars,
+        graph.nvertices,
+        [(m, ()) for m in t_monomials(graph.nvars, d)],
+    )
+    monos = system.monomials
     for (i, j, chi) in graph.edges:
-        rem = _remainder_rows(graph, chi, mono_series)
-        coords = sorted({key for r in rem.values() for key in r})
-        for key in coords:
-            row = [0] * ncols
-            hit = False
-            for k, r in rem.items():
-                val = r.get(key, 0)
-                if val:
-                    row[col(i, k)] += val
-                    row[col(j, k)] -= val
-                    hit = True
-            if hit:
-                rows.append(row)
-    basis = kernel_int(rows, ncols)
-    out = []
-    for vec in basis:
-        values = []
-        for v in range(graph.nvertices):
-            terms = {}
-            for k, m in enumerate(monos):
-                coef = vec[col(v, k)]
-                if coef:
-                    terms[m] = Coeff.from_value(coef)
-            values.append(GradedSeries(n, graph.precision, terms))
-        out.append(_validate(GKMClass(graph, values)))
-    return out
+        system.require([(i, 1, monos), (j, -1, monos)], chi)
+    return [validate(GKMClass(graph, values)) for values in system.solve()]
 
 
 def invariants_basis(datum: RootDatum, ctx, d: int) -> list[GradedSeries]:
     """Generators of the Weyl-invariant series of homogeneous degree <= d,
     found by an exact kernel computation degree by degree.
 
-    Invariance under the simple reflections suffices since they generate."""
+    Invariance under the simple reflections suffices since they generate; it
+    is imposed as the single summed condition sum_g (g f - f) = 0."""
     if d > ctx.precision:
         raise PrecisionExhaustedError("degree exceeds working precision")
     n = datum.rank
@@ -401,38 +433,13 @@ def invariants_basis(datum: RootDatum, ctx, d: int) -> list[GradedSeries]:
         amb = ambient_monomials(ctx, n, m)
         if not amb:
             continue
-        diffs = []
-        for g in gens:
-            for k, (texp, bexp) in enumerate(amb):
-                series = GradedSeries(n, ctx.precision, {texp: Coeff.monomial(bexp)})
-                diff = weyl_act(g, series, ctx, datum) - series
-                if not diff.is_zero():
-                    diffs.append((k, diff))
-        coords = sorted(
-            {
-                (e, b2)
-                for (_, diff) in diffs
-                for e, c in diff.terms.items()
-                for b2 in c.terms
-            }
-        )
-        coord_index = {c: i for i, c in enumerate(coords)}
-        mat = [[0] * len(amb) for _ in coords]
-        for (k, diff) in diffs:
-            for e, c in diff.terms.items():
-                for b2, val in c.terms.items():
-                    mat[coord_index[(e, b2)]][k] += val
-        eqn_rows = [r for r in mat if any(r)]
-        for vec in kernel_int(eqn_rows, len(amb)):
-            terms: dict = {}
-            for k, (texp, bexp) in enumerate(amb):
-                if vec[k]:
-                    cur = terms.get(texp, ZERO) + Coeff.monomial(bexp, vec[k])
-                    if cur:
-                        terms[texp] = cur
-                    else:
-                        terms.pop(texp, None)
-            out.append(GradedSeries(n, ctx.precision, terms))
+        system = TupleSystem(ctx, n, 1, amb)
+        monos = system.monomials
+        parts = [
+            (0, 1, [weyl_act(g, f, ctx, datum) for f in monos]) for g in gens
+        ]
+        system.require(parts + [(0, -len(gens), monos)])
+        out.extend(values[0] for values in system.solve())
     return out
 
 
@@ -484,30 +491,38 @@ def tensor_to_gkm(tc: TensorClass, graph: GKMGraph) -> GKMClass:
     for (a, b) in tc.pairs:
         for i, w in enumerate(graph.weyl_vertices):
             values[i] = values[i] + weyl_act(w, a, ctx, datum) * b
-    return _validate(GKMClass(graph, values))
+    return validate(GKMClass(graph, values))
 
 
-def _class_coordinates(classes: list[GKMClass]):
-    """Common sparse coordinates for a family of classes (union of support)."""
-    keys = sorted(
-        {
-            (v, e, b)
-            for c in classes
-            for v, s in enumerate(c.values)
-            for e, coeff in s.terms.items()
-            for b in coeff.terms
-        }
-    )
-    index = {k: i for i, k in enumerate(keys)}
-    vectors = []
-    for c in classes:
+def span_equal(a, b, over: str = "Q") -> bool:
+    """Whether two families of series, or of classes on one graph, have the
+    same span: the same Q-vector space (``over="Q"``) or the same lattice
+    (``over="Z"``)."""
+
+    def coords(x):
+        if isinstance(x, GKMClass):
+            return {
+                (v,) + key: val
+                for v, s in enumerate(x.values)
+                for key, val in _coords(s).items()
+            }
+        return _coords(x)
+
+    ca = [coords(x) for x in a]
+    cb = [coords(x) for x in b]
+    keys = sorted({key for c in ca + cb for key in c})
+    index = {key: i for i, key in enumerate(keys)}
+
+    def vector(c):
         vec = [0] * len(keys)
-        for v, s in enumerate(c.values):
-            for e, coeff in s.terms.items():
-                for b, val in coeff.terms.items():
-                    vec[index[(v, e, b)]] = val
-        vectors.append(tuple(vec))
-    return vectors, keys
+        for key, val in c.items():
+            vec[index[key]] = val
+        return tuple(vec)
+
+    va, vb = [vector(c) for c in ca], [vector(c) for c in cb]
+    if over == "Z":
+        return span_equal_int(va, vb, len(keys))
+    return span_equal_rational(va, vb, len(keys))
 
 
 def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
@@ -517,8 +532,6 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
     Meaningful for gl-type data, where Weyl restriction of a monomial is again
     a monomial so both spans consist of forms.
     """
-    from .linalg import span_equal_int, span_equal_rational
-
     if graph.datum is None or not graph.datum.label.startswith("gl"):
         raise UnsupportedTypeError("surjectivity probe supports gl_n graphs")
     n = graph.nvars
@@ -532,13 +545,7 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
                     b = GradedSeries(n, graph.precision, {eb: Coeff.from_value(1)})
                     images.append(tensor_to_gkm(TensorClass.of(a, b), graph))
         basis = subring_basis(graph, delta)
-        vecs, keys = _class_coordinates(images + basis)
-        img_vecs = vecs[: len(images)]
-        bas_vecs = vecs[len(images):]
-        if over == "Z":
-            same = span_equal_int(img_vecs, bas_vecs, len(keys))
-        else:
-            same = span_equal_rational(img_vecs, bas_vecs, len(keys))
+        same = span_equal(images, basis, over)
         report["degrees"].append(
             {
                 "degree": delta,

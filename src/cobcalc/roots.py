@@ -23,7 +23,8 @@ from .series import GradedSeries
 Vec = tuple[int, ...]
 
 
-def _mat_mul(a, b):
+def mat_mul(a, b):
+    """Product of two square integer matrices given as tuples of rows."""
     n = len(a)
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
@@ -56,7 +57,7 @@ class WeylElement:
         return _mat_vec(self.matrix, v)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(_mat_mul(self.matrix, other.matrix), self.word + other.word)
+        return WeylElement(mat_mul(self.matrix, other.matrix), self.word + other.word)
 
     def length(self) -> int:
         return len(self.word)
@@ -340,7 +341,7 @@ class SymmetricDatum:
         self.theta = tuple(tuple(r) for r in theta)
         self.label = label
         n = datum.rank
-        if _mat_mul(self.theta, self.theta) != _identity(n):
+        if mat_mul(self.theta, self.theta) != _identity(n):
             raise InvolutionError("theta is not an involution")
         root_set = set(datum.roots)
         for beta in datum.roots:
@@ -397,7 +398,7 @@ class SymmetricDatum:
         self.w_theta = [
             w
             for w in weyl
-            if _mat_mul(_mat_mul(self.theta, w.matrix), self.theta) == w.matrix
+            if mat_mul(mat_mul(self.theta, w.matrix), self.theta) == w.matrix
         ]
         self.w_L = _generated_subgroup(
             [datum.simple_reflection(i) for i in self.delta_L], datum.rank
@@ -448,7 +449,7 @@ def _generated_subgroup(gen_matrices, n):
     queue = [identity]
     for m in queue:
         for g in gen_matrices:
-            new = _mat_mul(m, g)
+            new = mat_mul(m, g)
             if new not in seen:
                 seen.add(new)
                 queue.append(new)

@@ -19,7 +19,7 @@ Each application lowers homogeneous degree and precision by one.
 from __future__ import annotations
 
 from .errors import PrecisionExhaustedError, UnsupportedTypeError
-from .gkm import GKMClass, GKMGraph, _validate
+from .gkm import GKMClass, GKMGraph, validate
 from .linalg import vneg
 from .roots import RootDatum, WeylElement, weyl_act
 from .series import GradedSeries
@@ -82,7 +82,7 @@ def point_class(graph: GKMGraph) -> GKMClass:
         euler if i == graph.base else GradedSeries.zero(datum.rank, ctx.precision)
         for i in range(graph.nvertices)
     ]
-    return _validate(GKMClass(graph, values))
+    return validate(GKMClass(graph, values))
 
 
 def demazure_gkm(c: GKMClass, alpha) -> GKMClass:
@@ -110,7 +110,7 @@ def demazure_gkm(c: GKMClass, alpha) -> GKMClass:
         quotient = ctx.divide_by_character(diff, w_alpha)
         kap = kappa_of_character(ctx, w_alpha)
         out.append((kap * c.values[vi] - quotient).truncate(c.precision - 1))
-    return _validate(GKMClass(graph, out))
+    return validate(GKMClass(graph, out))
 
 
 def bott_samelson(word, graph: GKMGraph) -> GKMClass:

@@ -8,7 +8,6 @@ config, so reports are deterministic byte for byte.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
@@ -21,6 +20,7 @@ from .gkm import (
     gln_relations,
     line_bundle_class,
     membership,
+    span_equal,
     surjectivity_probe,
     tensor_to_gkm,
 )
@@ -43,6 +43,8 @@ from .series import GradedSeries
 from .wonderful import (
     build_wonderful_graph,
     group_psl2_projective_model,
+    invariant_subring_X,
+    invariant_tuple_basis,
     naive_presentation_report,
     verify_esph,
 )
@@ -58,8 +60,6 @@ class RunConfig:
     case: str = "group:psl2"
     rational: bool = False
     seed: int = 0
-    cache_dir: str | None = None
-    threads: int = 1
     word: tuple = ()
     count: int = 200
     probe_degree: int | None = None
@@ -72,7 +72,6 @@ class RunConfig:
             self.law_spec(),
             self.degree,
             rational=self.rational if rational is None else rational,
-            cache_dir=self.cache_dir,
         )
 
     def to_json(self) -> dict:
@@ -83,17 +82,9 @@ class RunConfig:
             "case": self.case,
             "rational": self.rational,
             "seed": self.seed,
-            "threads": self.threads,
             "word": list(self.word),
             "count": self.count,
         }
-
-
-def parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _report(suite: str, cfg: RunConfig, checks: list[dict]) -> dict:
@@ -143,7 +134,7 @@ def suite_lemma_div(cfg: RunConfig) -> dict:
                 failures.append({"root": list(beta), "certificate": "failed"})
         return failures
 
-    all_failures = [f for fs in parallel_map(run, samples, cfg.threads) for f in fs]
+    all_failures = [f for sample in samples for f in run(sample)]
     checks = [
         {
             "name": "divisibility",
@@ -405,12 +396,6 @@ def suite_esph(cfg: RunConfig) -> dict:
                 "detail": prep,
             }
         )
-        from .wonderful import (
-            _series_span_equal,
-            invariant_subring_X,
-            invariant_tuple_basis,
-        )
-
         datum = sd.datum
         w_gens = [
             WeylElement(datum.simple_reflection(i), (i,))
@@ -424,7 +409,7 @@ def suite_esph(cfg: RunConfig) -> dict:
                 for c in invariant_tuple_basis(graph, w_gens, m)
             ]
             via_x = invariant_subring_X(model, m)
-            same = _series_span_equal(via_p, via_x)
+            same = span_equal(via_p, via_x)
             detail.append({"degree": m, "agree": bool(same), "rank": len(via_x)})
             ok = ok and same
         checks.append(

@@ -12,7 +12,6 @@ the restricted curves.
 
 from __future__ import annotations
 
-from .coeffs import Coeff, ZERO
 from .errors import (
     CoefficientModeError,
     PrecisionExhaustedError,
@@ -22,11 +21,14 @@ from .errors import (
 from .gkm import (
     GKMClass,
     GKMGraph,
+    TupleSystem,
     ambient_monomials,
+    constant_class,
     membership,
+    span_equal,
 )
-from .linalg import canonical_sign, kernel_int, span_equal_rational, vneg, vsub
-from .roots import SymmetricDatum, WeylElement, _mat_mul, weyl_act
+from .linalg import canonical_sign, vneg, vsub
+from .roots import SymmetricDatum, WeylElement, mat_mul, weyl_act
 from .series import GradedSeries
 
 
@@ -48,7 +50,7 @@ class WonderfulModel:
         for i, w in enumerate(weyl):
             if w.matrix in rep_of:
                 continue
-            members = sorted(index_of[_mat_mul(w.matrix, l)] for l in wl)
+            members = sorted(index_of[mat_mul(w.matrix, l)] for l in wl)
             rep = members[0]
             if rep == i:
                 reps.append(i)
@@ -78,14 +80,14 @@ class WonderfulModel:
             wi = element_to_vertex[w.matrix]
             for beta in sigma_plus_outside:
                 refl = datum._reflection_from(beta, datum.coroot_of[beta])
-                wj = element_to_vertex[_mat_mul(w.matrix, refl)]
+                wj = element_to_vertex[mat_mul(w.matrix, refl)]
                 add_edge(wi, wj, w.act(beta))
         root_edge_count = len(edges)
         for w in weyl:
             wi = element_to_vertex[w.matrix]
             for k in range(len(sd.restricted)):
                 r = sd.restricted_reflection(k)
-                wj = element_to_vertex[_mat_mul(w.matrix, r.matrix)]
+                wj = element_to_vertex[mat_mul(w.matrix, r.matrix)]
                 gamma = sd.restricted[k][0]
                 add_edge(wi, wj, w.act(gamma))
         self.root_edge_count = root_edge_count
@@ -112,7 +114,7 @@ class WonderfulModel:
             wi = element_to_vertex[w.matrix]
             for k in range(len(sd.restricted)):
                 r = sd.restricted_reflection(k)
-                wj = element_to_vertex[_mat_mul(w.matrix, r.matrix)]
+                wj = element_to_vertex[mat_mul(w.matrix, r.matrix)]
                 gamma = sd.restricted[k][0]
                 key = (
                     min(y_index[wi], y_index[wj]),
@@ -155,83 +157,7 @@ def build_wonderful_graph(sd: SymmetricDatum, ctx) -> WonderfulModel:
     return WonderfulModel(sd, ctx)
 
 
-# -- linear conditions ------------------------------------------------------------
-
-
-def _mono_series(nvars, precision, mono):
-    texp, bexp = mono
-    return GradedSeries(nvars, precision, {texp: Coeff.monomial(bexp)})
-
-
-def _series_coords(s: GradedSeries):
-    return {
-        (e, b): val for e, c in s.terms.items() for b, val in c.terms.items()
-    }
-
-
-def _weyl_action_rows(datum, ctx, generators, monos, index):
-    """Rows expressing w(f) = f for each generator, in ambient coordinates."""
-    n = datum.rank
-    rows = []
-    for g in generators:
-        coords: dict = {}
-        for k, mono in enumerate(monos):
-            diff = weyl_act(g, _mono_series(n, ctx.precision, mono), ctx, datum)
-            for key, val in _series_coords(diff).items():
-                coords.setdefault(key, {})[k] = val
-        for key in sorted(coords):
-            row = [0] * len(monos)
-            for k, val in coords[key].items():
-                row[k] += val
-            k0 = index.get(key)
-            if k0 is not None:
-                row[k0] -= 1
-            if any(row):
-                rows.append(row)
-    return rows
-
-
-def _congruence_rows(datum, ctx, pairs, monos):
-    """Rows for f = w(f) mod x_chi conditions, one per remainder coordinate.
-
-    ``pairs`` is a list of (w, chi).
-    """
-    n = datum.rank
-    rows = []
-    for (w, chi) in pairs:
-        fwd, _ = ctx.character_transform(tuple(chi))
-        coords: dict = {}
-        for k, mono in enumerate(monos):
-            f = _mono_series(n, ctx.precision, mono)
-            diff = f - weyl_act(w, f, ctx, datum)
-            img = fwd.apply(diff)
-            for e, c in img.terms.items():
-                if e[0] != 0:
-                    continue
-                for b, val in c.terms.items():
-                    coords.setdefault((e, b), {})[k] = val
-        for key in sorted(coords):
-            row = [0] * len(monos)
-            for k, val in coords[key].items():
-                row[k] = val
-            if any(row):
-                rows.append(row)
-    return rows
-
-
-def _vectors_to_series(datum, ctx, monos, vectors):
-    out = []
-    for vec in vectors:
-        terms: dict = {}
-        for k, (texp, bexp) in enumerate(monos):
-            if vec[k]:
-                cur = terms.get(texp, ZERO) + Coeff.monomial(bexp, vec[k])
-                if cur:
-                    terms[texp] = cur
-                else:
-                    terms.pop(texp, None)
-        out.append(GradedSeries(datum.rank, ctx.precision, terms))
-    return out
+# -- invariant subrings ------------------------------------------------------------
 
 
 def invariant_subring_X(
@@ -251,28 +177,28 @@ def invariant_subring_X(
         raise PrecisionExhaustedError("degree exceeds working precision")
     sd = model.sd
     datum = sd.datum
-    monos = ambient_monomials(ctx, datum.rank, degree)
+    system = TupleSystem(ctx, datum.rank, 1, ambient_monomials(ctx, datum.rank, degree))
+    monos = system.monomials
     if not monos:
         return []
-    index = {m: k for k, m in enumerate(monos)}
-    levi_gens = [
-        WeylElement(datum.simple_reflection(i), (i,)) for i in sd.delta_L
-    ]
-    rows = _weyl_action_rows(datum, ctx, levi_gens, monos, index)
+    for i in sd.delta_L:
+        g = WeylElement(datum.simple_reflection(i), (i,))
+        system.require([(0, 1, [weyl_act(g, f, ctx, datum) for f in monos]),
+                        (0, -1, monos)])
+    # f = w(f) mod x_chi for each (w, chi)
     pairs = [
         (sd.restricted_reflection(k), gamma)
         for k, (gamma, _, _) in enumerate(sd.restricted)
     ]
-    rows += _congruence_rows(datum, ctx, pairs, monos)
     if impose_root_edges:
-        extra = []
-        for beta in datum.positive_roots:
-            if beta in set(sd.sigma_L_pos):
-                continue
-            s = datum.reflection_element(beta)
-            extra.append((s, beta))
-        rows += _congruence_rows(datum, ctx, extra, monos)
-    return _vectors_to_series(datum, ctx, monos, kernel_int(rows, len(monos)))
+        pairs += [
+            (datum.reflection_element(beta), beta)
+            for beta in datum.positive_roots
+            if beta not in set(sd.sigma_L_pos)
+        ]
+    for (w, chi) in pairs:
+        system.require([(0, 1, [f - weyl_act(w, f, ctx, datum) for f in monos])], chi)
+    return [values[0] for values in system.solve()]
 
 
 def invariant_tuple_basis(
@@ -282,71 +208,20 @@ def invariant_tuple_basis(
     group generated by ``generators`` acting by (w f)_v = w(f at w^{-1} v)."""
     ctx = graph.ctx
     datum = graph.datum
-    n = graph.nvars
-    monos = ambient_monomials(ctx, n, degree)
+    system = TupleSystem(
+        ctx, graph.nvars, graph.nvertices, ambient_monomials(ctx, graph.nvars, degree)
+    )
+    monos = system.monomials
     if not monos:
         return []
-    nm = len(monos)
-    ncols = graph.nvertices * nm
-
-    def col(v, k):
-        return v * nm + k
-
-    mono_series = [_mono_series(n, ctx.precision, m) for m in monos]
-    mono_index = {m: k for k, m in enumerate(monos)}
-    rows = []
-    # edge congruences
     for (i, j, chi) in graph.edges:
-        fwd, _ = ctx.character_transform(tuple(chi))
-        coords: dict = {}
-        for k, ms in enumerate(mono_series):
-            img = fwd.apply(ms)
-            for e, c in img.terms.items():
-                if e[0] != 0:
-                    continue
-                for b, val in c.terms.items():
-                    coords.setdefault((e, b), {})[k] = val
-        for key in sorted(coords):
-            row = [0] * ncols
-            hit = False
-            for k, val in coords[key].items():
-                row[col(i, k)] += val
-                row[col(j, k)] -= val
-                hit = True
-            if hit:
-                rows.append(row)
-    # invariance under each generator
+        system.require([(i, 1, monos), (j, -1, monos)], chi)
+    # invariance: g(f at u) = f at g u
     for g in generators:
-        perm = [graph.act_vertex(g, v) for v in range(graph.nvertices)]
-        images = [
-            _series_coords(weyl_act(g, ms, ctx, datum)) for ms in mono_series
-        ]
+        images = [weyl_act(g, f, ctx, datum) for f in monos]
         for u in range(graph.nvertices):
-            v = perm[u]
-            coords: dict = {}
-            for k, img in enumerate(images):
-                for key, val in img.items():
-                    coords.setdefault(key, {})[k] = val
-            for key in sorted(coords):
-                row = [0] * ncols
-                for k, val in coords[key].items():
-                    row[col(u, k)] += val
-                k0 = mono_index.get(key)
-                if k0 is not None:
-                    row[col(v, k0)] -= 1
-                if any(row):
-                    rows.append(row)
-    basis = kernel_int(rows, ncols)
-    out = []
-    for vec in basis:
-        values = []
-        for v in range(graph.nvertices):
-            chunk = [vec[col(v, k)] for k in range(nm)]
-            values.append(
-                _vectors_to_series(datum, ctx, monos, [chunk])[0]
-            )
-        out.append(GKMClass(graph, values))
-    return out
+            system.require([(u, 1, images), (graph.act_vertex(g, u), -1, monos)])
+    return [GKMClass(graph, values) for values in system.solve()]
 
 
 def _w_theta_generators(sd: SymmetricDatum) -> list[WeylElement]:
@@ -368,29 +243,6 @@ def invariant_subring_Y(model: WonderfulModel, degree: int) -> list[GradedSeries
         model.y_graph, _w_theta_generators(model.sd), degree
     )
     return [c.values[model.y_graph.base] for c in basis]
-
-
-def _series_span_equal(a: list[GradedSeries], b: list[GradedSeries]) -> bool:
-    keys = sorted(
-        {
-            (e, bb)
-            for s in list(a) + list(b)
-            for e, c in s.terms.items()
-            for bb in c.terms
-        }
-    )
-    index = {k: i for i, k in enumerate(keys)}
-
-    def coords(s):
-        vec = [0] * len(keys)
-        for e, c in s.terms.items():
-            for bb, val in c.terms.items():
-                vec[index[(e, bb)]] = val
-        return tuple(vec)
-
-    va = [coords(s) for s in a]
-    vb = [coords(s) for s in b]
-    return span_equal_rational(va, vb, len(keys))
 
 
 def verify_esph(model: WonderfulModel, degree: int) -> dict:
@@ -416,9 +268,9 @@ def verify_esph(model: WonderfulModel, degree: int) -> dict:
         x_tuples = invariant_tuple_basis(model.x_graph, w_gens, m)
         x_restricted = [c.values[model.x_graph.base] for c in x_tuples]
         y_restricted = invariant_subring_Y(model, m)
-        agree_root = _series_span_equal(reduced, with_root_edges)
-        agree_x = _series_span_equal(reduced, x_restricted)
-        agree_y = _series_span_equal(reduced, y_restricted)
+        agree_root = span_equal(reduced, with_root_edges)
+        agree_x = span_equal(reduced, x_restricted)
+        agree_y = span_equal(reduced, y_restricted)
         entry = {
             "degree": m,
             "rank": len(reduced),
@@ -539,8 +391,6 @@ def naive_presentation_report(model: WonderfulModel) -> dict:
     t1 = GradedSeries.variable(0, n, p)
     t2 = GradedSeries.variable(1, n, p)
     t1sq_t2sq = t1 * t1 * t2 * t2
-    from .gkm import constant_class
-
     x_expr = zeta * zeta - constant_class(graph, t1sq_t2sq)
     x_rel = x_expr * x_expr
     y_vertices = [graph.ids.index(model.y_graph.ids[i])

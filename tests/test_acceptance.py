@@ -16,10 +16,10 @@ from cobcalc.gkm import (
     constant_class,
     flag_gkm,
     gln_relations,
+    span_equal,
     subring_basis,
     surjectivity_probe,
 )
-from cobcalc.linalg import span_equal_int
 from cobcalc.roots import (
     WeylElement,
     build_root_datum,
@@ -36,7 +36,6 @@ from cobcalc.schubert import (
 )
 from cobcalc.series import GradedSeries
 from cobcalc.wonderful import (
-    _series_span_equal,
     build_wonderful_graph,
     group_psl2_projective_model,
     invariant_subring_X,
@@ -248,7 +247,7 @@ def test_criterion_07_esph():
                 c.values[graph.base]
                 for c in invariant_tuple_basis(graph, w_gens, m)
             ]
-            assert _series_span_equal(
+            assert span_equal(
                 via_projective, invariant_subring_X(model, m)
             ), (law, m)
     elapsed = time.monotonic() - start
@@ -306,18 +305,13 @@ def test_criterion_09_specialization_coherence():
 
     # gl_n relations vanish in both worlds (trivially comparable) and the
     # congruence-tuple lattices agree outright
-    from cobcalc.gkm import _class_coordinates
-
     for tag in ("gl2", "gl3"):
         gu = flag_gkm(build_root_datum(tag), uctx)
         ga = flag_gkm(build_root_datum(tag), actx)
         for d in (1, 2):
             bu = subring_basis(gu, d)
             ba = subring_basis(ga, d)
-            vecs, keys = _class_coordinates(bu + ba)
-            assert span_equal_int(
-                vecs[: len(bu)], vecs[len(bu):], len(keys)
-            ), (tag, d)
+            assert span_equal(bu, ba, over="Z"), (tag, d)
 
     # Bott-Samelson classes specialize to the additive ones entrywise
     for tag, word in (("gl2", (0,)), ("gl3", (0, 1))):
@@ -337,10 +331,10 @@ def test_criterion_09_specialization_coherence():
     for m in range(0, 4):
         bu = [f.specialize_b_zero() for f in invariant_subring_X(um, m)]
         bu = [f for f in bu if not f.is_zero()]
-        assert _series_span_equal(bu, invariant_subring_X(am, m)), m
+        assert span_equal(bu, invariant_subring_X(am, m)), m
         by = [f.specialize_b_zero() for f in invariant_subring_Y(um, m)]
         by = [f for f in by if not f.is_zero()]
-        assert _series_span_equal(by, invariant_subring_Y(am, m)), m
+        assert span_equal(by, invariant_subring_Y(am, m)), m
 
     elapsed = time.monotonic() - start
     _announce(

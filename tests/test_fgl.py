@@ -1,5 +1,3 @@
-import json
-import os
 import pytest
 import sympy
 
@@ -148,41 +146,6 @@ def test_specialization_to_additive():
     assert kappa_series(ctx).specialize_b_zero() == kappa_series(add)
     x = ctx.formal_sum((2, -1, 1))
     assert x.specialize_b_zero() == add.formal_sum((2, -1, 1))
-
-
-def test_cache_roundtrip(tmp_path):
-    cache = str(tmp_path)
-    ctx = build_law("universal:3", 4, cache_dir=cache)
-    ctx.k_series(2)
-    path = ctx.save_cache(cache)
-    assert os.path.exists(path)
-    with open(path) as fh:
-        blob = json.load(fh)
-    assert blob["law"] == "universal:3"
-    assert blob["precision"] == 4
-    assert set(blob["series"]) >= {"F", "iota", "kappa", "k_2"}
-    # reload: adopted series must agree with recomputation
-    ctx2 = build_law("universal:3", 4, cache_dir=cache)
-    assert ctx2.k_series(2) == ctx.k_series(2)
-    assert ctx2.group_law == ctx.group_law
-    # deleting the cache never changes results
-    os.remove(path)
-    ctx3 = build_law("universal:3", 4, cache_dir=cache)
-    assert ctx3.group_law == ctx.group_law
-    assert ctx3.k_series(2) == ctx.k_series(2)
-
-
-def test_stale_cache_regenerated(tmp_path):
-    cache = str(tmp_path)
-    ctx = build_law("universal:3", 4, cache_dir=cache)
-    path = os.path.join(cache, ctx.cache_key() + ".json")
-    with open(path, "w") as fh:
-        fh.write('{"format": 0, "law": "universal:3", "precision": 9}')
-    ctx2 = build_law("universal:3", 4, cache_dir=cache)
-    assert ctx2.group_law == ctx.group_law
-    with open(path) as fh:
-        blob = json.load(fh)
-    assert blob["format"] == 1 and blob["precision"] == 4
 
 
 def test_divide_by_character_nonprimitive_rejected():

@@ -3,9 +3,15 @@ from random import Random
 import pytest
 
 from cobcalc.coeffs import Coeff
-from cobcalc.errors import PrecisionExhaustedError, UnsupportedTypeError
+from cobcalc.errors import (
+    InternalConsistencyError,
+    PrecisionExhaustedError,
+    UnsupportedTypeError,
+)
 from cobcalc.fgl import build_law
 from cobcalc.gkm import (
+    GKMClass,
+    GKMGraph,
     TensorClass,
     approx_flag_ring,
     constant_class,
@@ -14,12 +20,12 @@ from cobcalc.gkm import (
     invariants_basis,
     line_bundle_class,
     membership,
+    span_equal,
     subring_basis,
     surjectivity_probe,
     t_monomials,
     tensor_to_gkm,
 )
-from cobcalc.linalg import span_equal_rational
 from cobcalc.roots import build_root_datum, weyl_enumerate
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries, complete_homogeneous
@@ -150,11 +156,27 @@ def test_subring_basis_gl2_degree_one_span():
     t2 = GradedSeries.variable(1, 2, 5)
     zero = GradedSeries.zero(2, 5)
     stated = [(t1, t1), (t2, t2), (t1 - t2, zero)]
-    from cobcalc.gkm import GKMClass, _class_coordinates
-
     stated_classes = [GKMClass(g, list(v)) for v in stated]
-    vecs, keys = _class_coordinates(basis + stated_classes)
-    assert span_equal_rational(vecs[:3], vecs[3:], len(keys))
+    assert span_equal(basis, stated_classes)
+
+
+def test_span_equal_tells_lattice_from_vector_space():
+    ctx = build_law("additive", 3)
+    g = flag_gkm(build_root_datum("gl2"), ctx)
+    t1 = GradedSeries.variable(0, 2, 3)
+    for a, b in (
+        ([t1 + t1], [t1]),
+        ([GKMClass(g, [t1 + t1, t1 + t1])], [GKMClass(g, [t1, t1])]),
+    ):
+        assert span_equal(a, b, over="Q")
+        assert not span_equal(a, b, over="Z")
+        assert span_equal(a, a, over="Z")
+
+
+def test_zero_edge_character_rejected():
+    ctx = build_law("additive", 3)
+    with pytest.raises(InternalConsistencyError):
+        GKMGraph(ctx, ids=["a", "b"], edges=[(0, 1, (0, 0))], nvars=2)
 
 
 def test_subring_ranks_match_classical_oracle():
@@ -349,19 +371,26 @@ def test_invariants_universal_contains_s1():
     t2 = GradedSeries.variable(1, 2, 2)
     s1 = t1 + t2
     deg1 = [f for f in basis if f.homogeneous_degree() == 1]
-    from cobcalc.wonderful import _series_span_equal
-
-    assert _series_span_equal(deg1 + [s1], deg1)
+    assert span_equal(deg1 + [s1], deg1)
 
 
 def test_invariants_are_invariant():
-    ctx = build_law("universal:3", 4)
-    datum = build_root_datum("a2")
     from cobcalc.roots import weyl_act
 
-    for f in invariants_basis(datum, ctx, 2):
-        for w in weyl_enumerate(datum):
-            assert weyl_act(w, f, ctx, datum).equals_truncated(f)
+    # b2 and g2 have two simple reflections that are not permutations, so
+    # they exercise the summed invariance condition beyond the gl case
+    for tag, law, precision, d in (
+        ("a2", "universal:3", 4, 2),
+        ("b2", "multiplicative", 4, 3),
+        ("g2", "additive", 4, 4),
+    ):
+        ctx = build_law(law, precision)
+        datum = build_root_datum(tag)
+        basis = invariants_basis(datum, ctx, d)
+        assert any(f.homogeneous_degree() == 2 for f in basis), tag
+        for f in basis:
+            for w in weyl_enumerate(datum):
+                assert weyl_act(w, f, ctx, datum).equals_truncated(f), tag
 
 
 # -- flag ring approximation -----------------------------------------------------------

@@ -4,13 +4,12 @@ import pytest
 
 from cobcalc.errors import CoefficientModeError, RepeatedWeightError
 from cobcalc.fgl import build_law
-from cobcalc.gkm import membership
+from cobcalc.gkm import membership, span_equal
 from cobcalc.linalg import canonical_sign
 from cobcalc.roots import WeylElement, build_symmetric_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
 from cobcalc.wonderful import (
-    _series_span_equal,
     build_wonderful_graph,
     group_psl2_projective_model,
     invariant_subring_X,
@@ -134,7 +133,7 @@ def test_y_route_equals_reduced_route_degreewise(psl2):
     for m in range(0, 4):
         x_basis = invariant_subring_X(model, m)
         y_basis = invariant_subring_Y(model, m)
-        assert _series_span_equal(x_basis, y_basis)
+        assert span_equal(x_basis, y_basis)
 
 
 def test_invariant_tuples_pass_membership(psl2):
@@ -193,7 +192,7 @@ def test_projective_route_matches_reduced_subring(psl2):
             c.values[graph.base] for c in invariant_tuple_basis(graph, w_gens, m)
         ]
         via_reduced = invariant_subring_X(model, m)
-        assert _series_span_equal(via_projective, via_reduced)
+        assert span_equal(via_projective, via_reduced)
 
 
 def test_naive_presentation_recorded(psl2):
@@ -213,7 +212,7 @@ def test_specialization_reduces_universal_bases_to_additive(psl2):
         bu = [f.specialize_b_zero() for f in invariant_subring_X(um, m)]
         bu = [f for f in bu if not f.is_zero()]
         ba = invariant_subring_X(am, m)
-        assert _series_span_equal(bu, ba)
+        assert span_equal(bu, ba)
         assert len(ba) <= len(invariant_subring_X(um, m))
 
 
