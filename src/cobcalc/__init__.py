@@ -11,6 +11,7 @@ from .errors import (
     InsufficientGeneratorsError,
     InternalConsistencyError,
     InvolutionError,
+    NonPrimitiveCharacterError,
     NotDivisibleError,
     NotMinimalRankError,
     NVarsMismatchError,

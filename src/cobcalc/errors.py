@@ -50,6 +50,11 @@ class CoeffDivisionError(CobcalcError):
     convert this into NotDivisibleError with degree information)."""
 
 
+class NonPrimitiveCharacterError(CobcalcError):
+    """Division by the class of a character needs the character primitive
+    (its entries coprime)."""
+
+
 class IndexOutOfRangeError(CobcalcError):
     pass
 

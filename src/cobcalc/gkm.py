@@ -17,7 +17,13 @@ from .errors import (
     PrecisionExhaustedError,
     UnsupportedTypeError,
 )
-from .linalg import canonical_sign, kernel_int, span_equal_int, span_equal_rational
+from .linalg import (
+    canonical_sign,
+    kernel_int,
+    kernel_rational,
+    span_equal_int,
+    span_equal_rational,
+)
 from .roots import RootDatum, WeylElement, mat_mul, weyl_act
 from .series import GradedSeries, complete_homogeneous, elementary_symmetric
 
@@ -330,8 +336,9 @@ def _remainder(g: GradedSeries) -> dict:
 
 class TupleSystem:
     """Linear conditions on tuples of series, one per vertex, each an unknown
-    integer combination of the monomials ``monos`` ((t-exponent, b-exponent)
-    pairs); the unknown for (vertex v, monomial k) is column v * len(monos) + k.
+    combination of the monomials ``monos`` ((t-exponent, b-exponent) pairs);
+    the unknown for (vertex v, monomial k) is column v * len(monos) + k.
+    Each row is a sparse ``{column: value}`` dict.
     """
 
     def __init__(self, ctx, nvars: int, nvertices: int, monos):
@@ -343,7 +350,7 @@ class TupleSystem:
             GradedSeries(nvars, ctx.precision, {t: Coeff.monomial(b)})
             for t, b in self.monos
         ]
-        self.rows: list[list] = []
+        self.rows: list[dict] = []
 
     def require(self, parts, chi=None) -> None:
         """Impose one linear condition on the unknown tuple f.
@@ -372,18 +379,24 @@ class TupleSystem:
                     entry = coords.setdefault(key, {})
                     entry[col] = entry.get(col, 0) + scale * val
         for key in sorted(coords):
-            row = [0] * (self.nvertices * nm)
-            for col, val in coords[key].items():
-                row[col] = val
-            if any(row):
+            row = {col: val for col, val in coords[key].items() if val}
+            if row:
                 self.rows.append(row)
 
-    def solve(self) -> list[list[GradedSeries]]:
-        """A lattice basis of the integer solutions, each as one series per
-        vertex."""
+    def solve(self, over: str = "Z") -> list[list[GradedSeries]]:
+        """A basis of the solutions, each as one series per vertex: a basis
+        of the lattice of integer solutions (``over="Z"``), or the certified
+        reduced basis of the rational solutions scaled to primitive integer
+        vectors (``over="Q"``)."""
         nm = len(self.monos)
+        ncols = self.nvertices * nm
+        if over == "Z":
+            dense = [[row.get(c, 0) for c in range(ncols)] for row in self.rows]
+            basis = kernel_int(dense, ncols)
+        else:
+            basis = kernel_rational(self.rows, ncols)
         out = []
-        for vec in kernel_int(self.rows, self.nvertices * nm):
+        for vec in basis:
             values = []
             for v in range(self.nvertices):
                 terms: dict = {}
@@ -585,7 +598,10 @@ class FlagRingApprox:
             h = complete_homogeneous(bound, variables)
             lead = tuple(bound if i == j - 1 else 0 for i in range(n))
             rest = {e: -c for e, c in h.terms.items() if e != lead}
-            assert h.terms.get(lead) == 1
+            if h.terms.get(lead) != 1:
+                raise InternalConsistencyError(
+                    f"relation {j} does not lead with t{j}^{bound}"
+                )
             self.rules.append((lead, rest))
 
     def reduce(self, f: GradedSeries) -> GradedSeries:

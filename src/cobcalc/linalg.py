@@ -1,24 +1,29 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer and rational linear algebra; no floating point.
 
-Everything here works over Python ints / Fractions; no floating point.  The
-integer kernel routine returns a basis of the full lattice of integer
-solutions (not merely a scaled rational basis), which is what integral span
-comparisons need.
+Two kernel solvers, one per field of statement:
+
+* ``kernel_int`` returns a basis of the full lattice of integer solutions
+  (not merely a scaled rational basis), which is what integral span
+  comparisons need.  It column-reduces the dense matrix by unimodular
+  operations.
+* ``kernel_rational`` returns a certified basis of the rational solutions of
+  a sparse system.  It eliminates modulo 31-bit primes, lifts the reduced
+  echelon form by rational reconstruction (combining primes by CRT when
+  needed) and checks every lifted vector exactly over Z before returning it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt
+
+from .errors import InternalConsistencyError, NonPrimitiveCharacterError
 
 Vec = tuple[int, ...]
 
 
 # -- small vector helpers ------------------------------------------------------
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a, b):
@@ -27,14 +32,6 @@ def vsub(a, b):
 
 def vneg(a):
     return tuple(-x for x in a)
-
-
-def vscale(a, c):
-    return tuple(c * x for x in a)
-
-
-def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def is_zero_vec(a) -> bool:
@@ -63,29 +60,32 @@ def primitive(a: Vec) -> Vec:
     return tuple(x // g for x in a) if g > 1 else tuple(a)
 
 
-def clear_denominators(row) -> Vec:
+def _denominator_lcm(values) -> int:
     lcm = 1
-    for x in row:
+    for x in values:
         if isinstance(x, Fraction):
             d = x.denominator
             lcm = lcm * d // gcd(lcm, d)
+    return lcm
+
+
+def clear_denominators(row) -> Vec:
+    lcm = _denominator_lcm(row)
     return tuple(int(x * lcm) for x in row)
 
 
-# -- integer column echelon / kernel -------------------------------------------
+# -- integer column echelon / lattice kernel -----------------------------------
 
 
-def _column_echelon(rows: list[list[int]], ncols: int):
-    """Bring the column span into echelon form by unimodular column operations.
+def _column_echelon(cols: list[list[int]], nrows: int) -> int:
+    """Bring the first ``nrows`` coordinates of the columns ``cols`` into
+    echelon form by unimodular column operations, in place.
 
-    Returns (echelon columns as list of column vectors, kernel basis columns),
-    where the kernel columns span {x in Z^ncols : A x = 0} as a lattice.
+    Returns the number of nonzero echelon columns; they come first, and the
+    remaining columns are zero on those coordinates.  Coordinates past
+    ``nrows`` take part in every operation without being swept, so appending
+    a unit matrix below records the operations.
     """
-    nrows = len(rows)
-    # work columnwise: cols[j] = j-th column of A; U tracks the operations.
-    cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    unit = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    pivot_cols: list[int] = []
     start = 0
     for r in range(nrows):
         # gcd-sweep row r across columns start..end
@@ -98,27 +98,18 @@ def _column_echelon(rows: list[list[int]], ncols: int):
             continue
         if j != start:
             cols[start], cols[j] = cols[j], cols[start]
-            unit[start], unit[j] = unit[j], unit[start]
         for j in range(start + 1, len(cols)):
             while cols[j][r] != 0:
                 a, b = cols[start][r], cols[j][r]
                 if abs(a) > abs(b):
                     cols[start], cols[j] = cols[j], cols[start]
-                    unit[start], unit[j] = unit[j], unit[start]
                     continue
-                q = cols[j][r] // cols[start][r]
-                for i in range(nrows):
-                    cols[j][i] -= q * cols[start][i]
-                for i in range(ncols):
-                    unit[j][i] -= q * unit[start][i]
+                q = b // a
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[start])]
         if cols[start][r] < 0:
             cols[start] = [-x for x in cols[start]]
-            unit[start] = [-x for x in unit[start]]
-        pivot_cols.append(start)
         start += 1
-    echelon = [cols[j] for j in range(start)]
-    kernel = [tuple(unit[j]) for j in range(start, len(cols))]
-    return echelon, kernel
+    return start
 
 
 def kernel_int(rows: list, ncols: int) -> list[Vec]:
@@ -127,25 +118,235 @@ def kernel_int(rows: list, ncols: int) -> list[Vec]:
     Rows may contain Fractions; they are cleared first (same solution set).
     Deterministic for a fixed row order.
     """
-    int_rows = [list(clear_denominators(r)) for r in rows]
-    if not int_rows:
-        return [
-            tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)
-        ]
-    _, kernel = _column_echelon(int_rows, ncols)
-    return [canonical_sign(k) for k in kernel]
+    int_rows = [clear_denominators(r) for r in rows]
+    nrows = len(int_rows)
+    # column j of A with the j-th unit vector below it
+    cols = [
+        [r[j] for r in int_rows] + [1 if i == j else 0 for i in range(ncols)]
+        for j in range(ncols)
+    ]
+    rank = _column_echelon(cols, nrows)
+    return [canonical_sign(tuple(c[nrows:])) for c in cols[rank:]]
+
+
+# -- certified rational kernel by modular elimination --------------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3,215,031,751."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2**31, largest first."""
+    n = 2**31 - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _kernel_mod(rows: list[dict], ncols: int, p: int):
+    """Reduced row echelon form of the integer rows over GF(p).
+
+    Returns (pivot columns in increasing order, {(pivot, free column): entry
+    of the kernel vector of that free column at that pivot}).  Each row is
+    reduced against the pivot rows found so far in increasing column order,
+    and its least remaining column becomes a new pivot; every pivot row then
+    starts at its pivot, so the pivots are the lexicographically earliest
+    column basis mod p, whatever the row order.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: v % p for c, v in row.items() if v % p}
+        heap = [c for c in r if c in pivot_rows]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            v = r.pop(c, 0)
+            if not v:
+                continue
+            for j, w in pivot_rows[c].items():
+                if j == c:
+                    continue
+                x = (r.get(j, 0) - v * w) % p
+                if x:
+                    if j not in r and j in pivot_rows:
+                        heappush(heap, j)
+                    r[j] = x
+                else:
+                    r.pop(j, None)
+        if r:
+            lead = min(r)
+            inv = pow(r[lead], -1, p)
+            pivot_rows[lead] = {j: x * inv % p for j, x in r.items()}
+    pivots = sorted(pivot_rows)
+    # back substitution, last pivot first: each pivot row ends up with
+    # entries only at its pivot and at free columns
+    for c in reversed(pivots):
+        r = pivot_rows[c]
+        for j in [j for j in r if j != c and j in pivot_rows]:
+            v = r.pop(j)
+            for k, w in pivot_rows[j].items():
+                if k == j:
+                    continue
+                x = (r.get(k, 0) - v * w) % p
+                if x:
+                    r[k] = x
+                else:
+                    r.pop(k, None)
+    entries = {
+        (c, f): -v % p
+        for c in pivots
+        for f, v in pivot_rows[c].items()
+        if f != c
+    }
+    return pivots, entries
+
+
+def _crt(entries: dict, modulus: int, more: dict, p: int) -> dict:
+    """Combine residues modulo ``modulus`` with residues modulo the prime
+    ``p`` into residues modulo ``modulus * p``; absent keys are zero."""
+    inv = pow(modulus, -1, p)
+    out = {}
+    for key in entries.keys() | more.keys():
+        a = entries.get(key, 0)
+        t = (more.get(key, 0) - a) * inv % p
+        out[key] = a + modulus * t
+    return out
+
+
+def _reconstruct(a: int, m: int):
+    """The fraction n/d (as a pair, d > 0) with n = a d mod m and |n|, d at
+    most sqrt(m/2), or None if there is none (Wang's algorithm)."""
+    bound = isqrt(m // 2)
+    r0, r1 = m, a % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lift(pivots, entries: dict, modulus: int, ncols: int):
+    """Primitive integer kernel vectors, one per free column in increasing
+    order, positive at their free column; None if a reconstruction fails."""
+    pivot_set = set(pivots)
+    free = [f for f in range(ncols) if f not in pivot_set]
+    fracs: dict[int, dict[int, tuple]] = {f: {} for f in free}
+    for (c, f), a in entries.items():
+        nd = _reconstruct(a, modulus)
+        if nd is None:
+            return None
+        if nd[0]:
+            fracs[f][c] = nd
+    basis = []
+    for f in free:
+        col = fracs[f]
+        lcm = 1
+        for _, d in col.values():
+            lcm = lcm * d // gcd(lcm, d)
+        vec = {c: n * (lcm // d) for c, (n, d) in col.items()}
+        vec[f] = lcm
+        g = 0
+        for x in vec.values():
+            g = gcd(g, x)
+        basis.append({c: x // g for c, x in vec.items()})
+    return basis
+
+
+def _annihilates(rows: list[dict], basis: list[dict]) -> bool:
+    """Whether every row vanishes on every vector, exactly over Z."""
+    by_col: dict[int, list] = {}
+    for k, x in enumerate(basis):
+        for c, v in x.items():
+            by_col.setdefault(c, []).append((k, v))
+    for row in rows:
+        acc: dict[int, int] = {}
+        for c, a in row.items():
+            for k, v in by_col.get(c, ()):
+                acc[k] = acc.get(k, 0) + a * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def kernel_rational(rows: list[dict], ncols: int) -> list[Vec]:
+    """Certified basis of the rational solutions of ``A x = 0``.
+
+    ``rows`` are sparse ``{column: value}`` dicts with int or Fraction
+    values.  The basis is the reduced one: one vector per free column of the
+    rational reduced row echelon form, in increasing order, equal to 1 there
+    and 0 at the other free columns, scaled to a primitive integer vector.
+    It does not depend on the row order.
+
+    Rows are eliminated modulo 31-bit primes, sparsest first.  A prime whose
+    pivot columns are not the lexicographically earliest of the largest rank
+    seen is dropped; primes with the same pivots are combined by CRT until
+    every entry has a rational reconstruction.  Every lifted vector is then
+    checked exactly over Z.  The vectors are independent and their number,
+    ncols - rank mod p, is at least the dimension of the rational kernel, so
+    if all pass they are a basis of it (and the pivots are the rational
+    ones); otherwise the next prime is taken.  No vector is returned
+    unchecked.
+    """
+    int_rows = []
+    for row in rows:
+        lcm = _denominator_lcm(row.values())
+        r = {c: int(v * lcm) for c, v in row.items() if v}
+        if r:
+            int_rows.append(r)
+    int_rows.sort(key=len)
+    pivots = modulus = residues = None
+    for p in _primes():
+        piv, res = _kernel_mod(int_rows, ncols, p)
+        if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
+            pivots, modulus, residues = piv, p, res
+        elif piv == pivots:
+            residues = _crt(residues, modulus, res, p)
+            modulus *= p
+        else:
+            continue  # unlucky: its pivots are not the earliest of largest rank
+        basis = _lift(pivots, residues, modulus, ncols)
+        if basis is not None and _annihilates(int_rows, basis):
+            return [tuple(x.get(c, 0) for c in range(ncols)) for x in basis]
 
 
 def rank_int(vectors: list) -> int:
-    vecs = [list(clear_denominators(v)) for v in vectors]
-    vecs = [v for v in vecs if any(v)]
+    """Rank over Q of vectors with int or Fraction entries: the number of
+    nonzero vectors less the dimension of the certified space of linear
+    relations among them."""
+    vecs = [v for v in vectors if any(v)]
     if not vecs:
         return 0
-    echelon, _ = _column_echelon(vecs, len(vecs[0]))
-    return len(echelon)
+    relations = [
+        {j: v[i] for j, v in enumerate(vecs) if v[i]} for i in range(len(vecs[0]))
+    ]
+    return len(vecs) - len(kernel_rational(relations, len(vecs)))
 
 
-# -- lattice membership / span comparison ---------------------------------------
+# -- lattice membership / span comparison --------------------------------------
 
 
 class Lattice:
@@ -153,14 +354,9 @@ class Lattice:
 
     def __init__(self, vectors: list[Vec], dim: int):
         self.dim = dim
-        rows = [list(v) for v in vectors if not is_zero_vec(v)]
         # column echelon of the generator matrix (generators as columns)
-        if rows:
-            mat = [[rows[j][i] for j in range(len(rows))] for i in range(dim)]
-            echelon, _ = _column_echelon(mat, len(rows))
-        else:
-            echelon = []
-        self.basis = [tuple(col) for col in echelon]
+        cols = [list(v) for v in vectors if not is_zero_vec(v)]
+        self.basis = [tuple(col) for col in cols[:_column_echelon(cols, dim)]]
 
     def rank(self) -> int:
         return len(self.basis)
@@ -198,41 +394,7 @@ def span_equal_rational(vs: list, ws: list, dim: int) -> bool:
     return rank_int(list(vs) + list(ws)) == rv
 
 
-# -- rational reduced row echelon (canonical bases) ------------------------------
-
-
-def rref_rational(vectors: list) -> list[tuple[Fraction, ...]]:
-    """Canonical reduced echelon basis of the rational row span."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        pick = None
-        for r in rows:
-            if r[col] != 0 and all(r[c] == 0 for c in range(col)):
-                pick = r
-                break
-        if pick is None:
-            continue
-        rows.remove(pick)
-        pick = [x / pick[col] for x in pick]
-        rows = [
-            [x - r[col] * p for x, p in zip(r, pick)] if r[col] else r for r in rows
-        ]
-        out = [
-            [x - r[col] * p for x, p in zip(r, pick)] if r[col] else r for r in out
-        ]
-        out.append(pick)
-        pivots.append(col)
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            break
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return [tuple(out[i]) for i in order]
+# -- rational solving ----------------------------------------------------------
 
 
 def solve_rational(matrix: list, rhs: list):
@@ -265,7 +427,7 @@ def solve_rational(matrix: list, rhs: list):
     return x
 
 
-# -- unimodular basis completion -------------------------------------------------
+# -- unimodular basis completion -----------------------------------------------
 
 
 def unimodular_with_first_column(alpha: Vec) -> list[list[int]]:
@@ -276,7 +438,10 @@ def unimodular_with_first_column(alpha: Vec) -> list[list[int]]:
     """
     n = len(alpha)
     if content(alpha) != 1:
-        raise ValueError("character is not primitive")
+        raise NonPrimitiveCharacterError(
+            f"character {tuple(alpha)} is not primitive; divisibility by its "
+            "class is defined only for primitive characters"
+        )
     # Row-reduce alpha to e1 by unimodular row ops, tracking their product M;
     # then U = M^{-1} has first column alpha.  We accumulate M directly.
     a = list(alpha)
@@ -301,7 +466,8 @@ def unimodular_with_first_column(alpha: Vec) -> list[list[int]]:
     if a[pivot] < 0:
         a[pivot] = -a[pivot]
         m[pivot] = [-x for x in m[pivot]]
-    assert a[pivot] == 1 and all(x == 0 for x in a[1:]), "primitive reduction failed"
+    if a[pivot] != 1 or any(a[1:]):
+        raise InternalConsistencyError("primitive reduction failed")
     return mat_inverse_int(m)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
+    InternalConsistencyError,
     InvolutionError,
     NotMinimalRankError,
     NVarsMismatchError,
@@ -132,14 +133,24 @@ class RootDatum:
         self._simple_expansion = {}
         for beta in self.roots:
             sol = solve_rational(smat, list(beta))
-            assert sol is not None, "root outside simple-root span"
+            if sol is None:
+                raise InternalConsistencyError(
+                    f"root {beta} lies outside the simple-root span"
+                )
             self._simple_expansion[beta] = tuple(sol)
             if all(c >= 0 for c in sol):
                 pos.append(beta)
         self.positive_roots = tuple(sorted(pos))
-        assert 2 * len(self.positive_roots) == len(self.roots)
+        if 2 * len(self.positive_roots) != len(self.roots):
+            raise InternalConsistencyError(
+                f"{len(self.positive_roots)} positive roots of {len(self.roots)}"
+            )
         for beta, v in corr.items():
-            assert sum(a * b for a, b in zip(beta, v)) == 2
+            pairing = sum(a * b for a, b in zip(beta, v))
+            if pairing != 2:
+                raise InternalConsistencyError(
+                    f"root {beta} pairs to {pairing} with its coroot, not 2"
+                )
 
     def pairing(self, chi, beta) -> int:
         """<chi, beta^vee> for a root beta."""

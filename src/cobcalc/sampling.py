@@ -9,6 +9,7 @@ from __future__ import annotations
 from random import Random
 
 from .coeffs import Coeff
+from .errors import InternalConsistencyError
 from .series import GradedSeries
 
 
@@ -49,7 +50,10 @@ def random_homogeneous(
     (t-degree above ``degree``); with ``b_free`` the result is a plain form,
     valid input under any law.
     """
-    assert degree <= ctx.precision
+    if degree > ctx.precision:
+        raise InternalConsistencyError(
+            f"sample degree {degree} exceeds precision {ctx.precision}"
+        )
     max_extra = 0 if (b_free or ctx.ngens == 0) else ctx.precision - degree
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):

@@ -163,9 +163,10 @@ def build_wonderful_graph(sd: SymmetricDatum, ctx) -> WonderfulModel:
 def invariant_subring_X(
     model: WonderfulModel, degree: int, impose_root_edges: bool = False
 ) -> list[GradedSeries]:
-    """Basis of the degree-``degree`` piece of the invariant subring, in its
-    reduced description: Levi-invariant f with f = s_alpha s_{theta alpha}(f)
-    mod x_gamma for every restricted basis root.
+    """Rational basis of the degree-``degree`` piece of the invariant
+    subring, in its reduced description: Levi-invariant f with
+    f = s_alpha s_{theta alpha}(f) mod x_gamma for every restricted basis
+    root.
 
     Root-curve congruences are *not* imposed (they hold automatically; pass
     ``impose_root_edges=True`` to check that imposing them changes nothing).
@@ -198,15 +199,18 @@ def invariant_subring_X(
         ]
     for (w, chi) in pairs:
         system.require([(0, 1, [f - weyl_act(w, f, ctx, datum) for f in monos])], chi)
-    return [values[0] for values in system.solve()]
+    return [values[0] for values in system.solve(over="Q")]
 
 
 def invariant_tuple_basis(
     graph: GKMGraph, generators: list[WeylElement], degree: int
 ) -> list[GKMClass]:
-    """Basis of degree-``degree`` classes on the graph invariant under the
-    group generated by ``generators`` acting by (w f)_v = w(f at w^{-1} v)."""
+    """Rational basis of degree-``degree`` classes on the graph invariant
+    under the group generated by ``generators`` acting by
+    (w f)_v = w(f at w^{-1} v)."""
     ctx = graph.ctx
+    if not ctx.rational:
+        raise CoefficientModeError("invariant subrings are computed rationally")
     datum = graph.datum
     system = TupleSystem(
         ctx, graph.nvars, graph.nvertices, ambient_monomials(ctx, graph.nvars, degree)
@@ -221,7 +225,7 @@ def invariant_tuple_basis(
         images = [weyl_act(g, f, ctx, datum) for f in monos]
         for u in range(graph.nvertices):
             system.require([(u, 1, images), (graph.act_vertex(g, u), -1, monos)])
-    return [GKMClass(graph, values) for values in system.solve()]
+    return [GKMClass(graph, values) for values in system.solve(over="Q")]
 
 
 def _w_theta_generators(sd: SymmetricDatum) -> list[WeylElement]:

@@ -1,14 +1,16 @@
 """Independent brute-force machinery for checking the engine.
 
-Everything here is plain multivariate polynomial arithmetic over Fractions,
-sharing no code path with the package: dict-based polynomials, lex long
-division, permutation actions built from first principles.
+Everything here is plain arithmetic over Fractions, sharing no code path with
+the package: dict-based multivariate polynomials, lex long division,
+permutation actions built from first principles, and dense rational row
+reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 
 class Poly:
@@ -218,3 +220,65 @@ def engine_permutation(weyl_element, n: int):
         assert sorted(col) == [0] * (n - 1) + [1]
         perm.append(col.index(1))
     return tuple(perm)
+
+
+# -- rational linear algebra ---------------------------------------------------------
+
+
+def rref_rational(vectors: list) -> list[tuple[Fraction, ...]]:
+    """Canonical reduced echelon basis of the rational row span."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    out: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        pick = None
+        for r in rows:
+            if r[col] != 0 and all(r[c] == 0 for c in range(col)):
+                pick = r
+                break
+        if pick is None:
+            continue
+        rows.remove(pick)
+        pick = [x / pick[col] for x in pick]
+        rows = [
+            [x - r[col] * p for x, p in zip(r, pick)] if r[col] else r for r in rows
+        ]
+        out = [
+            [x - r[col] * p for x, p in zip(r, pick)] if r[col] else r for r in out
+        ]
+        out.append(pick)
+        pivots.append(col)
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            break
+    order = sorted(range(len(out)), key=lambda i: pivots[i])
+    return [tuple(out[i]) for i in order]
+
+
+def rational_kernel(rows: list, ncols: int) -> list[tuple[int, ...]]:
+    """The reduced kernel basis read off ``rref_rational``: one vector per free
+    column in increasing order, 1 there and 0 at the other free columns,
+    scaled by a positive factor to a primitive integer vector."""
+    rref = rref_rational(rows)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rref]
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for c, r in zip(pivots, rref):
+            vec[c] = -r[f]
+        lcm = 1
+        for x in vec:
+            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+        ints = [int(x * lcm) for x in vec]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        out.append(tuple(x // g for x in ints))
+    return out

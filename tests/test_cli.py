@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import cobcalc
 from cobcalc.cli import main
 from cobcalc.fgl import build_law
 from cobcalc.gkm import flag_gkm, line_bundle_class
@@ -235,3 +238,15 @@ def test_bad_word_rejected(capsys):
 def test_removed_options_rejected(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2 and out == ""
+
+
+def test_no_assert_statements_in_package():
+    # internal invariants raise InternalConsistencyError: an assert would
+    # vanish under python -O
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cobcalc.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -2,7 +2,12 @@ import pytest
 import sympy
 
 from cobcalc.coeffs import Coeff
-from cobcalc.errors import InsufficientGeneratorsError, PrecisionTooSmallError
+from cobcalc.errors import (
+    CobcalcError,
+    InsufficientGeneratorsError,
+    NonPrimitiveCharacterError,
+    PrecisionTooSmallError,
+)
 from cobcalc.fgl import (
     LawSpec,
     build_law,
@@ -151,8 +156,15 @@ def test_specialization_to_additive():
 def test_divide_by_character_nonprimitive_rejected():
     ctx = build_law("additive", 4)
     f = ctx.formal_sum((2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPrimitiveCharacterError) as info:
         ctx.divide_by_character(f, (2, 0))
+    # a package error with a one-line message, not a bare ValueError
+    assert isinstance(info.value, CobcalcError)
+    assert not isinstance(info.value, ValueError)
+    assert str(info.value) == (
+        "character (2, 0) is not primitive; divisibility by its class is "
+        "defined only for primitive characters"
+    )
 
 
 def test_k_series_additivity_full_range():

@@ -1,22 +1,26 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from cobcalc.errors import NonPrimitiveCharacterError
 from cobcalc.linalg import (
     Lattice,
     canonical_sign,
     clear_denominators,
     kernel_int,
+    kernel_rational,
     mat_inverse_int,
     mat_mul_vec,
     primitive,
     rank_int,
-    rref_rational,
     solve_rational,
     span_equal_int,
     span_equal_rational,
     unimodular_with_first_column,
 )
+
+from .oracles import rational_kernel, rref_rational
 
 
 def test_canonical_sign():
@@ -101,10 +105,83 @@ def test_unimodular_completion(alpha):
 
 
 def test_unimodular_requires_primitive():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPrimitiveCharacterError, match=r"\(2, 4\) is not primitive"):
         unimodular_with_first_column((2, 4))
 
 
 def test_primitive():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((0, 3)) == (0, 1)
+
+
+# -- certified rational kernel ---------------------------------------------------
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
+def _random_system(rng: Random):
+    """A sparse system, often rank-deficient: some rows are combinations of
+    others, some are zero, and some entries are Fractions."""
+    ncols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * ncols)
+        elif kind < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([
+                (Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 if rng.random() < 0.3 else rng.randint(-4, 4))
+                if rng.random() < 0.4 else 0
+                for _ in range(ncols)
+            ])
+    return rows, ncols
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_rational_matches_reference(seed):
+    rng = Random(seed)
+    for _ in range(40):
+        rows, ncols = _random_system(rng)
+        expected = rational_kernel(rows, ncols)
+        assert kernel_rational(_sparse(rows), ncols) == expected, (rows, ncols)
+        assert rank_int(rows) == len(rref_rational(rows)), rows
+        # the reduced basis does not depend on the row order
+        rng.shuffle(rows)
+        assert kernel_rational(_sparse(rows), ncols) == expected, (rows, ncols)
+
+
+def test_kernel_rational_edge_cases():
+    # no rows, and only zero rows: the unit vectors
+    assert kernel_rational([], 2) == [(1, 0), (0, 1)]
+    assert kernel_rational([{}, {0: 0}], 2) == [(1, 0), (0, 1)]
+    # full rank: nothing
+    assert kernel_rational([{0: 1, 1: 2}, {0: 3, 1: 4}], 2) == []
+    # Fraction entries are cleared; the vector is primitive, positive at its
+    # free column
+    assert kernel_rational([{0: Fraction(1, 2), 1: Fraction(-1, 3)}], 2) == [(2, 3)]
+    assert kernel_rational([{0: 2, 1: -2}], 2) == [(1, 1)]
+    assert kernel_rational([{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}], 3) == [(1, -2, 1)]
+
+
+# the two largest primes below 2**31, the first moduli kernel_rational tries
+_P, _Q = 2**31 - 1, 2**31 - 19
+
+
+def test_kernel_rational_survives_unlucky_primes():
+    # modulo _P the pivot moves to column 1, and the kernel vector lifts only
+    # from several further primes combined (its entry _P is too large for one)
+    assert kernel_rational([{0: _P, 1: 1}], 2) == [(-1, _P)]
+    assert kernel_rational([{0: 1, 1: _P}], 2) == [(-_P, 1)]
+    # _Q is unlucky while lucky primes are being combined: it must be dropped
+    assert kernel_rational([{0: _Q, 1: 1}], 2) == [(-1, _Q)]
+    # modulo _P the rank drops: the extra kernel vector fails the exact check
+    assert kernel_rational([{0: _P, 1: _P}, {0: 1, 1: 2}], 2) == []
+    rows = [[3 * _P, _P, 0, _P], [_P, 0, 2 * _P, Fraction(_P, 7)], [1, 1, 1, 1]]
+    assert kernel_rational(_sparse(rows), 4) == rational_kernel(rows, 4)

@@ -82,6 +82,8 @@ def test_rational_mode_required(psl2):
     with pytest.raises(CoefficientModeError):
         invariant_subring_Y(model, 1)
     with pytest.raises(CoefficientModeError):
+        invariant_tuple_basis(model.x_graph, [], 1)
+    with pytest.raises(CoefficientModeError):
         verify_esph(model, 1)
 
 
@@ -91,6 +93,17 @@ def test_esph_additive_ranks(psl2):
     report = verify_esph(model, 3)
     assert report["pass"]
     assert [d["rank"] for d in report["degrees"]] == [1, 1, 3, 3]
+
+
+def test_esph_group_b2_additive_degree_two():
+    # its X-tuple system has 4480 rows and 640 unknowns: a rational statement
+    # solved by the certified modular kernel
+    model = build_wonderful_graph(
+        build_symmetric_datum("group:b2"), build_law("additive", 2, rational=True)
+    )
+    report = verify_esph(model, 2)
+    assert report["pass"], report
+    assert [d["x_tuple_rank"] for d in report["degrees"]] == [1, 2, 6]
 
 
 @pytest.mark.parametrize("law", ["additive", "universal:3"])
