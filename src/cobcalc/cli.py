@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     InvolutionError,
     NotMinimalRankError,
+    PrecisionExhaustedError,
     RepeatedWeightError,
     UnsupportedTypeError,
 )
@@ -48,7 +49,37 @@ _CONFIG_ERRORS = (
 
 
 def _env(name: str, fallback=None):
+    """The ``COBCALC_`` variable's text, or ``fallback``.  Options give it
+    as their default, so argparse converts it with the option's ``type`` and
+    rejects a bad value as a usage error."""
     return os.environ.get("COBCALC_" + name.upper().replace("-", "_"), fallback)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _truth(text: str) -> bool:
+    try:
+        return {"0": False, "1": True, "false": False, "true": True}[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"expected 0, 1, true or false, got {text!r}"
+        ) from None
+
+
+class _Flag(argparse.Action):
+    """``store_true`` whose default may be the text of an environment
+    variable, read by ``_truth``."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, type=_truth, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -56,22 +87,20 @@ def _add_common(p: argparse.ArgumentParser):
                    help="additive | multiplicative[:beta] | universal:N")
     p.add_argument("--type", dest="type_tag", default=_env("type", "gl2"),
                    help="root datum tag (gl2, gl3, a2, b2, g2, psl2xpsl2, ...)")
-    p.add_argument("--degree", type=int, default=int(_env("degree", 5)),
+    p.add_argument("--degree", type=int, default=_env("degree", 5),
                    help="working degree (see each subcommand)")
-    p.add_argument("--rational", action="store_true",
-                   default=_env("rational", "") not in ("", "0", "false"),
+    p.add_argument("--rational", action=_Flag, default=_env("rational", False),
                    help="compute with rational coefficients")
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    p.add_argument("--seed", type=int, default=_env("seed", 0))
     p.add_argument("--out", default=_env("out"),
                    help="also write the JSON artifact to this path")
     p.add_argument("--case", default=_env("case", "group:psl2"),
                    help="symmetric case tag, e.g. group:psl2")
     p.add_argument("--word", default=_env("word", ""),
                    help="comma-separated 1-based simple root indices")
-    p.add_argument("--count", type=int, default=int(_env("count", 200)),
+    p.add_argument("--count", type=_positive_int, default=_env("count", 200),
                    help="sample count for randomized suites")
-    p.add_argument("--probe-degree", type=int,
-                   default=int(_env("probe-degree", -1)),
+    p.add_argument("--probe-degree", type=int, default=_env("probe-degree", -1),
                    help="max degree for span probes (-1: per-type default)")
     p.add_argument("--class-file", default=_env("class-file"),
                    help="GKM class JSON to verify (gkm verify)")
@@ -139,10 +168,15 @@ def _config(args) -> RunConfig:
 
 def _emit(obj: dict, out_path: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write --out {out_path!r}: {exc.strerror}"
+            ) from None
+    sys.stdout.write(text)
 
 
 def _summarize(report: dict) -> None:
@@ -160,7 +194,11 @@ def _summarize(report: dict) -> None:
 def _cmd_bott_samelson(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
     graph = flag_gkm(datum, cfg.context())
-    return bott_samelson(cfg.word, graph).to_json()
+    try:
+        return bott_samelson(cfg.word, graph).to_json()
+    except PrecisionExhaustedError as exc:
+        # the word and the degree both come from the command line
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_compute(args, cfg: RunConfig) -> dict:
@@ -257,13 +295,13 @@ def main(argv=None) -> int:
             report = run_suite("esph", cfg)
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command!r}")
+        _emit(report, args.out)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CobcalcError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args.out)
     _summarize(report)
     return 0 if report.get("pass", True) else 1
 

@@ -25,7 +25,7 @@ from .errors import (
     PrecisionExhaustedError,
     PrecisionTooSmallError,
 )
-from .linalg import mat_inverse_int, unimodular_with_first_column
+from .linalg import unimodular_with_first_column
 from .series import GradedSeries, Substitution, divide_exact
 
 
@@ -221,8 +221,7 @@ class FGLContext:
         if got is not None:
             return got
         n = len(chi)
-        u = unimodular_with_first_column(list(chi))
-        uinv = mat_inverse_int(u)
+        u, uinv = unimodular_with_first_column(chi)
         fwd = self.substitution(
             [self.formal_sum([uinv[j][i] for j in range(n)]) for i in range(n)]
         )

@@ -118,9 +118,6 @@ class GKMClass:
     def __mul__(self, other: "GKMClass") -> "GKMClass":
         return GKMClass(self.graph, [a * b for a, b in zip(self.values, other.values)])
 
-    def scale_series(self, g: GradedSeries) -> "GKMClass":
-        return GKMClass(self.graph, [a * g for a in self.values])
-
     def truncate(self, d: int) -> "GKMClass":
         return GKMClass(self.graph, [a.truncate(d) for a in self.values])
 
@@ -129,9 +126,6 @@ class GKMClass:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
-
-    def restrict(self, i: int) -> GradedSeries:
-        return self.values[i]
 
     def __eq__(self, other):
         if not isinstance(other, GKMClass):
@@ -185,10 +179,7 @@ def flag_gkm(datum: RootDatum, ctx, precision: int | None = None) -> GKMGraph:
     edges = {}
     for i, w in enumerate(weyl):
         for beta in datum.positive_roots:
-            m2 = mat_mul(
-                w.matrix, datum._reflection_from(beta, datum.coroot_of[beta])
-            )
-            j = index[m2]
+            j = index[mat_mul(w.matrix, datum.reflection(beta))]
             if i < j:
                 chi = canonical_sign(w.act(beta))
                 prev = edges.get((i, j))
@@ -438,9 +429,7 @@ def invariants_basis(datum: RootDatum, ctx, d: int) -> list[GradedSeries]:
     if d > ctx.precision:
         raise PrecisionExhaustedError("degree exceeds working precision")
     n = datum.rank
-    gens = [
-        WeylElement(datum.simple_reflection(i), (i,)) for i in range(datum.nsimple)
-    ]
+    gens = datum.simple_reflections
     out = []
     for m in range(0, d + 1):
         amb = ambient_monomials(ctx, n, m)
@@ -486,9 +475,6 @@ class TensorClass:
                 for (a2, b2) in other.pairs
             ]
         )
-
-    def to_gkm(self, graph: GKMGraph) -> GKMClass:
-        return tensor_to_gkm(self, graph)
 
 
 def tensor_to_gkm(tc: TensorClass, graph: GKMGraph) -> GKMClass:

@@ -1,6 +1,7 @@
 """Exact integer and rational linear algebra; no floating point.
 
-Two kernel solvers, one per field of statement:
+``kernel_int`` and ``kernel_rational`` are the only solvers, one per field
+of statement:
 
 * ``kernel_int`` returns a basis of the full lattice of integer solutions
   (not merely a scaled rational basis), which is what integral span
@@ -10,6 +11,10 @@ Two kernel solvers, one per field of statement:
   a sparse system.  It eliminates modulo 31-bit primes, lifts the reduced
   echelon form by rational reconstruction (combining primes by CRT when
   needed) and checks every lifted vector exactly over Z before returning it.
+
+``unimodular_with_first_column`` completes a primitive character to a basis
+of the lattice by integer row operations and returns the change of basis
+together with its inverse.
 """
 
 from __future__ import annotations
@@ -34,10 +39,6 @@ def vneg(a):
     return tuple(-x for x in a)
 
 
-def is_zero_vec(a) -> bool:
-    return all(x == 0 for x in a)
-
-
 def canonical_sign(a: Vec) -> Vec:
     """Flip the sign so the first nonzero entry is positive."""
     for x in a:
@@ -53,11 +54,6 @@ def content(a) -> int:
     for x in a:
         g = gcd(g, abs(x))
     return g
-
-
-def primitive(a: Vec) -> Vec:
-    g = content(a)
-    return tuple(x // g for x in a) if g > 1 else tuple(a)
 
 
 def _denominator_lcm(values) -> int:
@@ -355,7 +351,7 @@ class Lattice:
     def __init__(self, vectors: list[Vec], dim: int):
         self.dim = dim
         # column echelon of the generator matrix (generators as columns)
-        cols = [list(v) for v in vectors if not is_zero_vec(v)]
+        cols = [list(v) for v in vectors if any(v)]
         self.basis = [tuple(col) for col in cols[:_column_echelon(cols, dim)]]
 
     def rank(self) -> int:
@@ -376,7 +372,7 @@ class Lattice:
                 return False
             for k in range(self.dim):
                 r[k] -= q * col[k]
-        return all(x == 0 for x in r)
+        return not any(r)
 
 
 def span_equal_int(vs: list[Vec], ws: list[Vec], dim: int) -> bool:
@@ -394,44 +390,12 @@ def span_equal_rational(vs: list, ws: list, dim: int) -> bool:
     return rank_int(list(vs) + list(ws)) == rv
 
 
-# -- rational solving ----------------------------------------------------------
-
-
-def solve_rational(matrix: list, rhs: list):
-    """One exact solution of ``M x = rhs`` or None; M given as rows."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        x[c] = aug[i][ncols]
-    return x
-
-
 # -- unimodular basis completion -----------------------------------------------
 
 
-def unimodular_with_first_column(alpha: Vec) -> list[list[int]]:
-    """An integer matrix U with det +-1 whose first column is ``alpha``.
+def unimodular_with_first_column(alpha: Vec):
+    """An integer matrix U with det +-1 whose first column is ``alpha``, and
+    its inverse: the pair ``(U, U^-1)``.
 
     Requires ``alpha`` primitive.  Deterministic: built from a fixed sequence
     of extended-gcd row operations.
@@ -442,19 +406,26 @@ def unimodular_with_first_column(alpha: Vec) -> list[list[int]]:
             f"character {tuple(alpha)} is not primitive; divisibility by its "
             "class is defined only for primitive characters"
         )
-    # Row-reduce alpha to e1 by unimodular row ops, tracking their product M;
-    # then U = M^{-1} has first column alpha.  We accumulate M directly.
+    # Row-reduce alpha to e1 by unimodular row ops, tracking their product M,
+    # so M alpha = e1 and U = M^{-1} has first column alpha.  U is built
+    # alongside by the inverse column op of each row op: if M' = E M then
+    # U' = U E^{-1}.
     a = list(alpha)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = [row[:] for row in m]
 
     def rowop(i, j, q):
-        # row_i -= q * row_j  (applied to both a and m)
+        # row_i -= q * row_j on a and m; col_j += q * col_i on u
         a[i] -= q * a[j]
         m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        for row in u:
+            row[j] += q * row[i]
 
     def rowswap(i, j):
         a[i], a[j] = a[j], a[i]
         m[i], m[j] = m[j], m[i]
+        for row in u:
+            row[i], row[j] = row[j], row[i]
 
     pivot = 0
     for i in range(1, n):
@@ -466,23 +437,8 @@ def unimodular_with_first_column(alpha: Vec) -> list[list[int]]:
     if a[pivot] < 0:
         a[pivot] = -a[pivot]
         m[pivot] = [-x for x in m[pivot]]
+        for row in u:
+            row[pivot] = -row[pivot]
     if a[pivot] != 1 or any(a[1:]):
         raise InternalConsistencyError("primitive reduction failed")
-    return mat_inverse_int(m)
-
-
-def mat_mul_vec(m: list[list[int]], v) -> Vec:
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
-def mat_inverse_int(m: list[list[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_rational(m, e)
-        if x is None or any(v.denominator != 1 for v in x):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(v) for v in x])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return u, m

@@ -9,8 +9,6 @@ Cartan matrix.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     InternalConsistencyError,
     InvolutionError,
@@ -18,7 +16,7 @@ from .errors import (
     NVarsMismatchError,
     UnsupportedTypeError,
 )
-from .linalg import canonical_sign, solve_rational, vsub
+from .linalg import canonical_sign, vsub
 from .series import GradedSeries
 
 Vec = tuple[int, ...]
@@ -64,10 +62,7 @@ class WeylElement:
         return len(self.word)
 
     def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return self.matrix == tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
+        return self.matrix == _identity(len(self.matrix))
 
     def id_string(self) -> str:
         return "e" if not self.word else "".join(str(i + 1) for i in self.word)
@@ -90,57 +85,57 @@ class RootDatum:
         self.simple_coroots = tuple(tuple(a) for a in simple_coroots)
         self.adjoint = adjoint
         self.nsimple = len(self.simple_roots)
+        self.coroot_of = dict(zip(self.simple_roots, self.simple_coroots))
+        self.simple_reflections = tuple(
+            WeylElement(self.reflection(a), (i,))
+            for i, a in enumerate(self.simple_roots)
+        )
         self._close_root_system()
         self._weyl: list[WeylElement] | None = None
 
     # -- root system -----------------------------------------------------------
 
-    def simple_reflection(self, i: int):
-        return self._reflection_from(self.simple_roots[i], self.simple_coroots[i])
-
-    def _reflection_from(self, root, coroot):
+    def reflection(self, beta):
+        """The matrix of s_beta: chi -> chi - <chi, beta^vee> beta."""
+        beta = tuple(beta)
+        coroot = self.coroot_of[beta]
         n = self.rank
         return tuple(
-            tuple((1 if r == c else 0) - root[r] * coroot[c] for c in range(n))
+            tuple((1 if r == c else 0) - beta[r] * coroot[c] for c in range(n))
             for r in range(n)
         )
 
     def _close_root_system(self):
-        corr = {r: c for r, c in zip(self.simple_roots, self.simple_coroots)}
-        refl = [self.simple_reflection(i) for i in range(self.nsimple)]
+        """Close the simple roots under the simple reflections, recording each
+        root's coroot and its integer coordinates in the simple roots: s_i(beta)
+        = beta - <beta, alpha_i^vee> alpha_i lowers coordinate i by the pairing."""
+        corr = self.coroot_of
+        coords = {
+            a: tuple(1 if j == i else 0 for j in range(self.nsimple))
+            for i, a in enumerate(self.simple_roots)
+        }
         queue = list(self.simple_roots)
         while queue:
             beta = queue.pop()
-            for m in refl:
-                new = _mat_vec(m, beta)
+            for i, s in enumerate(self.simple_reflections):
+                new = s.act(beta)
                 if new in corr:
                     continue
                 # coroot transforms contragrediently: <s x, v> = <x, s^T v>
-                v = corr[beta]
-                newco = tuple(
+                m, v = s.matrix, corr[beta]
+                corr[new] = tuple(
                     sum(m[r][c] * v[r] for r in range(self.rank))
                     for c in range(self.rank)
                 )
-                corr[new] = newco
+                c = list(coords[beta])
+                c[i] -= self.pairing(beta, self.simple_roots[i])
+                coords[new] = tuple(c)
                 queue.append(new)
-        self.coroot_of = corr
         self.roots = tuple(sorted(corr))
-        smat = [
-            [self.simple_roots[j][i] for j in range(self.nsimple)]
-            for i in range(self.rank)
-        ]
-        pos = []
-        self._simple_expansion = {}
-        for beta in self.roots:
-            sol = solve_rational(smat, list(beta))
-            if sol is None:
-                raise InternalConsistencyError(
-                    f"root {beta} lies outside the simple-root span"
-                )
-            self._simple_expansion[beta] = tuple(sol)
-            if all(c >= 0 for c in sol):
-                pos.append(beta)
-        self.positive_roots = tuple(sorted(pos))
+        self.simple_coordinates = coords
+        self.positive_roots = tuple(
+            beta for beta in self.roots if all(c >= 0 for c in coords[beta])
+        )
         if 2 * len(self.positive_roots) != len(self.roots):
             raise InternalConsistencyError(
                 f"{len(self.positive_roots)} positive roots of {len(self.roots)}"
@@ -161,12 +156,8 @@ class RootDatum:
         return vsub(tuple(chi), tuple(c * self.pairing(chi, beta) for c in beta))
 
     def reflection_element(self, beta) -> WeylElement:
-        """The reflection s_beta as a Weyl element (word found by search)."""
-        m = self._reflection_from(tuple(beta), self.coroot_of[tuple(beta)])
-        for w in self.weyl():
-            if w.matrix == m:
-                return w
-        raise UnsupportedTypeError("reflection not found in Weyl group")
+        """The reflection s_beta as a Weyl element, with its least reduced word."""
+        return self.element(self.reflection(beta))
 
     # -- Weyl group --------------------------------------------------------------
 
@@ -174,15 +165,11 @@ class RootDatum:
         """All Weyl elements, BFS from the identity; generator index breaks ties,
         so each element carries its lexicographically least reduced word."""
         if self._weyl is None:
-            gens = [
-                WeylElement(self.simple_reflection(i), (i,))
-                for i in range(self.nsimple)
-            ]
             identity = WeylElement(_identity(self.rank), ())
             seen = {identity.matrix: identity}
             queue = [identity]
             for w in queue:
-                for g in gens:
+                for g in self.simple_reflections:
                     new = w.compose(g)
                     if new.matrix not in seen:
                         seen[new.matrix] = new
@@ -222,21 +209,10 @@ class RootDatum:
 
     def matrix_length(self, w: WeylElement) -> int:
         """#{positive roots sent to negative ones} (the geometric length)."""
-        count = 0
-        for beta in self.positive_roots:
-            img = w.act(beta)
-            if self._simple_expansion.get(img) is None:
-                sol = solve_rational(
-                    [
-                        [self.simple_roots[j][i] for j in range(self.nsimple)]
-                        for i in range(self.rank)
-                    ],
-                    list(img),
-                )
-                self._simple_expansion[img] = tuple(sol)
-            if all(c <= 0 for c in self._simple_expansion[img]):
-                count += 1
-        return count
+        return sum(
+            all(c <= 0 for c in self.simple_coordinates[w.act(beta)])
+            for beta in self.positive_roots
+        )
 
 
 def weyl_enumerate(datum: RootDatum) -> list[WeylElement]:
@@ -399,7 +375,7 @@ class SymmetricDatum:
             for beta in datum.roots
             if all(
                 c == 0
-                for k, c in enumerate(datum._simple_expansion[beta])
+                for k, c in enumerate(datum.simple_coordinates[beta])
                 if k not in self.delta_L
             )
         )
@@ -412,7 +388,7 @@ class SymmetricDatum:
             if mat_mul(mat_mul(self.theta, w.matrix), self.theta) == w.matrix
         ]
         self.w_L = _generated_subgroup(
-            [datum.simple_reflection(i) for i in self.delta_L], datum.rank
+            [datum.simple_reflections[i].matrix for i in self.delta_L], datum.rank
         )
         self.w_GK = _generated_subgroup(
             [self.restricted_reflection(k).matrix for k in range(len(self.restricted))],
@@ -428,8 +404,7 @@ class SymmetricDatum:
         reflection (the two reflections commute, so this is an involution)."""
         _, i, talpha = self.restricted[k]
         d = self.datum
-        s_alpha = WeylElement(d.simple_reflection(i), (i,))
-        return s_alpha.compose(d.reflection_element(talpha))
+        return d.simple_reflections[i].compose(d.reflection_element(talpha))
 
     def restricted_basis(self) -> tuple:
         return tuple(gamma for gamma, _, _ in self.restricted)
@@ -492,10 +467,6 @@ def build_symmetric_datum(case, theta=None) -> SymmetricDatum:
     if theta is None:
         raise InvolutionError("custom symmetric datum needs a theta matrix")
     return SymmetricDatum(case, theta, label="custom")
-
-
-def expand_in_simples(datum: RootDatum, beta) -> tuple[Fraction, ...]:
-    return datum._simple_expansion[tuple(beta)]
 
 
 __all__ = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .errors import PrecisionExhaustedError, UnsupportedTypeError
 from .gkm import GKMClass, GKMGraph, validate
 from .linalg import vneg
-from .roots import RootDatum, WeylElement, weyl_act
+from .roots import RootDatum, weyl_act
 from .series import GradedSeries
 
 
@@ -51,7 +51,7 @@ def demazure(
         raise PrecisionExhaustedError("no precision left for a Demazure step")
     i = _simple_index(datum, alpha)
     alpha_vec = datum.simple_roots[i]
-    s = WeylElement(datum.simple_reflection(i), (i,))
+    s = datum.simple_reflections[i]
     s_f = weyl_act(s, f, ctx, datum)
     quotient = ctx.divide_by_character(f - s_f, alpha_vec)
     out = kappa_of_character(ctx, alpha_vec) * f - quotient
@@ -101,7 +101,7 @@ def demazure_gkm(c: GKMClass, alpha) -> GKMClass:
     ctx = graph.ctx
     i = _simple_index(datum, alpha)
     alpha_vec = datum.simple_roots[i]
-    s = WeylElement(datum.simple_reflection(i), (i,))
+    s = datum.simple_reflections[i]
     out = []
     for vi, w in enumerate(graph.weyl_vertices):
         vj = graph.act_vertex_right(vi, s)

@@ -24,12 +24,7 @@ from .gkm import (
     surjectivity_probe,
     tensor_to_gkm,
 )
-from .roots import (
-    WeylElement,
-    build_root_datum,
-    build_symmetric_datum,
-    weyl_act,
-)
+from .roots import build_root_datum, build_symmetric_datum, weyl_act
 from .sampling import random_homogeneous, random_monomial_series
 from .schubert import (
     bott_samelson,
@@ -161,7 +156,7 @@ def suite_demazure(cfg: RunConfig) -> dict:
         f = random_homogeneous(rng, ctx, n, rng.randint(1, max_deg))
         i = rng.randrange(datum.nsimple)
         df = demazure(f, i, ctx, datum)
-        s = WeylElement(datum.simple_reflection(i), (i,))
+        s = datum.simple_reflections[i]
         if not weyl_act(s, df, ctx, datum).equals_truncated(df):
             bad_invariance.append(k)
         m = f.homogeneous_degree()
@@ -342,7 +337,7 @@ def suite_bott_samelson(cfg: RunConfig) -> dict:
         )
         ok_pairs = True
         for i in word:
-            s = WeylElement(datum.simple_reflection(i), (i,))
+            s = datum.simple_reflections[i]
             d = demazure_gkm(c, i)
             for v in range(graph.nvertices):
                 j = graph.act_vertex_right(v, s)
@@ -397,16 +392,12 @@ def suite_esph(cfg: RunConfig) -> dict:
             }
         )
         datum = sd.datum
-        w_gens = [
-            WeylElement(datum.simple_reflection(i), (i,))
-            for i in range(datum.nsimple)
-        ]
         ok = True
         detail = []
         for m in range(0, min(cfg.degree, ctx.precision) + 1):
             via_p = [
                 c.values[graph.base]
-                for c in invariant_tuple_basis(graph, w_gens, m)
+                for c in invariant_tuple_basis(graph, datum.simple_reflections, m)
             ]
             via_x = invariant_subring_X(model, m)
             same = span_equal(via_p, via_x)

@@ -12,6 +12,8 @@ the restricted curves.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .errors import (
     CoefficientModeError,
     PrecisionExhaustedError,
@@ -79,8 +81,7 @@ class WonderfulModel:
         for w in weyl:
             wi = element_to_vertex[w.matrix]
             for beta in sigma_plus_outside:
-                refl = datum._reflection_from(beta, datum.coroot_of[beta])
-                wj = element_to_vertex[mat_mul(w.matrix, refl)]
+                wj = element_to_vertex[mat_mul(w.matrix, datum.reflection(beta))]
                 add_edge(wi, wj, w.act(beta))
         root_edge_count = len(edges)
         for w in weyl:
@@ -183,7 +184,7 @@ def invariant_subring_X(
     if not monos:
         return []
     for i in sd.delta_L:
-        g = WeylElement(datum.simple_reflection(i), (i,))
+        g = datum.simple_reflections[i]
         system.require([(0, 1, [weyl_act(g, f, ctx, datum) for f in monos]),
                         (0, -1, monos)])
     # f = w(f) mod x_chi for each (w, chi)
@@ -203,7 +204,7 @@ def invariant_subring_X(
 
 
 def invariant_tuple_basis(
-    graph: GKMGraph, generators: list[WeylElement], degree: int
+    graph: GKMGraph, generators: Sequence[WeylElement], degree: int
 ) -> list[GKMClass]:
     """Rational basis of degree-``degree`` classes on the graph invariant
     under the group generated by ``generators`` acting by
@@ -229,9 +230,7 @@ def invariant_tuple_basis(
 
 
 def _w_theta_generators(sd: SymmetricDatum) -> list[WeylElement]:
-    gens = [
-        WeylElement(sd.datum.simple_reflection(i), (i,)) for i in sd.delta_L
-    ]
+    gens = [sd.datum.simple_reflections[i] for i in sd.delta_L]
     gens += [sd.restricted_reflection(k) for k in range(len(sd.restricted))]
     return gens
 
@@ -262,14 +261,11 @@ def verify_esph(model: WonderfulModel, degree: int) -> dict:
         raise CoefficientModeError("the comparison is a rational statement")
     sd = model.sd
     datum = sd.datum
-    w_gens = [
-        WeylElement(datum.simple_reflection(i), (i,)) for i in range(datum.nsimple)
-    ]
     report = {"degrees": [], "pass": True}
     for m in range(0, degree + 1):
         reduced = invariant_subring_X(model, m)
         with_root_edges = invariant_subring_X(model, m, impose_root_edges=True)
-        x_tuples = invariant_tuple_basis(model.x_graph, w_gens, m)
+        x_tuples = invariant_tuple_basis(model.x_graph, datum.simple_reflections, m)
         x_restricted = [c.values[model.x_graph.base] for c in x_tuples]
         y_restricted = invariant_subring_Y(model, m)
         agree_root = span_equal(reduced, with_root_edges)

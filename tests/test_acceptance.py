@@ -20,12 +20,7 @@ from cobcalc.gkm import (
     subring_basis,
     surjectivity_probe,
 )
-from cobcalc.roots import (
-    WeylElement,
-    build_root_datum,
-    build_symmetric_datum,
-    weyl_act,
-)
+from cobcalc.roots import build_root_datum, build_symmetric_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
 from cobcalc.schubert import (
     bott_samelson,
@@ -131,7 +126,7 @@ def test_criterion_03_demazure_contract():
         f = random_homogeneous(rng, ctx, 2, m)
         i = rng.randrange(datum.nsimple)
         df = demazure(f, i, ctx, datum)
-        s = WeylElement(datum.simple_reflection(i), (i,))
+        s = datum.simple_reflections[i]
         assert weyl_act(s, df, ctx, datum).equals_truncated(df)
         assert df.is_zero() or df.homogeneous_degree() == m - 1
 
@@ -238,10 +233,7 @@ def test_criterion_07_esph():
         assert prep["edges_match_wonderful"]
         assert prep["zeta_is_member"] and prep["relation_vanishes"]
         datum = sd.datum
-        w_gens = [
-            WeylElement(datum.simple_reflection(i), (i,))
-            for i in range(datum.nsimple)
-        ]
+        w_gens = datum.simple_reflections
         for m in range(0, 4):
             via_projective = [
                 c.values[graph.base]

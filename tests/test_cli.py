@@ -219,6 +219,68 @@ def test_env_override(monkeypatch, capsys):
     assert json.loads(out)["config"]["law"] == "universal:2"
 
 
+@pytest.mark.parametrize(
+    "name,value,option",
+    [
+        ("COBCALC_DEGREE", "abc", "--degree"),
+        ("COBCALC_SEED", "1.5", "--seed"),
+        ("COBCALC_COUNT", "many", "--count"),
+        ("COBCALC_COUNT", "0", "--count"),
+        ("COBCALC_PROBE_DEGREE", "x", "--probe-degree"),
+        ("COBCALC_RATIONAL", "no", "--rational"),
+        ("COBCALC_RATIONAL", "", "--rational"),
+    ],
+)
+def test_env_bad_value_is_usage_error(monkeypatch, capsys, name, value, option):
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, "fgl", "check", "--law", "additive")
+    assert code == 2 and out == ""
+    assert f"error: argument {option}: " in err
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [("0", False), ("1", True), ("false", False), ("False", False),
+     ("TRUE", True), ("tRuE", True)],
+)
+def test_env_rational_truth_values(monkeypatch, capsys, value, expected):
+    monkeypatch.setenv("COBCALC_RATIONAL", value)
+    code, out, _ = run_cli(capsys, "fgl", "check", "--law", "additive", "--degree", "3")
+    assert code == 0
+    assert json.loads(out)["config"]["rational"] is expected
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "fgl", "check", "--law", "additive", "--degree", "3",
+        "--out", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["compute", "schubert"])
+def test_word_too_long_for_degree_is_usage_error(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "bott-samelson", "--type", "gl3", "--word", "1,2,1",
+        "--law", "additive", "--degree", "3",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: word of length 3 needs precision >= 6\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_count_below_one_rejected(capsys, count):
+    code, out, err = run_cli(
+        capsys, "verify", "lemma-div", "--type", "gl2", "--law", "additive",
+        "--degree", "3", "--count", count,
+    )
+    assert code == 2 and out == ""
+    assert f"error: argument --count: must be at least 1, got {count}" in err
+
+
 def test_bad_word_rejected(capsys):
     code, _, _ = run_cli(
         capsys, "schubert", "bott-samelson", "--type", "gl2", "--word", "x,y"
@@ -248,5 +310,20 @@ def test_no_assert_statements_in_package():
         for path in sorted(Path(cobcalc.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_private_attribute_access_across_objects():
+    # a module reads only its own objects' _names: x._name is flagged unless
+    # x is self or cls; dunder names are exempt
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cobcalc.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
     ]
     assert found == []

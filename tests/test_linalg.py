@@ -10,11 +10,7 @@ from cobcalc.linalg import (
     clear_denominators,
     kernel_int,
     kernel_rational,
-    mat_inverse_int,
-    mat_mul_vec,
-    primitive,
     rank_int,
-    solve_rational,
     span_equal_int,
     span_equal_rational,
     unimodular_with_first_column,
@@ -83,35 +79,25 @@ def test_rref_canonical():
     ]
 
 
-def test_solve_rational():
-    x = solve_rational([[2, 1], [1, -1]], [5, 1])
-    assert x == [Fraction(2), Fraction(1)]
-    assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
-
-
 @pytest.mark.parametrize(
     "alpha", [(1,), (2, 1), (1, -1), (3, -2, 6), (0, 1, 0), (5, 7)]
 )
 def test_unimodular_completion(alpha):
-    u = unimodular_with_first_column(alpha)
+    u, uinv = unimodular_with_first_column(alpha)
     n = len(alpha)
-    assert mat_mul_vec(u, tuple(1 if i == 0 else 0 for i in range(n))) == alpha
-    uinv = mat_inverse_int(u)  # raises unless determinant is a unit
-    prod = [
-        [sum(u[i][k] * uinv[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    assert tuple(row[0] for row in u) == alpha
+    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in ((u, uinv), (uinv, u)):
+        prod = [
+            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert prod == identity
 
 
 def test_unimodular_requires_primitive():
     with pytest.raises(NonPrimitiveCharacterError, match=r"\(2, 4\) is not primitive"):
         unimodular_with_first_column((2, 4))
-
-
-def test_primitive():
-    assert primitive((2, 4, -6)) == (1, 2, -3)
-    assert primitive((0, 3)) == (0, 1)
 
 
 # -- certified rational kernel ---------------------------------------------------

@@ -52,8 +52,9 @@ def test_a1_reflection():
 
 def test_gl3_simple_reflection_permutes():
     gl3 = build_root_datum("gl3")
-    s1 = gl3.simple_reflection(0)
-    assert tuple(tuple(r) for r in s1) == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    s1 = gl3.simple_reflections[0]
+    assert s1.word == (0,)
+    assert s1.matrix == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
 
 def test_reflections_are_involutions():
@@ -64,7 +65,7 @@ def test_reflections_are_involutions():
             for i in range(datum.rank)
         )
         for beta in datum.roots:
-            m = datum._reflection_from(beta, datum.coroot_of[beta])
+            m = datum.reflection(beta)
             sq = tuple(
                 tuple(
                     sum(m[i][k] * m[k][j] for k in range(datum.rank))
@@ -73,6 +74,31 @@ def test_reflections_are_involutions():
                 for i in range(datum.rank)
             )
             assert sq == idm
+
+
+@pytest.mark.parametrize(
+    "tag",
+    ["gl2", "gl3", "gl4", "a1", "a2", "a3", "psl3", "b2", "g2", "psl2xpsl2",
+     "product:psl3,psl3"],
+)
+def test_simple_coordinates_expand_every_root(tag):
+    datum = build_root_datum(tag)
+    assert set(datum.simple_coordinates) == set(datum.roots)
+    for beta in datum.roots:
+        coords = datum.simple_coordinates[beta]
+        assert len(coords) == datum.nsimple
+        assert all(isinstance(c, int) for c in coords)
+        expansion = tuple(
+            sum(c * alpha[k] for c, alpha in zip(coords, datum.simple_roots))
+            for k in range(datum.rank)
+        )
+        assert expansion == beta
+    nonneg = [
+        beta for beta in datum.roots
+        if all(c >= 0 for c in datum.simple_coordinates[beta])
+    ]
+    assert 2 * len(nonneg) == len(datum.roots)
+    assert tuple(nonneg) == datum.positive_roots
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2", "gl4", "a3", "psl2xpsl2"])

@@ -7,7 +7,7 @@ from cobcalc import gkm
 from cobcalc.errors import PrecisionExhaustedError
 from cobcalc.fgl import build_law
 from cobcalc.gkm import constant_class, flag_gkm, membership, tensor_to_gkm, TensorClass
-from cobcalc.roots import WeylElement, build_root_datum, weyl_act
+from cobcalc.roots import build_root_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
 from cobcalc.schubert import (
     bott_samelson,
@@ -57,7 +57,7 @@ def test_demazure_invariance_and_degree(law):
     ctx = build_law(law, 5)
     gl2 = build_root_datum("gl2")
     rng = Random(17)
-    s = WeylElement(gl2.simple_reflection(0), (0,))
+    s = gl2.simple_reflections[0]
     for _ in range(30):
         m = rng.randint(1, 4)
         f = random_homogeneous(rng, ctx, 2, m)
@@ -76,7 +76,7 @@ def test_demazure_matches_rational_expression_on_invariant_multiples():
     from cobcalc.series import divide_exact
 
     ratio = divide_exact(x_alpha, x_neg, rational=False)
-    s = WeylElement(gl2.simple_reflection(0), (0,))
+    s = gl2.simple_reflections[0]
     expected = ratio + weyl_act(s, ratio, ctx, gl2)
     got = demazure(x_alpha, 0, ctx, gl2)
     assert got.equals_truncated(expected)

@@ -6,7 +6,7 @@ from cobcalc.errors import CoefficientModeError, RepeatedWeightError
 from cobcalc.fgl import build_law
 from cobcalc.gkm import membership, span_equal
 from cobcalc.linalg import canonical_sign
-from cobcalc.roots import WeylElement, build_symmetric_datum, weyl_act
+from cobcalc.roots import build_symmetric_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
 from cobcalc.wonderful import (
@@ -153,10 +153,7 @@ def test_invariant_tuples_pass_membership(psl2):
     ctx = build_law("universal:3", 3, rational=True)
     model = build_wonderful_graph(psl2, ctx)
     datum = psl2.datum
-    gens = [
-        WeylElement(datum.simple_reflection(i), (i,))
-        for i in range(datum.nsimple)
-    ]
+    gens = datum.simple_reflections
     for cls in invariant_tuple_basis(model.x_graph, gens, 2):
         ok, witness = membership(cls, model.x_graph)
         assert ok, witness
@@ -196,10 +193,7 @@ def test_projective_route_matches_reduced_subring(psl2):
     model = build_wonderful_graph(psl2, ctx)
     graph, _, _ = group_psl2_projective_model(model)
     datum = psl2.datum
-    w_gens = [
-        WeylElement(datum.simple_reflection(i), (i,))
-        for i in range(datum.nsimple)
-    ]
+    w_gens = datum.simple_reflections
     for m in range(0, 4):
         via_projective = [
             c.values[graph.base] for c in invariant_tuple_basis(graph, w_gens, m)
