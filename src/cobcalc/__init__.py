@@ -2,7 +2,6 @@
 Demazure operators, and moment-graph models of flag varieties and wonderful
 symmetric varieties of minimal rank."""
 
-from .coeffs import Coeff
 from .errors import (
     CobcalcError,
     CoefficientModeError,

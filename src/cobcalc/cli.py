@@ -204,6 +204,8 @@ def _cmd_bott_samelson(cfg: RunConfig) -> dict:
 def _cmd_compute(args, cfg: RunConfig) -> dict:
     if args.what == "bott-samelson":
         return _cmd_bott_samelson(cfg)
+    if cfg.degree < 0:
+        raise ConfigError(f"--degree must be >= 0, got {cfg.degree}")
     datum = build_root_datum(cfg.type_tag)
     ctx = build_law(cfg.law_spec(), max(5, cfg.degree), rational=cfg.rational)
     if args.what == "subring-basis":

@@ -45,11 +45,6 @@ class NotDivisibleError(CobcalcError):
         self.degree = degree
 
 
-class CoeffDivisionError(CobcalcError):
-    """Exact division failed in the coefficient ring (internal signal; callers
-    convert this into NotDivisibleError with degree information)."""
-
-
 class NonPrimitiveCharacterError(CobcalcError):
     """Division by the class of a character needs the character primitive
     (its entries coprime)."""

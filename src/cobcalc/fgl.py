@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import Coeff
 from .errors import (
     ConfigError,
     InsufficientGeneratorsError,
@@ -126,12 +125,11 @@ class FGLContext:
         if law.kind == "additive":
             f_int = x + y
         elif law.kind == "multiplicative":
-            beta = Coeff.monomial((1,), law.scale)
-            f_int = x + y - (x * y).scale(beta)
+            f_int = x + y - (x * y).scale({(1,): law.scale})
         else:
             b = _uvar(p)
             for i in range(1, law.ngens + 1):
-                b = b + (_uvar(p) ** (i + 1)).scale(Coeff.monomial((0,) * (i - 1) + (1,)))
+                b = b + (_uvar(p) ** (i + 1)).scale({(0,) * (i - 1) + (1,): 1})
             binv = _solve_fixed_point(
                 lambda s: b.substitute([s]) - _uvar(p), _uvar(p), p
             )

@@ -9,7 +9,6 @@ entries is exactly divisible by the character class x_chi.
 
 from __future__ import annotations
 
-from .coeffs import Coeff, ZERO
 from .errors import (
     InternalConsistencyError,
     NotDivisibleError,
@@ -311,7 +310,7 @@ def ambient_monomials(ctx, nvars: int, coh_degree: int) -> list[tuple]:
 
 def _coords(s: GradedSeries) -> dict:
     """A series as sparse coordinates {(t-exponent, b-exponent): value}."""
-    return {(e, b): val for e, c in s.terms.items() for b, val in c.terms.items()}
+    return {(e, b): val for e, c in s.terms.items() for b, val in c.items()}
 
 
 def _remainder(g: GradedSeries) -> dict:
@@ -321,7 +320,7 @@ def _remainder(g: GradedSeries) -> dict:
         (e, b): val
         for e, c in g.terms.items()
         if e[0] == 0
-        for b, val in c.terms.items()
+        for b, val in c.items()
     }
 
 
@@ -338,7 +337,7 @@ class TupleSystem:
         self.nvertices = nvertices
         self.monos = list(monos)
         self.monomials = [
-            GradedSeries(nvars, ctx.precision, {t: Coeff.monomial(b)})
+            GradedSeries(nvars, ctx.precision, {t: {b: 1}})
             for t, b in self.monos
         ]
         self.rows: list[dict] = []
@@ -393,7 +392,7 @@ class TupleSystem:
                 terms: dict = {}
                 for (texp, bexp), c in zip(self.monos, vec[v * nm:(v + 1) * nm]):
                     if c:
-                        terms[texp] = terms.get(texp, ZERO) + Coeff.monomial(bexp, c)
+                        terms.setdefault(texp, {})[bexp] = c
                 values.append(GradedSeries(self.nvars, self.ctx.precision, terms))
             out.append(values)
         return out
@@ -540,8 +539,8 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
         for p in range(0, delta + 1):
             for ea in t_monomials(n, p):
                 for eb in t_monomials(n, delta - p):
-                    a = GradedSeries(n, graph.precision, {ea: Coeff.from_value(1)})
-                    b = GradedSeries(n, graph.precision, {eb: Coeff.from_value(1)})
+                    a = GradedSeries(n, graph.precision, {ea: {(): 1}})
+                    b = GradedSeries(n, graph.precision, {eb: {(): 1}})
                     images.append(tensor_to_gkm(TensorClass.of(a, b), graph))
         basis = subring_basis(graph, delta)
         same = span_equal(images, basis, over)
@@ -583,8 +582,8 @@ class FlagRingApprox:
             ]
             h = complete_homogeneous(bound, variables)
             lead = tuple(bound if i == j - 1 else 0 for i in range(n))
-            rest = {e: -c for e, c in h.terms.items() if e != lead}
-            if h.terms.get(lead) != 1:
+            rest = (-h).terms
+            if rest.pop(lead, None) != {(): -1}:
                 raise InternalConsistencyError(
                     f"relation {j} does not lead with t{j}^{bound}"
                 )
@@ -593,31 +592,22 @@ class FlagRingApprox:
     def reduce(self, f: GradedSeries) -> GradedSeries:
         if f.nvars != self.n:
             raise NVarsMismatchError("wrong number of variables")
-        agenda = dict(f.terms)
-        out: dict = {}
-        while agenda:
-            e = min(agenda)
-            c = agenda.pop(e)
-            j = next(
-                (j for j in range(self.n) if e[j] >= self.bounds[j]), None
-            )
+        n, p = self.n, f.precision
+        out = GradedSeries.zero(n, p)
+        agenda = f
+        while not agenda.is_zero():
+            e = min(agenda.terms)
+            term = GradedSeries(n, p, {e: agenda.terms[e]})
+            agenda = agenda - term
+            j = next((j for j in range(n) if e[j] >= self.bounds[j]), None)
             if j is None:
-                cur = out.get(e, ZERO) + c
-                if cur:
-                    out[e] = cur
-                else:
-                    out.pop(e, None)
+                out = out + term
                 continue
             lead, rest = self.rules[j]
             cof = tuple(a - b for a, b in zip(e, lead))
-            for er, cr in rest.items():
-                e2 = tuple(a + b for a, b in zip(cof, er))
-                cur = agenda.get(e2, ZERO) + c * cr
-                if cur:
-                    agenda[e2] = cur
-                else:
-                    agenda.pop(e2, None)
-        return GradedSeries(self.n, f.precision, out)
+            shift = GradedSeries(n, p, {cof: term.terms[e]})
+            agenda = agenda + shift * GradedSeries(n, p, rest)
+        return out
 
     def is_zero(self, f: GradedSeries) -> bool:
         return self.reduce(f).is_zero()

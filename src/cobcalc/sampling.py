@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from random import Random
 
-from .coeffs import Coeff
 from .errors import InternalConsistencyError
 from .series import GradedSeries
 
@@ -55,24 +54,20 @@ def random_homogeneous(
             f"sample degree {degree} exceeds precision {ctx.precision}"
         )
     max_extra = 0 if (b_free or ctx.ngens == 0) else ctx.precision - degree
-    terms: dict = {}
+    f = GradedSeries.zero(nvars, ctx.precision)
     for _ in range(rng.randint(1, max_terms)):
         extra = rng.randint(0, max_extra) if max_extra else 0
         tdeg = degree + extra
         texp = random_composition(rng, tdeg, nvars)
         bexp = random_b_monomial(rng, extra, ctx.ngens) if extra else ()
         c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-        cur = terms.get(texp, Coeff.from_value(0)) + Coeff.monomial(bexp, c)
-        if cur:
-            terms[texp] = cur
-        else:
-            terms.pop(texp, None)
-    if not terms:
+        f = f + GradedSeries(nvars, ctx.precision, {texp: {bexp: c}})
+    if f.is_zero():
         texp = random_composition(rng, degree, nvars)
-        terms[texp] = Coeff.from_value(1)
-    return GradedSeries(nvars, ctx.precision, terms)
+        f = GradedSeries(nvars, ctx.precision, {texp: {(): 1}})
+    return f
 
 
 def random_monomial_series(rng: Random, nvars: int, degree: int, precision: int):
     exp = random_composition(rng, degree, nvars)
-    return GradedSeries(nvars, precision, {exp: Coeff.from_value(1)})
+    return GradedSeries(nvars, precision, {exp: {(): 1}})

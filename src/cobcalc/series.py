@@ -1,10 +1,19 @@
 """Truncated graded power series with explicit precision tracking.
 
 A :class:`GradedSeries` is a finite sum of terms ``c * t1^f1 ... tn^fn`` with
-``c`` a :class:`~cobcalc.coeffs.Coeff`; only terms of total t-degree at most
-``precision`` are stored, and ``precision`` records through which degree the
-stored terms agree with the untruncated object.  All operations are pure and
-every output precision is a fixed function of the input precisions:
+``c`` in the coefficient ring ``Z[b1, b2, ...]`` (``Q[b1, ...]`` in rational
+mode).  ``terms`` maps each t-exponent tuple to its coefficient, a dict from
+b-exponent tuples to nonzero ints or Fractions.  A b-exponent is trimmed of
+trailing zeros, so coefficients built under laws with different generator
+counts interoperate; ``b_i`` has cohomological degree ``-i``, and the
+*weight* of a b-monomial is ``sum(i * e_i)``.  No value is zero and no
+coefficient dict is empty.  Coefficient dicts may be shared between series
+and are never mutated once a series holds them.
+
+Only terms of total t-degree at most ``precision`` are stored, and
+``precision`` records through which degree the stored terms agree with the
+untruncated object.  All operations are pure and every output precision is a
+fixed function of the input precisions:
 
 ==================  ======================================
 add / sub           min of the inputs
@@ -25,10 +34,9 @@ satisfies ``t-degree - weight(b-part) == m``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
-from .coeffs import Coeff, ONE, ZERO, monomial_weight
 from .errors import (
-    CoeffDivisionError,
     ConstantTermError,
     IndexOutOfRangeError,
     NotDivisibleError,
@@ -40,15 +48,82 @@ from .errors import (
 TExp = tuple[int, ...]
 
 
-def _as_coeff(c) -> Coeff:
-    return c if isinstance(c, Coeff) else Coeff.from_value(c)
+def _trim(exp) -> tuple:
+    exp = tuple(exp)
+    while exp and exp[-1] == 0:
+        exp = exp[:-1]
+    return exp
+
+
+def _weight(bexp: tuple) -> int:
+    return sum((i + 1) * e for i, e in enumerate(bexp))
+
+
+_ONE = {(): 1}
+
+
+def _add_product(terms: dict, owned: set, e: TExp, c1: dict, c2: dict) -> None:
+    """``terms[e] += c1 * c2``, dropping zero values and an emptied
+    coefficient.  A product by the unit shares the other factor's dict, as
+    the memoised monomial images of a substitution do heavily; ``owned``
+    holds the keys whose dicts the caller built and may change, and any
+    other dict is copied before it is changed."""
+    acc = terms.get(e)
+    if acc is None:
+        if c2 == _ONE:
+            terms[e] = c1
+            return
+        if c1 == _ONE:
+            terms[e] = c2
+            return
+        acc = terms[e] = {}
+        owned.add(e)
+    elif e not in owned:
+        acc = terms[e] = dict(acc)
+        owned.add(e)
+    for k1, v1 in c1.items():
+        for k2, v2 in c2.items():
+            if not k2:
+                k = k1
+            elif not k1:
+                k = k2
+            elif len(k1) < len(k2):
+                k = tuple(map(add, k1, k2)) + k2[len(k1):]
+            else:
+                k = tuple(map(add, k1, k2)) + k1[len(k2):]
+            s = acc.get(k, 0) + v1 * v2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    if not acc:
+        del terms[e]
+        owned.discard(e)
+
+
+def _coeff_str(c: dict) -> str:
+    bits = []
+    for k in sorted(c):
+        v = c[k]
+        mono = "*".join(
+            f"b{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(k) if e
+        )
+        bits.append(f"{v}" if not mono else f"{v}*{mono}" if v != 1 else mono)
+    return " + ".join(bits)
+
+
+def _natural(x, what: str) -> int:
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {x!r}")
+    return x
 
 
 class GradedSeries:
     __slots__ = ("nvars", "precision", "terms", "_key")
 
     def __init__(self, nvars: int, precision: int, terms: dict):
-        # Trusts canonical input: no zero coefficients, degrees <= precision.
+        # Trusts canonical input: no zero values, no empty coefficient dicts,
+        # trimmed b-exponents, t-degrees <= precision.
         self.nvars = nvars
         self.precision = precision
         self.terms = terms
@@ -62,8 +137,8 @@ class GradedSeries:
 
     @staticmethod
     def constant(c, nvars: int, precision: int) -> "GradedSeries":
-        c = _as_coeff(c)
-        return GradedSeries(nvars, precision, {(0,) * nvars: c} if c else {})
+        """The constant series of the number ``c``."""
+        return GradedSeries(nvars, precision, {(0,) * nvars: {(): c}} if c else {})
 
     @staticmethod
     def variable(i: int, nvars: int, precision: int) -> "GradedSeries":
@@ -71,24 +146,7 @@ class GradedSeries:
         if not 0 <= i < nvars:
             raise IndexOutOfRangeError(f"variable index {i} out of range")
         exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return GradedSeries(nvars, precision, {exp: ONE})
-
-    @staticmethod
-    def from_terms(nvars: int, precision: int, items) -> "GradedSeries":
-        terms: dict = {}
-        for exp, c in items:
-            exp = tuple(exp)
-            if len(exp) != nvars:
-                raise NVarsMismatchError("exponent length != nvars")
-            if sum(exp) > precision:
-                continue
-            c = _as_coeff(c)
-            s = terms.get(exp, ZERO) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
-        return GradedSeries(nvars, precision, terms)
+        return GradedSeries(nvars, precision, {exp: {(): 1}})
 
     # -- basic queries -----------------------------------------------------
 
@@ -109,11 +167,7 @@ class GradedSeries:
 
         The zero series reports degree 0 by convention.
         """
-        degs = {
-            sum(e) - monomial_weight(b)
-            for e, c in self.terms.items()
-            for b in c.terms
-        }
+        degs = {sum(e) - _weight(b) for e, c in self.terms.items() for b in c}
         if not degs:
             return 0
         if len(degs) == 1:
@@ -131,7 +185,9 @@ class GradedSeries:
             self._key = (
                 self.nvars,
                 self.precision,
-                tuple(sorted((e, c.key()) for e, c in self.terms.items())),
+                tuple(
+                    sorted((e, tuple(sorted(c.items()))) for e, c in self.terms.items())
+                ),
             )
         return self._key
 
@@ -174,19 +230,17 @@ class GradedSeries:
             raise NVarsMismatchError("add: nvars mismatch")
         p = min(self.precision, other.precision)
         out = {e: c for e, c in self.terms.items() if sum(e) <= p}
+        owned: set = set()
         for e, c in other.terms.items():
-            if sum(e) > p:
-                continue
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            if sum(e) <= p:
+                _add_product(out, owned, e, c, _ONE)
         return GradedSeries(self.nvars, p, out)
 
     def __neg__(self) -> "GradedSeries":
         return GradedSeries(
-            self.nvars, self.precision, {e: -c for e, c in self.terms.items()}
+            self.nvars,
+            self.precision,
+            {e: {b: -v for b, v in c.items()} for e, c in self.terms.items()},
         )
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
@@ -197,6 +251,7 @@ class GradedSeries:
             raise NVarsMismatchError("mul: nvars mismatch")
         p = min(self.precision, other.precision)
         out: dict = {}
+        owned: set = set()
         bdeg = [(sum(e), e, c) for e, c in other.terms.items()]
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
@@ -205,25 +260,19 @@ class GradedSeries:
             for d2, e2, c2 in bdeg:
                 if d1 + d2 > p:
                     continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                _add_product(out, owned, tuple(map(add, e1, e2)), c1, c2)
         return GradedSeries(self.nvars, p, out)
 
     def scale(self, c) -> "GradedSeries":
-        c = _as_coeff(c)
-        if not c:
-            return GradedSeries.zero(self.nvars, self.precision)
-        if c == 1:
-            return self
+        """Multiply by a coefficient: a number, or a ``{b-exponent: value}``
+        dict."""
+        if not isinstance(c, dict):
+            c = {(): c} if c else {}
         out: dict = {}
-        for e, v in self.terms.items():
-            s = v * c
-            if s:
-                out[e] = s
+        owned: set = set()
+        if c:
+            for e, v in self.terms.items():
+                _add_product(out, owned, e, v, c)
         return GradedSeries(self.nvars, self.precision, out)
 
     def __pow__(self, n: int) -> "GradedSeries":
@@ -236,12 +285,11 @@ class GradedSeries:
 
     def specialize_b_zero(self) -> "GradedSeries":
         """Set every coefficient generator to zero (additive specialization)."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            s = c.specialize_b_zero()
-            if s:
-                out[e] = s
-        return GradedSeries(self.nvars, self.precision, out)
+        return GradedSeries(
+            self.nvars,
+            self.precision,
+            {e: {(): c[()]} for e, c in self.terms.items() if () in c},
+        )
 
     # -- substitution --------------------------------------------------------
 
@@ -252,37 +300,44 @@ class GradedSeries:
 
     def to_json(self, ngens: int | None = None) -> dict:
         if ngens is None:
-            ngens = max(
-                (len(b) for c in self.terms.values() for b in c.terms), default=0
-            )
+            ngens = max((len(b) for c in self.terms.values() for b in c), default=0)
         rows = []
         for e in sorted(self.terms, key=lambda e: (sum(e), e)):
             c = self.terms[e]
-            for b in sorted(c.terms):
-                v = c.terms[b]
+            for b in sorted(c):
                 rows.append(
                     {
                         "b": list(b) + [0] * (ngens - len(b)),
                         "t": list(e),
-                        "c": str(v),
+                        "c": str(c[b]),
                     }
                 )
         return {"nvars": self.nvars, "precision": self.precision, "terms": rows}
 
     @staticmethod
     def from_json(obj: dict) -> "GradedSeries":
-        nvars = obj["nvars"]
-        precision = obj["precision"]
+        """Parse the wire format; raises ``ValueError`` on a malformed value
+        (``KeyError``/``TypeError`` on a missing key or a non-object)."""
+        nvars = _natural(obj["nvars"], "nvars")
+        precision = _natural(obj["precision"], "precision")
         terms: dict = {}
+        owned: set = set()
         for row in obj["terms"]:
-            e = tuple(row["t"])
-            c = row["c"]
-            v = Fraction(c) if "/" in c else int(c)
-            cur = terms.get(e, ZERO) + Coeff.monomial(row["b"], v)
-            if cur:
-                terms[e] = cur
-            else:
-                terms.pop(e, None)
+            t, b, c = row["t"], row["b"], row["c"]
+            if not isinstance(t, list) or len(t) != nvars:
+                raise ValueError(f"t-exponent {t!r} does not have {nvars} entries")
+            if not isinstance(b, list) or not isinstance(c, str):
+                raise ValueError(f"malformed term {row!r}")
+            e = tuple(_natural(x, "a t-exponent entry") for x in t)
+            if sum(e) > precision:
+                raise ValueError(f"term {t} lies above precision {precision}")
+            try:
+                v = Fraction(c) if "/" in c else int(c)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+            bexp = _trim(_natural(x, "a b-exponent entry") for x in b)
+            if v:
+                _add_product(terms, owned, e, {bexp: v}, _ONE)
         return GradedSeries(nvars, precision, terms)
 
     def __repr__(self):
@@ -295,7 +350,7 @@ class GradedSeries:
                 for i, k in enumerate(e)
                 if k
             )
-            c = repr(self.terms[e])
+            c = _coeff_str(self.terms[e])
             cs = c if "+" not in c else f"({c})"
             bits.append(cs if not mono else f"{cs}*{mono}" if c != "1" else mono)
         return f"<{' + '.join(bits)} + O(deg {self.precision + 1})>"
@@ -344,60 +399,17 @@ class Substitution:
             )
         p = min(f.precision, self.precision)
         acc: dict = {}
+        owned: set = set()
         for e, c in f.terms.items():
             if sum(e) > p:
                 continue
             for ei, ci in self._monomial_image(e).terms.items():
-                if sum(ei) > p:
-                    continue
-                s = acc.get(ei, ZERO) + ci * c
-                if s:
-                    acc[ei] = s
-                else:
-                    acc.pop(ei, None)
+                if sum(ei) <= p:
+                    _add_product(acc, owned, ei, ci, c)
         return GradedSeries(self.nvars_out, p, acc)
 
 
 # -- exact division ----------------------------------------------------------
-
-
-def _divide_homogeneous(num: dict, den: dict, rational: bool, degree: int) -> dict:
-    """Exact division of homogeneous t-forms with Coeff coefficients.
-
-    Long division by the lex-leading term; over a domain this succeeds iff the
-    division is exact, and the first failing step certifies non-divisibility.
-    """
-    lead_d = max(den)
-    lc_d = den[lead_d]
-    rem = dict(num)
-    out: dict = {}
-    while rem:
-        lead_n = max(rem)
-        if any(a < b for a, b in zip(lead_n, lead_d)):
-            raise NotDivisibleError(
-                f"nonzero remainder at degree {degree}", degree=degree
-            )
-        try:
-            q = rem[lead_n].divide_exact(lc_d, rational)
-        except CoeffDivisionError as exc:
-            raise NotDivisibleError(
-                f"coefficient not divisible at degree {degree}: {exc}",
-                degree=degree,
-            ) from exc
-        mono = tuple(a - b for a, b in zip(lead_n, lead_d))
-        cur = out.get(mono, ZERO) + q
-        if cur:
-            out[mono] = cur
-        else:
-            out.pop(mono, None)
-        for ed, cd in den.items():
-            e = tuple(a + b for a, b in zip(mono, ed))
-            s = rem.get(e, ZERO) - q * cd
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return out
 
 
 def divide_exact(
@@ -405,8 +417,12 @@ def divide_exact(
 ) -> GradedSeries:
     """Return q with ``q * g == f`` through degree ``min(prec f, prec g) - order(g)``.
 
-    Raises :class:`NotDivisibleError` (carrying the lowest offending degree)
-    when no such q exists within the precision window.
+    Each homogeneous t-component of f is long-divided by the lowest
+    component of g, one term at a time, by its leading term in lex order on
+    (t-exponent, b-exponent).  In the domain Z[t, b] (Q[t, b] when
+    ``rational``) this succeeds exactly when the division is exact, so the
+    first failing step certifies non-divisibility: :class:`NotDivisibleError`
+    carries the lowest offending degree.
     """
     if f.nvars != g.nvars:
         raise NVarsMismatchError("divide: nvars mismatch")
@@ -427,30 +443,47 @@ def divide_exact(
             degree=f.order(),
         )
     g_low = g.t_component(m)
+    g_high = [(e, c) for e, c in g.terms.items() if m < sum(e) <= horizon]
+    lead_t = max(g_low)
+    lead_b = max(g_low[lead_t])
+    lead_v = g_low[lead_t][lead_b]
     rem = {e: c for e, c in f.terms.items() if sum(e) <= horizon}
+    # num and rem hold disjoint t-degrees, so one set records what is owned
+    owned: set = set()
     q_terms: dict = {}
-    for k in range(0, out_prec + 1):
-        num_k = {e: c for e, c in rem.items() if sum(e) == m + k}
-        if not num_k:
-            continue
-        qk = _divide_homogeneous(num_k, g_low, rational, degree=m + k)
-        for eq, cq in qk.items():
-            cur = q_terms.get(eq, ZERO) + cq
-            if cur:
-                q_terms[eq] = cur
-            else:
-                q_terms.pop(eq, None)
-        # knock q_k * g out of the remainder
-        for eq, cq in qk.items():
-            for eg, cg in g.terms.items():
-                e = tuple(a + b for a, b in zip(eq, eg))
-                if sum(e) > horizon:
-                    continue
-                s = rem.get(e, ZERO) - cq * cg
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
+    for degree in range(m, horizon + 1):
+        num = {e: rem.pop(e) for e in [e for e in rem if sum(e) == degree]}
+        while num:
+            e = max(num)
+            b = max(num[e])
+            v = num[e][b]
+            if (
+                any(x < y for x, y in zip(e, lead_t))
+                or len(b) < len(lead_b)
+                or any(x < y for x, y in zip(b, lead_b))
+            ):
+                raise NotDivisibleError(
+                    f"leading term not divisible at degree {degree}", degree=degree
+                )
+            q, r = divmod(v, lead_v)
+            if r:
+                if not rational:
+                    raise NotDivisibleError(
+                        f"coefficient not divisible at degree {degree}", degree=degree
+                    )
+                q = Fraction(v, lead_v)
+            # the quotient term eq * bq * q; leading terms strictly decrease,
+            # so no quotient monomial is produced twice
+            eq = tuple(map(sub, e, lead_t))
+            bq = _trim(tuple(map(sub, b, lead_b)) + b[len(lead_b):])
+            q_terms.setdefault(eq, {})[bq] = q
+            minus = {bq: -q}
+            for eg, cg in g_low.items():
+                _add_product(num, owned, tuple(map(add, eq, eg)), minus, cg)
+            for eg, cg in g_high:
+                e2 = tuple(map(add, eq, eg))
+                if sum(e2) <= horizon:
+                    _add_product(rem, owned, e2, minus, cg)
     return GradedSeries(f.nvars, out_prec, q_terms)
 
 

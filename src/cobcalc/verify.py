@@ -82,6 +82,12 @@ class RunConfig:
         }
 
 
+def _require_degree(cfg: RunConfig, needed: int, what: str) -> None:
+    """A ``--degree`` below what a suite needs is a usage error."""
+    if cfg.degree < needed:
+        raise ConfigError(f"{what} needs --degree >= {needed}, got {cfg.degree}")
+
+
 def _report(suite: str, cfg: RunConfig, checks: list[dict]) -> dict:
     return {
         "suite": suite,
@@ -144,6 +150,7 @@ def suite_lemma_div(cfg: RunConfig) -> dict:
 
 def suite_demazure(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
+    _require_degree(cfg, 2, "the demazure suite")
     ctx = cfg.context()
     rng = Random(cfg.seed)
     n = datum.rank
@@ -230,16 +237,17 @@ def suite_gln(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
     if not datum.label.startswith("gl"):
         raise UnsupportedTypeError("the relations suite needs a gl_n type")
+    n = datum.rank
+    probe_degree = cfg.probe_degree if cfg.probe_degree is not None else (
+        3 if n == 2 else 2
+    )
+    _require_degree(cfg, probe_degree, f"a probe through degree {probe_degree}")
     ctx = cfg.context()
     graph = flag_gkm(datum, ctx)
-    n = datum.rank
     checks = []
     rel = gln_relations(n, graph)
     checks.append({"name": "symmetric_relations_vanish", "pass": rel["pass"],
                    "relations": rel["relations"]})
-    probe_degree = cfg.probe_degree if cfg.probe_degree is not None else (
-        3 if n == 2 else 2
-    )
     probe = surjectivity_probe(graph, probe_degree, over="Z")
     checks.append(
         {
@@ -255,13 +263,16 @@ def suite_tensor_iso(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
     if not datum.label.startswith("gl"):
         raise UnsupportedTypeError("the tensor suite needs a gl_n type")
+    probe_degree = 2 if cfg.probe_degree is None else cfg.probe_degree
+    _require_degree(cfg, 2, "the tensor-iso suite")
+    _require_degree(cfg, probe_degree, f"a probe through degree {probe_degree}")
     ctx = cfg.context()
     graph = flag_gkm(datum, ctx)
     rng = Random(cfg.seed)
     n = datum.rank
     checks = []
 
-    probe = surjectivity_probe(graph, cfg.probe_degree or 2, over="Z")
+    probe = surjectivity_probe(graph, probe_degree, over="Z")
     checks.append({"name": "surjectivity_probe", "pass": probe["pass"],
                    "degrees": probe["degrees"]})
 
@@ -305,6 +316,9 @@ def suite_tensor_iso(cfg: RunConfig) -> dict:
 
 def suite_bott_samelson(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
+    # the point class alone has degree len(positive_roots)
+    needed = max(2, len(datum.positive_roots))
+    _require_degree(cfg, needed, f"the bott-samelson suite on {cfg.type_tag}")
     ctx = cfg.context()
     graph = flag_gkm(datum, ctx)
     rng = Random(cfg.seed)

@@ -205,8 +205,8 @@ def engine_series_to_poly(series) -> Poly:
     plain polynomial; fails loudly if generator monomials are present."""
     terms = {}
     for e, c in series.terms.items():
-        assert set(c.terms) <= {()}, "series carries coefficient generators"
-        v = c.terms.get((), 0)
+        assert set(c) <= {()}, "series carries coefficient generators"
+        v = c.get((), 0)
         if v:
             terms[e] = Fraction(v)
     return Poly(terms)

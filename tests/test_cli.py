@@ -176,10 +176,31 @@ def test_gkm_verify_class_file(tmp_path, capsys):
 _GL3_ZERO = '{"nvars": 3, "precision": 5, "terms": []}'
 
 
+def _gl2_class(precision=5, t=(1, 0), b=(), c="1"):
+    """The same one-term series at both vertices of the gl2 graph."""
+    series = {"nvars": 2, "precision": precision,
+              "terms": [{"t": list(t), "b": list(b), "c": c}]}
+    return json.dumps({"e": series, "1": series})
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, "{}", '{"e": %s, "1": %s}' % (_GL3_ZERO, _GL3_ZERO)],
-    ids=["missing", "empty", "wrong-nvars"],
+    [
+        None,
+        "{}",
+        '{"e": %s, "1": %s}' % (_GL3_ZERO, _GL3_ZERO),
+        _gl2_class(precision="3"),
+        _gl2_class(c="1/0"),
+        _gl2_class(precision=-2),
+        _gl2_class(t=(1, 0, 0)),
+        _gl2_class(t=(-1, 2)),
+        _gl2_class(t=(1.0, 0)),
+        _gl2_class(b=(-1,)),
+        _gl2_class(t=(3, 3)),
+    ],
+    ids=["missing", "empty", "wrong-nvars", "text-precision", "zero-denominator",
+         "negative-precision", "long-exponent", "negative-exponent",
+         "float-exponent", "negative-b-exponent", "above-precision"],
 )
 def test_gkm_verify_bad_class_file(tmp_path, capsys, content):
     path = tmp_path / "class.json"
@@ -269,6 +290,37 @@ def test_word_too_long_for_degree_is_usage_error(capsys, command):
     )
     assert code == 2 and out == ""
     assert err == "error: word of length 3 needs precision >= 6\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "demazure", "--degree", "1"],
+        ["verify", "gln", "--degree", "1"],
+        ["verify", "tensor-iso", "--degree", "1"],
+        ["verify", "gln", "--degree", "4", "--probe-degree", "6"],
+        ["verify", "bott-samelson", "--type", "gl2", "--degree", "1"],
+        ["verify", "bott-samelson", "--type", "gl3", "--degree", "2"],
+        ["compute", "subring-basis", "--degree", "-1"],
+        ["compute", "invariants", "--degree", "-1"],
+    ],
+    ids=["demazure", "gln", "tensor-iso", "gln-probe", "bott-samelson-gl2",
+         "bott-samelson-gl3", "subring-basis", "invariants"],
+)
+def test_degree_too_small_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--degree" in err and err.count("\n") == 1
+
+
+def test_tensor_iso_honours_probe_degree_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "tensor-iso", "--type", "gl2", "--law", "additive",
+        "--degree", "2", "--probe-degree", "0",
+    )
+    assert code == 0
+    probe = json.loads(out)["checks"][0]
+    assert [d["degree"] for d in probe["degrees"]] == [0]
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -123,8 +123,8 @@ def test_weyl_act_permutes_variables_for_gl():
     for w in weyl_enumerate(gl3):
         g = weyl_act(w, f, ctx, gl3)
         # permutation of variables: same multiset of coefficients per degree
-        assert sorted(c.key() for c in g.terms.values()) == sorted(
-            c.key() for c in f.terms.values()
+        assert sorted(sorted(c.items()) for c in g.terms.values()) == sorted(
+            sorted(c.items()) for c in f.terms.values()
         )
 
 

@@ -116,7 +116,7 @@ def test_additive_demazure_is_minus_classical(tag):
             for e in _monomials(n, d)
         ]
         for e in exps:
-            f = GradedSeries(n, 5, {e: _one()})
+            f = GradedSeries(n, 5, {e: {(): 1}})
             got = demazure(f, i, ctx, datum)
             oracle = classical_divided_difference(
                 Poly({e: 1}), alpha, perm
@@ -131,12 +131,6 @@ def _monomials(n, d):
     for k in range(d + 1):
         out.extend((k,) + rest for rest in _monomials(n - 1, d - k))
     return out
-
-
-def _one():
-    from cobcalc.coeffs import Coeff
-
-    return Coeff.from_value(1)
 
 
 # -- equivariant operators on the flag graph ----------------------------------------
@@ -228,6 +222,26 @@ def test_bott_samelson_gl3_additive_against_oracle():
                 word,
                 graph.ids[v],
             )
+
+
+@pytest.mark.parametrize(
+    "law, exact", [("additive", True), ("multiplicative", True), ("universal:5", False)]
+)
+def test_braid_relation(law, exact):
+    """Bressler-Evens: d1 d2 d1 = d2 d1 d2 holds exactly for the additive and
+    multiplicative laws and fails for the universal law."""
+    datum = build_root_datum("gl3")
+    ctx = build_law(law, 6)
+    rng = Random(0)
+
+    def d(f, i):
+        return demazure(f, i, ctx, datum)
+
+    results = []
+    for _ in range(4):
+        f = random_homogeneous(rng, ctx, 3, rng.randint(1, 3))
+        results.append(d(d(d(f, 0), 1), 0) == d(d(d(f, 1), 0), 1))
+    assert all(results) == exact
 
 
 def test_demazure_gkm_compatible_with_tensor_model():

@@ -1,9 +1,12 @@
+import copy
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cobcalc.coeffs import Coeff
 from cobcalc.errors import (
     ConstantTermError,
     IndexOutOfRangeError,
@@ -33,7 +36,7 @@ def test_add_cancellation():
 def test_mul_basic():
     t1, t2 = var(0), var(1)
     prod = t1 * t2
-    assert prod.terms == {(1, 1): Coeff.from_value(1)}
+    assert prod.terms == {(1, 1): {(): 1}}
     assert prod.precision == 5
 
 
@@ -41,7 +44,7 @@ def test_product_of_chern_classes_is_monomial():
     ctx = build_law("universal:2", 3)
     x1 = ctx.formal_sum((1, 0))
     x2 = ctx.formal_sum((0, 1))
-    assert (x1 * x2).terms == {(1, 1): Coeff.from_value(1)}
+    assert (x1 * x2).terms == {(1, 1): {(): 1}}
 
 
 def test_precision_rules():
@@ -104,7 +107,7 @@ def test_substitute_doubling():
     image = ctx.k_series(2)
     got = f.substitute([image]).truncate(2)
     t = GradedSeries.variable(0, 1, 2)
-    expected = (t.scale(2) + (t * t).scale(Coeff.monomial((1,), 2))).truncate(2)
+    expected = (t.scale(2) + (t * t).scale({(1,): 2})).truncate(2)
     assert got == expected
 
 
@@ -187,7 +190,7 @@ def test_formal_sum_basics():
     uni = build_law("universal:2", 3)
     f = uni.formal_sum((1, 1)).truncate(2)
     t1, t2 = var(0, 2, 2), var(1, 2, 2)
-    assert f == t1 + t2 + (t1 * t2).scale(Coeff.monomial((1,), 2))
+    assert f == t1 + t2 + (t1 * t2).scale({(1,): 2})
 
 
 def test_formal_sum_linear_term():
@@ -198,7 +201,7 @@ def test_formal_sum_linear_term():
         x = ctx.formal_sum(coeffs)
         linear = {e: c for e, c in x.terms.items() if sum(e) == 1}
         expected = {
-            tuple(1 if j == i else 0 for j in range(3)): Coeff.from_value(c)
+            tuple(1 if j == i else 0 for j in range(3)): {(): c}
             for i, c in enumerate(coeffs)
             if c
         }
@@ -258,3 +261,139 @@ def test_lemma_div_property_b2_g2():
                 assert (q * ctx.formal_sum(beta)).equals_truncated(
                     diff, q.precision
                 )
+
+
+# -- coefficients in Z[b1, b2, ...] --------------------------------------------
+
+
+def const(c, p=4):
+    """A constant series in one variable with coefficient dict ``c``."""
+    return GradedSeries(1, p, {(0,): c})
+
+
+def test_mixed_length_b_exponents_multiply():
+    # 2 b1 * 5 b3 = 10 b1 b3, keys trimmed to different lengths
+    assert (const({(1,): 2}) * const({(0, 0, 1): 5})).terms == {(0,): {(1, 0, 1): 10}}
+    t = GradedSeries.variable(0, 1, 4)
+    assert (t.scale({(1,): 2}) * t.scale({(): 3, (0, 1): 1})).terms == {
+        (2,): {(1,): 6, (1, 1): 2}
+    }
+
+
+def test_cancellation_to_zero():
+    t = GradedSeries.variable(0, 1, 4)
+    f = t.scale({(2,): 1, (0, 1): 3})  # (b1^2 + 3 b2) t
+    assert (f - f).terms == {}
+    assert (-f + f).is_zero()
+    assert (f + t.scale({(2,): -1})).terms == {(1,): {(0, 1): 3}}
+    assert GradedSeries.constant(0, 1, 4).terms == {}
+    assert GradedSeries.constant(7, 1, 4) == const({(): 7})
+
+
+def test_division_by_non_unit_leading_value():
+    t = GradedSeries.variable(0, 1, 4)
+    with pytest.raises(NotDivisibleError) as err:
+        divide_exact(t.scale(3), t.scale(2))
+    assert err.value.degree == 1
+    q = divide_exact(t.scale(3), t.scale(2), rational=True)
+    assert q == GradedSeries.constant(Fraction(3, 2), 1, 3)
+    assert q.to_json()["terms"][0]["c"] == "3/2"
+    # (b1 + 2)(b1^2 - 3) / (b1 + 2) = b1^2 - 3 in integer mode
+    num = const({(1,): 1, (): 2}) * const({(2,): 1, (): -3})
+    assert divide_exact(num, const({(1,): 1, (): 2})) == const({(2,): 1, (): -3})
+
+
+def test_b2_not_divisible_by_b1():
+    t = GradedSeries.variable(0, 1, 4)
+    with pytest.raises(NotDivisibleError) as err:
+        divide_exact(t.scale({(0, 1): 1}), t.scale({(1,): 1}), rational=True)
+    assert err.value.degree == 1
+
+
+def test_specialize_b_zero_keeps_the_b_free_part():
+    t = GradedSeries.variable(0, 1, 4)
+    f = t.scale({(): 4, (1,): 7}) + (t * t).scale({(2,): 1})
+    assert f.specialize_b_zero().terms == {(1,): {(): 4}}
+
+
+def test_monomial_weights_set_the_degree():
+    # b_i has weight i: b1^2 b2 weighs 4, b2^2 weighs 4, b1 weighs 1
+    assert GradedSeries(1, 6, {(4,): {(2, 1): 1}}).homogeneous_degree() == 0
+    mixed_weights = GradedSeries(1, 6, {(2,): {(1,): 1}, (5,): {(0, 2): 1}})
+    assert mixed_weights.homogeneous_degree() == 1
+    assert GradedSeries(1, 6, {(2,): {(1,): 1, (0, 2): 1}}).homogeneous_degree() is None
+
+
+def test_wire_format_normalises_integral_fractions():
+    row = {"t": [1], "b": [1, 0], "c": "4/2"}
+    f = GradedSeries.from_json({"nvars": 1, "precision": 3, "terms": [row]})
+    assert f.terms == {(1,): {(1,): 2}}
+    assert f.to_json(2)["terms"] == [{"t": [1], "b": [1, 0], "c": "2"}]
+    # b1 written with and without a trailing zero is one monomial
+    rows = [{"t": [1], "b": [1, 0], "c": "2"}, {"t": [1], "b": [1], "c": "-2"}]
+    assert GradedSeries.from_json({"nvars": 1, "precision": 3, "terms": rows}).is_zero()
+
+
+# -- ring-law properties -------------------------------------------------------
+
+NV, PREC = 2, 4
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def _trim(exp):
+    exp = list(exp)
+    while exp and exp[-1] == 0:
+        exp.pop()
+    return tuple(exp)
+
+
+_coeffs = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=3).map(_trim),
+    st.integers(-3, 3).filter(bool),
+    min_size=1,
+    max_size=3,
+)
+_texps = st.tuples(st.integers(0, PREC), st.integers(0, PREC)).filter(
+    lambda e: sum(e) <= PREC
+)
+series = st.dictionaries(_texps, _coeffs, max_size=4).map(
+    lambda terms: GradedSeries(NV, PREC, terms)
+)
+
+
+@PROPERTY
+@given(series, series, series)
+def test_ring_laws(f, g, h):
+    before = [copy.deepcopy(x.terms) for x in (f, g, h)]
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) - g == f
+    # results may share coefficient dicts with their inputs, never change them
+    assert [x.terms for x in (f, g, h)] == before
+
+
+@PROPERTY
+@given(series, series, st.booleans(), st.integers(1, 3))
+def test_divide_exact_inverts_multiplication(f, g, rational, den):
+    assume(not g.is_zero())
+    if rational:
+        f = f.scale(Fraction(1, den))
+    product = f * g
+    before = copy.deepcopy(product.terms)
+    q = divide_exact(product, g, rational=rational)
+    assert q == f.truncate(q.precision)
+    assert product.terms == before
+
+
+@PROPERTY
+@given(series, st.integers(2, 4))
+def test_wire_format_roundtrip_property(f, ngens):
+    assert GradedSeries.from_json(f.to_json()) == f
+    assert GradedSeries.from_json(json.loads(json.dumps(f.to_json(ngens)))) == f
+
+
+@PROPERTY
+@given(series)
+def test_identity_substitution(f):
+    assert f.substitute([var(i, NV, PREC) for i in range(NV)]) == f
