@@ -1,74 +1,50 @@
+"""Coefficients in Z[b1, b2, ...]: each t-coefficient of a series is a dict
+{trimmed b-exponent: int | Fraction} with no zero values."""
+
 from fractions import Fraction
 
-import pytest
+from cobcalc.series import GradedSeries, _trim, _weight
 
-from cobcalc.coeffs import Coeff, monomial_weight, trim
-from cobcalc.errors import CoeffDivisionError
+
+def const(c, p=4):
+    """A constant series in one variable with coefficient dict ``c``."""
+    return GradedSeries(1, p, {(0,): c})
 
 
 def test_trim_and_weight():
-    assert trim((1, 0, 0)) == (1,)
-    assert trim((0, 0)) == ()
-    assert monomial_weight((2, 1)) == 4  # b1^2 b2
-    assert monomial_weight(()) == 0
-
-
-def test_canonicalization():
-    c = Coeff.from_terms([((1, 0), 2), ((1,), -2)])
-    assert c.is_zero()
-    c = Coeff.from_terms([((), Fraction(4, 2))])
-    assert c.terms == {(): 2}
-    assert isinstance(c.terms[()], int)
+    assert _trim((1, 0, 0)) == (1,)
+    assert _trim((0, 0)) == ()
+    assert _weight((2, 1)) == 4  # b1^2 b2
+    assert _weight(()) == 0
+    rows = [{"t": [0], "b": [0, 0], "c": "5"}, {"t": [1], "b": [0, 1, 0], "c": "2"}]
+    f = GradedSeries.from_json({"nvars": 1, "precision": 3, "terms": rows})
+    assert f.terms == {(0,): {(): 5}, (1,): {(0, 1): 2}}
 
 
 def test_arithmetic():
-    b1 = Coeff.monomial((1,))
-    b2 = Coeff.monomial((0, 1))
+    b1 = const({(1,): 1})
+    b2 = const({(0, 1): 1})
     c = b1 * b1 + b2.scale(3)
-    assert c.terms == {(2,): 1, (0, 1): 3}
+    assert c.terms == {(0,): {(2,): 1, (0, 1): 3}}
     assert (c - c).is_zero()
-    assert c * Coeff.from_value(1) == c
-    assert (-c) + c == Coeff.from_value(0)
-
-
-def test_mixed_length_key_product():
-    a = Coeff.monomial((1,), 2)  # 2 b1
-    b = Coeff.monomial((0, 0, 1), 5)  # 5 b3
-    assert (a * b).terms == {(1, 0, 1): 10}
+    assert c * GradedSeries.constant(1, 1, 4) == c
+    assert (-c) + c == GradedSeries.zero(1, 4)
+    t = GradedSeries.variable(0, 1, 4)
+    f = t.scale({(2,): 1, (0, 1): 3})  # (b1^2 + 3 b2) t
+    assert (f - f).terms == {}
+    assert (f + t.scale({(2,): -1})).terms == {(1,): {(0, 1): 3}}
 
 
 def test_equality_with_scalars():
-    assert Coeff.from_value(7) == 7
-    assert Coeff.from_value(0) == 0
-    assert Coeff.monomial((1,)) != 1
-
-
-def test_divide_exact_integer_mode():
-    b1 = Coeff.monomial((1,))
-    num = (b1 + Coeff.from_value(2)) * (b1 * b1 - Coeff.from_value(3))
-    q = num.divide_exact(b1 + Coeff.from_value(2), rational=False)
-    assert q == b1 * b1 - Coeff.from_value(3)
-    with pytest.raises(CoeffDivisionError):
-        Coeff.from_value(3).divide_exact(Coeff.from_value(2), rational=False)
-    assert Coeff.from_value(3).divide_exact(
-        Coeff.from_value(2), rational=True
-    ) == Fraction(3, 2)
-
-
-def test_divide_detects_nondivisibility():
-    b1 = Coeff.monomial((1,))
-    b2 = Coeff.monomial((0, 1))
-    with pytest.raises(CoeffDivisionError):
-        b2.divide_exact(b1, rational=True)
-
-
-def test_specialize_b_zero():
-    c = Coeff.from_terms([((), 4), ((1,), 7)])
-    assert c.specialize_b_zero() == 4
-    assert Coeff.monomial((2,)).specialize_b_zero().is_zero()
+    assert GradedSeries.constant(7, 1, 4) == const({(): 7})
+    assert GradedSeries.constant(Fraction(7), 1, 4) == const({(): 7})
+    assert GradedSeries.constant(0, 1, 4).terms == {}
+    assert const({(1,): 1}) != GradedSeries.constant(1, 1, 4)
 
 
 def test_weights():
-    c = Coeff.from_terms([((1,), 1), ((0, 2), 1)])
-    assert c.weights() == {1, 4}
-    assert c.max_weight() == 4
+    # b_i has weight i: b1^2 b2 weighs 4, b2^2 weighs 4, b1 weighs 1
+    assert GradedSeries(1, 6, {(4,): {(2, 1): 1}}).homogeneous_degree() == 0
+    mixed_weights = GradedSeries(1, 6, {(2,): {(1,): 1}, (5,): {(0, 2): 1}})
+    assert mixed_weights.homogeneous_degree() == 1
+    assert GradedSeries(1, 6, {(2,): {(1,): 1, (0, 2): 1}}).homogeneous_degree() is None

@@ -280,16 +280,6 @@ def test_mixed_length_b_exponents_multiply():
     }
 
 
-def test_cancellation_to_zero():
-    t = GradedSeries.variable(0, 1, 4)
-    f = t.scale({(2,): 1, (0, 1): 3})  # (b1^2 + 3 b2) t
-    assert (f - f).terms == {}
-    assert (-f + f).is_zero()
-    assert (f + t.scale({(2,): -1})).terms == {(1,): {(0, 1): 3}}
-    assert GradedSeries.constant(0, 1, 4).terms == {}
-    assert GradedSeries.constant(7, 1, 4) == const({(): 7})
-
-
 def test_division_by_non_unit_leading_value():
     t = GradedSeries.variable(0, 1, 4)
     with pytest.raises(NotDivisibleError) as err:
@@ -314,14 +304,6 @@ def test_specialize_b_zero_keeps_the_b_free_part():
     t = GradedSeries.variable(0, 1, 4)
     f = t.scale({(): 4, (1,): 7}) + (t * t).scale({(2,): 1})
     assert f.specialize_b_zero().terms == {(1,): {(): 4}}
-
-
-def test_monomial_weights_set_the_degree():
-    # b_i has weight i: b1^2 b2 weighs 4, b2^2 weighs 4, b1 weighs 1
-    assert GradedSeries(1, 6, {(4,): {(2, 1): 1}}).homogeneous_degree() == 0
-    mixed_weights = GradedSeries(1, 6, {(2,): {(1,): 1}, (5,): {(0, 2): 1}})
-    assert mixed_weights.homogeneous_degree() == 1
-    assert GradedSeries(1, 6, {(2,): {(1,): 1, (0, 2): 1}}).homogeneous_degree() is None
 
 
 def test_wire_format_normalises_integral_fractions():
