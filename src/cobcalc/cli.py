@@ -236,6 +236,11 @@ def _read_class(path: str, graph) -> GKMClass:
     if any(v.nvars != graph.nvars for v in values):
         raise ConfigError(f"class file {path!r} has series in the wrong number "
                           f"of variables (expected {graph.nvars})")
+    # the congruences are checked through the graph precision only
+    top = max(v.precision for v in values)
+    if top > graph.precision:
+        raise ConfigError(f"class file {path!r} has precision {top} above "
+                          f"--degree {graph.precision}")
     return GKMClass(graph, values)
 
 

@@ -24,8 +24,8 @@ from .errors import (
     PrecisionExhaustedError,
     PrecisionTooSmallError,
 )
-from .linalg import unimodular_with_first_column
-from .series import GradedSeries, Substitution, divide_exact
+from .linalg import require_primitive, unimodular_with_first_column
+from .series import Divisor, GradedSeries, Substitution, divide_exact
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,8 @@ class FGLContext:
         self._fsum_cache: dict = {}
         self._subst_cache: dict = {}
         self._char_cache: dict = {}
+        self._divisor_cache: dict = {}
+        self._kappa_cache: dict = {}
 
     # -- construction -------------------------------------------------------
 
@@ -204,37 +206,50 @@ class FGLContext:
         self._fsum_cache[coeffs] = acc
         return acc
 
-    def substitution(self, images: list[GradedSeries]) -> Substitution:
-        key = tuple(img.key() for img in images)
+    def substitution(self, chars) -> Substitution:
+        """The substitution ``t_i -> x_{chars[i]}``, memoised per tuple of
+        characters, so its monomial images are shared by every series it is
+        applied to."""
+        key = tuple(map(tuple, chars))
         got = self._subst_cache.get(key)
         if got is None:
-            got = Substitution(images)
+            got = Substitution([self.formal_sum(chi) for chi in key])
             self._subst_cache[key] = got
+        return got
+
+    def kappa_of_character(self, chi) -> GradedSeries:
+        """kappa(x_chi), memoised per character."""
+        chi = tuple(int(c) for c in chi)
+        got = self._kappa_cache.get(chi)
+        if got is None:
+            got = Substitution([self.formal_sum(chi)]).apply(self.kappa)
+            self._kappa_cache[chi] = got
         return got
 
     # -- division by a character class ----------------------------------------
 
-    def character_transform(self, chi: tuple):
+    def character_transform(self, chi: tuple) -> Substitution:
+        """The change of lattice basis that makes the primitive character
+        chi the first basis character: ``t_i -> x_{c_i}`` for the columns
+        ``c_i`` of ``U^-1``, where U is unimodular with first column chi.
+        A series divisible by x_chi maps to one divisible by ``t1``."""
         got = self._char_cache.get(chi)
-        if got is not None:
-            return got
-        n = len(chi)
-        u, uinv = unimodular_with_first_column(chi)
-        fwd = self.substitution(
-            [self.formal_sum([uinv[j][i] for j in range(n)]) for i in range(n)]
-        )
-        back = self.substitution(
-            [self.formal_sum([u[i][j] for i in range(n)]) for j in range(n)]
-        )
-        self._char_cache[chi] = (fwd, back)
-        return fwd, back
+        if got is None:
+            _, uinv = unimodular_with_first_column(chi)
+            got = self.substitution(zip(*uinv))
+            self._char_cache[chi] = got
+        return got
 
     def divide_by_character(self, f: GradedSeries, chi) -> GradedSeries:
         """Exact division of f by x_chi for a primitive character chi.
 
-        Changes lattice basis so chi becomes the first basis character; in the
-        new coordinates x_chi is the plain variable t1', so divisibility is a
-        support condition and needs no coefficient divisions at all.
+        One long division by x_chi (see :func:`divide_exact`), prepared once
+        per character.  The lowest component of x_chi is the primitive linear
+        form ``sum chi_i t_i``, so the quotient is unique, and by Gauss's
+        lemma it is integral whenever f is: dividing over Q gives the integer
+        quotient for integer f and the rational one for rational f.
+        :class:`NotDivisibleError` reports the first degree at which the
+        residual is not divisible by that linear form.
         """
         chi = tuple(int(c) for c in chi)
         if f.nvars != len(chi):
@@ -243,19 +258,12 @@ class FGLContext:
             raise PrecisionExhaustedError("no precision left for the division")
         if f.is_zero():
             return GradedSeries.zero(f.nvars, f.precision - 1)
-        fwd, back = self.character_transform(chi)
-        g = fwd.apply(f)
-        bad = [sum(e) for e in g.terms if e[0] == 0]
-        if bad:
-            raise NotDivisibleError(
-                f"not divisible by the class of {chi}", degree=min(bad)
-            )
-        shifted = GradedSeries(
-            g.nvars,
-            g.precision - 1,
-            {(e[0] - 1,) + e[1:]: c for e, c in g.terms.items()},
-        )
-        return back.apply(shifted)
+        div = self._divisor_cache.get(chi)
+        if div is None:
+            require_primitive(chi)
+            div = Divisor(self.formal_sum(chi))
+            self._divisor_cache[chi] = div
+        return divide_exact(f, div, rational=True)
 
 
 def build_law(

@@ -352,7 +352,7 @@ class TupleSystem:
         in sorted order and drops zero rows; each distinct images list is
         reduced once.
         """
-        fwd = None if chi is None else self.ctx.character_transform(tuple(chi))[0]
+        fwd = None if chi is None else self.ctx.character_transform(tuple(chi))
         nm = len(self.monos)
         coords: dict = {}
         reduced: dict = {}

@@ -393,6 +393,16 @@ def span_equal_rational(vs: list, ws: list, dim: int) -> bool:
 # -- unimodular basis completion -----------------------------------------------
 
 
+def require_primitive(alpha: Vec) -> None:
+    """Raise :class:`NonPrimitiveCharacterError` unless the entries of
+    ``alpha`` have gcd 1."""
+    if content(alpha) != 1:
+        raise NonPrimitiveCharacterError(
+            f"character {tuple(alpha)} is not primitive; divisibility by its "
+            "class is defined only for primitive characters"
+        )
+
+
 def unimodular_with_first_column(alpha: Vec):
     """An integer matrix U with det +-1 whose first column is ``alpha``, and
     its inverse: the pair ``(U, U^-1)``.
@@ -401,11 +411,7 @@ def unimodular_with_first_column(alpha: Vec):
     of extended-gcd row operations.
     """
     n = len(alpha)
-    if content(alpha) != 1:
-        raise NonPrimitiveCharacterError(
-            f"character {tuple(alpha)} is not primitive; divisibility by its "
-            "class is defined only for primitive characters"
-        )
+    require_primitive(alpha)
     # Row-reduce alpha to e1 by unimodular row ops, tracking their product M,
     # so M alpha = e1 and U = M^{-1} has first column alpha.  U is built
     # alongside by the inverse column op of each row op: if M' = E M then

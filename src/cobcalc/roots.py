@@ -225,11 +225,7 @@ def weyl_act(w: WeylElement, f: GradedSeries, ctx, datum: RootDatum) -> GradedSe
         raise NVarsMismatchError(
             f"series has {f.nvars} variables, root datum has rank {datum.rank}"
         )
-    n = datum.rank
-    images = [
-        ctx.formal_sum(tuple(w.matrix[r][i] for r in range(n))) for i in range(n)
-    ]
-    return ctx.substitution(images).apply(f)
+    return ctx.substitution(zip(*w.matrix)).apply(f)
 
 
 # -- builders ---------------------------------------------------------------------

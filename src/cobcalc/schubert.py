@@ -38,9 +38,9 @@ def _simple_index(datum: RootDatum, alpha) -> int:
 
 
 def kappa_of_character(ctx, chi) -> GradedSeries:
-    """kappa(x_chi), a homogeneous degree -1 series in the lattice variables."""
-    x = ctx.formal_sum(chi)
-    return ctx.substitution([x]).apply(ctx.kappa)
+    """kappa(x_chi), a homogeneous degree -1 series in the lattice variables,
+    computed once per law context and character."""
+    return ctx.kappa_of_character(chi)
 
 
 def demazure(

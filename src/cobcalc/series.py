@@ -33,6 +33,7 @@ satisfies ``t-degree - weight(b-part) == m``.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from operator import add, sub
 
@@ -119,7 +120,7 @@ def _natural(x, what: str) -> int:
 
 
 class GradedSeries:
-    __slots__ = ("nvars", "precision", "terms", "_key")
+    __slots__ = ("nvars", "precision", "terms")
 
     def __init__(self, nvars: int, precision: int, terms: dict):
         # Trusts canonical input: no zero values, no empty coefficient dicts,
@@ -127,7 +128,6 @@ class GradedSeries:
         self.nvars = nvars
         self.precision = precision
         self.terms = terms
-        self._key = None
 
     # -- constructors -----------------------------------------------------
 
@@ -179,17 +179,6 @@ class GradedSeries:
         if d is None:
             return False
         return degree is None or not self.terms or d == degree
-
-    def key(self):
-        if self._key is None:
-            self._key = (
-                self.nvars,
-                self.precision,
-                tuple(
-                    sorted((e, tuple(sorted(c.items()))) for e, c in self.terms.items())
-                ),
-            )
-        return self._key
 
     # -- equality ----------------------------------------------------------
 
@@ -362,7 +351,8 @@ class Substitution:
     Every image must have positive order so that degree-``d`` output terms
     only depend on degree-``<= d`` input terms.  Monomial images are memoised,
     so reusing one Substitution across many series amortises the series
-    products.
+    products; :meth:`FGLContext.substitution` keeps one per tuple of
+    characters for that reason.
     """
 
     def __init__(self, images: list[GradedSeries]):
@@ -412,24 +402,84 @@ class Substitution:
 # -- exact division ----------------------------------------------------------
 
 
+class Divisor:
+    """A nonzero series g prepared for use as the divisor of
+    :func:`divide_exact`: its order, the lex-leading term of its lowest
+    component, the other terms of that component, and the higher terms
+    grouped by t-degree.  Preparing once pays off when one series divides
+    many numerators, as each character class x_chi does."""
+
+    __slots__ = (
+        "nvars", "precision", "order", "lead_t", "lead_nz", "lead_b", "lead_v",
+        "lead_c", "whole", "rest", "high",
+    )
+
+    def __init__(self, g: GradedSeries):
+        if g.is_zero():
+            raise ZeroDivisionError("division by the zero series")
+        m = g.order()
+        low = g.t_component(m)
+        self.nvars = g.nvars
+        self.precision = g.precision
+        self.order = m
+        self.lead_t = max(low)
+        self.lead_nz = [(i, y) for i, y in enumerate(self.lead_t) if y]
+        self.lead_c = low[self.lead_t]
+        self.lead_b = max(self.lead_c)
+        self.lead_v = self.lead_c[self.lead_b]
+        # a leading coefficient of one b-monomial divides whole coefficients
+        self.whole = len(self.lead_c) == 1
+        self.rest = [(e, c) for e, c in low.items() if e != self.lead_t]
+        by_degree: dict = {}
+        for e, c in g.terms.items():
+            if sum(e) > m:
+                by_degree.setdefault(sum(e), []).append((e, c))
+        self.high = sorted(by_degree.items())
+
+    def quotient_b(self, b: tuple) -> tuple | None:
+        """``b - lead_b``, or None when the leading b-monomial does not
+        divide ``b``."""
+        lead = self.lead_b
+        if not lead:
+            return b
+        if len(b) < len(lead) or any(x < y for x, y in zip(b, lead)):
+            return None
+        return _trim(tuple(map(sub, b, lead)) + b[len(lead):])
+
+    def quotient_value(self, v, rational: bool):
+        """``v / lead_v``, or None when that is not an integer and not
+        ``rational``."""
+        q, r = divmod(v, self.lead_v)
+        if r:
+            if not rational:
+                return None
+            q = Fraction(v, self.lead_v)
+        return q
+
+
 def divide_exact(
-    f: GradedSeries, g: GradedSeries, rational: bool = False
+    f: GradedSeries, g: GradedSeries | Divisor, rational: bool = False
 ) -> GradedSeries:
     """Return q with ``q * g == f`` through degree ``min(prec f, prec g) - order(g)``.
 
-    Each homogeneous t-component of f is long-divided by the lowest
-    component of g, one term at a time, by its leading term in lex order on
-    (t-exponent, b-exponent).  In the domain Z[t, b] (Q[t, b] when
-    ``rational``) this succeeds exactly when the division is exact, so the
-    first failing step certifies non-divisibility: :class:`NotDivisibleError`
-    carries the lowest offending degree.
+    ``g`` is a series or a :class:`Divisor` prepared from one.  The
+    numerator is bucketed by t-degree once, and each homogeneous component
+    is long-divided by the lowest component of g, leading t-exponent first
+    in lex order.  When the leading coefficient of g is a single b-monomial
+    (as for every character class x_chi and the denominator of kappa), each
+    step divides a whole coefficient of f by it; otherwise each step divides
+    one term, in lex order on (t-exponent, b-exponent).  In the domain
+    Z[t, b] (Q[t, b] when ``rational``) either way succeeds exactly when the
+    division is exact, so the first failing step certifies
+    non-divisibility.  :class:`NotDivisibleError` carries its degree: the
+    lowest degree at which f minus (quotient so far) * g has a component
+    that the lowest component of g does not divide.
     """
     if f.nvars != g.nvars:
         raise NVarsMismatchError("divide: nvars mismatch")
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero series")
-    m = g.order()
-    horizon = min(f.precision, g.precision)
+    div = g if isinstance(g, Divisor) else Divisor(g)
+    m = div.order
+    horizon = min(f.precision, div.precision)
     out_prec = horizon - m
     if out_prec < 0:
         raise PrecisionExhaustedError(
@@ -437,53 +487,84 @@ def divide_exact(
         )
     if f.is_zero():
         return GradedSeries.zero(f.nvars, out_prec)
-    if f.order() < m:
-        raise NotDivisibleError(
-            f"order of numerator {f.order()} below order of divisor {m}",
-            degree=f.order(),
-        )
-    g_low = g.t_component(m)
-    g_high = [(e, c) for e, c in g.terms.items() if m < sum(e) <= horizon]
-    lead_t = max(g_low)
-    lead_b = max(g_low[lead_t])
-    lead_v = g_low[lead_t][lead_b]
-    rem = {e: c for e, c in f.terms.items() if sum(e) <= horizon}
-    # num and rem hold disjoint t-degrees, so one set records what is owned
+    # quotient terms times g are subtracted into the buckets, which hold
+    # disjoint exponents, so one set records which coefficient dicts are owned
+    buckets: list[dict] = [{} for _ in range(horizon + 1)]
+    for e, c in f.terms.items():
+        d = sum(e)
+        if d <= horizon:
+            buckets[d][e] = c
+    for degree in range(m):
+        if buckets[degree]:
+            raise NotDivisibleError(
+                f"order of numerator {degree} below order of divisor {m}",
+                degree=degree,
+            )
+    lead_t, lead_nz = div.lead_t, div.lead_nz
+    rest, high, whole = div.rest, div.high, div.whole
     owned: set = set()
     q_terms: dict = {}
     for degree in range(m, horizon + 1):
-        num = {e: rem.pop(e) for e in [e for e in rem if sum(e) == degree]}
-        while num:
-            e = max(num)
-            b = max(num[e])
-            v = num[e][b]
-            if (
-                any(x < y for x, y in zip(e, lead_t))
-                or len(b) < len(lead_b)
-                or any(x < y for x, y in zip(b, lead_b))
-            ):
-                raise NotDivisibleError(
-                    f"leading term not divisible at degree {degree}", degree=degree
-                )
-            q, r = divmod(v, lead_v)
-            if r:
-                if not rational:
+        num = buckets[degree]
+        if not num:
+            continue
+        dq = degree - m
+        targets = [(buckets[dq + d], terms) for d, terms in high if dq + d <= horizon]
+        # exponents still to divide, ascending: subtracting a quotient term
+        # times g adds only exponents below the current one, so a divided
+        # exponent is never touched again.  An exponent whose coefficient
+        # cancelled is skipped when reached.
+        pending = sorted(num)
+        while pending:
+            if whole:
+                e = pending.pop()
+                c = num.pop(e, None)
+            else:
+                e = pending[-1]
+                c = num.get(e)
+                if c is None:
+                    pending.pop()
+            if c is None:
+                continue
+            for i, y in lead_nz:
+                if e[i] < y:
+                    raise NotDivisibleError(
+                        f"leading term not divisible at degree {degree}",
+                        degree=degree,
+                    )
+            eq = tuple(map(sub, e, lead_t))
+            if whole:
+                q = q_terms[eq] = {}
+                for b, v in c.items():
+                    bq = div.quotient_b(b)
+                    qv = div.quotient_value(v, rational)
+                    if bq is None or qv is None:
+                        raise NotDivisibleError(
+                            f"coefficient not divisible at degree {degree}",
+                            degree=degree,
+                        )
+                    q[bq] = qv
+                src = {b: -v for b, v in q.items()}
+            else:
+                b = max(c)
+                bq = div.quotient_b(b)
+                qv = div.quotient_value(c[b], rational)
+                if bq is None or qv is None:
                     raise NotDivisibleError(
                         f"coefficient not divisible at degree {degree}", degree=degree
                     )
-                q = Fraction(v, lead_v)
-            # the quotient term eq * bq * q; leading terms strictly decrease,
-            # so no quotient monomial is produced twice
-            eq = tuple(map(sub, e, lead_t))
-            bq = _trim(tuple(map(sub, b, lead_b)) + b[len(lead_b):])
-            q_terms.setdefault(eq, {})[bq] = q
-            minus = {bq: -q}
-            for eg, cg in g_low.items():
-                _add_product(num, owned, tuple(map(add, eq, eg)), minus, cg)
-            for eg, cg in g_high:
+                q_terms.setdefault(eq, {})[bq] = qv
+                src = {bq: -qv}
+                # cancels the (e, b) term; e stays pending while it has more
+                _add_product(num, owned, e, src, div.lead_c)
+            for eg, cg in rest:
                 e2 = tuple(map(add, eq, eg))
-                if sum(e2) <= horizon:
-                    _add_product(rem, owned, e2, minus, cg)
+                if e2 not in num:
+                    insort(pending, e2)
+                _add_product(num, owned, e2, src, cg)
+            for bucket, terms in targets:
+                for eg, cg in terms:
+                    _add_product(bucket, owned, tuple(map(add, eq, eg)), src, cg)
     return GradedSeries(f.nvars, out_prec, q_terms)
 
 

@@ -3,7 +3,9 @@
 Everything here is plain arithmetic over Fractions, sharing no code path with
 the package: dict-based multivariate polynomials, lex long division,
 permutation actions built from first principles, and dense rational row
-reduction.
+reduction.  The one exception is ``BasisChangeDivider``, the slow reference
+for division by a character class, which is built from the package's own
+series, substitutions and basis completion.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+
+from cobcalc.errors import NotDivisibleError
+from cobcalc.linalg import unimodular_with_first_column
+from cobcalc.series import GradedSeries, Substitution
 
 
 class Poly:
@@ -282,3 +288,43 @@ def rational_kernel(rows: list, ncols: int) -> list[tuple[int, ...]]:
             g = gcd(g, x)
         out.append(tuple(x // g for x in ints))
     return out
+
+
+# -- division by a character class through a change of lattice basis ----------
+
+
+class BasisChangeDivider:
+    """Division by x_chi through a change of lattice basis, for a primitive
+    character chi.
+
+    With U unimodular with first column chi, the forward substitution
+    ``t_i -> x_{U^-1 e_i}`` makes chi the first basis character, so x_chi
+    becomes the plain variable t1'.  A series is divisible by t1' exactly
+    when every term contains it; the quotient shifts the t1'-exponents down
+    by one and substitutes back by ``t'_j -> x_{U e_j}``.  A failure reports
+    the lowest degree of a term free of t1'.
+    """
+
+    def __init__(self, ctx, chi):
+        n = len(chi)
+        u, uinv = unimodular_with_first_column(chi)
+        self.fwd = Substitution(
+            [ctx.formal_sum([uinv[j][i] for j in range(n)]) for i in range(n)]
+        )
+        self.back = Substitution(
+            [ctx.formal_sum([u[i][j] for i in range(n)]) for j in range(n)]
+        )
+
+    def divide(self, f: GradedSeries) -> GradedSeries:
+        if f.is_zero():
+            return GradedSeries.zero(f.nvars, f.precision - 1)
+        g = self.fwd.apply(f)
+        bad = [sum(e) for e in g.terms if e[0] == 0]
+        if bad:
+            raise NotDivisibleError("not divisible", degree=min(bad))
+        shifted = GradedSeries(
+            g.nvars,
+            g.precision - 1,
+            {(e[0] - 1,) + e[1:]: c for e, c in g.terms.items()},
+        )
+        return self.back.apply(shifted)

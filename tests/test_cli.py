@@ -174,6 +174,7 @@ def test_gkm_verify_class_file(tmp_path, capsys):
 
 
 _GL3_ZERO = '{"nvars": 3, "precision": 5, "terms": []}'
+_GL2_ZERO = '{"nvars": 2, "precision": 5, "terms": []}'
 
 
 def _gl2_class(precision=5, t=(1, 0), b=(), c="1"):
@@ -212,6 +213,47 @@ def test_gkm_verify_bad_class_file(tmp_path, capsys, content):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _gkm_verify_gl2(tmp_path, capsys, content):
+    path = tmp_path / "class.json"
+    path.write_text(content)
+    return run_cli(
+        capsys, "gkm", "verify", "--type", "gl2", "--degree", "5",
+        "--class-file", str(path),
+    )
+
+
+def test_class_file_precision_above_degree_is_usage_error(tmp_path, capsys):
+    # t1^7 at e and 0 at 1 violates the edge congruence in degree 7, which
+    # a check through --degree 5 cannot see
+    zero = '{"nvars": 2, "precision": 9, "terms": []}'
+    series = ('{"nvars": 2, "precision": 9, '
+              '"terms": [{"t": [7, 0], "b": [], "c": "1"}]}')
+    code, out, err = _gkm_verify_gl2(
+        tmp_path, capsys, '{"e": %s, "1": %s}' % (series, zero)
+    )
+    assert (code, out) == (2, "")
+    path = tmp_path / "class.json"
+    assert err == f"error: class file {str(path)!r} has precision 9 above --degree 5\n"
+    # one series above the degree is enough
+    code, out, err = _gkm_verify_gl2(
+        tmp_path, capsys, '{"e": %s, "1": %s}' % (_GL2_ZERO, zero)
+    )
+    assert (code, out) == (2, "") and "precision 9 above --degree 5" in err
+
+
+@pytest.mark.parametrize("precision", [5, 3])
+def test_class_file_precision_at_or_below_degree(tmp_path, capsys, precision):
+    # t1^2 at e and 0 at 1 fails the congruence in degree 2; t1 at both passes
+    failing = {"e": json.loads(_gl2_class(precision, t=(2, 0)))["e"],
+               "1": json.loads(_GL2_ZERO)}
+    code, out, _ = _gkm_verify_gl2(tmp_path, capsys, json.dumps(failing))
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["witness"] == {"edge": ["e", "1"], "chi": [1, -1], "degree": 2}
+    code, out, _ = _gkm_verify_gl2(tmp_path, capsys, _gl2_class(precision))
+    assert code == 0 and json.loads(out)["pass"]
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

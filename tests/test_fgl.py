@@ -1,3 +1,6 @@
+from fractions import Fraction
+from random import Random
+
 import pytest
 import sympy
 
@@ -5,6 +8,7 @@ from cobcalc.errors import (
     CobcalcError,
     InsufficientGeneratorsError,
     NonPrimitiveCharacterError,
+    NotDivisibleError,
     PrecisionTooSmallError,
 )
 from cobcalc.fgl import (
@@ -15,7 +19,11 @@ from cobcalc.fgl import (
     k_series,
     kappa_series,
 )
-from cobcalc.series import GradedSeries
+from cobcalc.roots import build_root_datum
+from cobcalc.sampling import random_homogeneous
+from cobcalc.series import GradedSeries, Substitution
+
+from .oracles import BasisChangeDivider
 
 
 def test_law_spec_parsing():
@@ -164,6 +172,106 @@ def test_divide_by_character_nonprimitive_rejected():
         "character (2, 0) is not primitive; divisibility by its class is "
         "defined only for primitive characters"
     )
+
+
+# characters whose first nonzero coordinate is not +-1, besides the roots
+_EXTRA_CHARACTERS = {
+    "gl3": [(2, 1, 0), (0, 3, -2), (-2, 0, 1)],
+    "b2": [(2, 3), (-3, 1)],
+    "g2": [(5, 2), (-2, 1)],
+}
+
+
+def _division_outcome(divide, f):
+    try:
+        q = divide(f)
+    except NotDivisibleError as exc:
+        return "not divisible", exc.degree
+    return "quotient", q.precision, q.terms
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["Z", "Q"])
+@pytest.mark.parametrize("law", ["additive", "multiplicative", "universal:5"])
+@pytest.mark.parametrize("type_tag", ["gl3", "b2", "g2"])
+def test_divide_by_character_matches_basis_change(type_tag, law, rational):
+    """One long division by x_chi gives the quotient and the failure degree of
+    the change-of-basis route, on exact, perturbed and scaled numerators and
+    on numerators above the context's precision."""
+    datum = build_root_datum(type_tag)
+    n, d = datum.rank, 5
+    ctx = build_law(law, d, rational=rational)
+    rng = Random(f"{type_tag}/{law}/{rational}")
+    chars = [c for b in datum.positive_roots for c in (b, tuple(-x for x in b))]
+    seen = {"quotient": 0, "not divisible": 0}
+    for chi in chars + _EXTRA_CHARACTERS[type_tag]:
+        x_chi = ctx.formal_sum(chi)
+        reference = BasisChangeDivider(ctx, chi)
+        for _ in range(3):
+            q = random_homogeneous(rng, ctx, n, rng.randint(0, 3))
+            if rational:
+                q = q.scale(Fraction(1, rng.randint(2, 5)))
+            exact = q * x_chi
+            noise = random_homogeneous(rng, ctx, n, rng.randint(1, 4))
+            # the numerator declared at precision d + 2, with a term in
+            # degree d + 1, above the context's precision
+            high = GradedSeries(n, d + 2, dict(exact.terms))
+            high = high + GradedSeries(n, d + 2, {(d + 1,) + (0,) * (n - 1): {(): 1}})
+            for f in (
+                exact,
+                exact + noise,
+                exact.scale(Fraction(1, 3)),
+                (exact + noise).scale(2),
+                high,
+                high + noise,
+            ):
+                got = _division_outcome(lambda g: ctx.divide_by_character(g, chi), f)
+                assert got == _division_outcome(reference.divide, f), (chi, f)
+                seen[got[0]] += 1
+    assert all(seen.values()), seen
+
+
+def test_kappa_of_character_is_memoised():
+    from cobcalc.schubert import kappa_of_character
+
+    ctx = build_law("universal:4", 5)
+    chi = (1, -1, 0)
+    got = kappa_of_character(ctx, chi)
+    assert got == Substitution([ctx.formal_sum(chi)]).apply(ctx.kappa)
+    assert kappa_of_character(ctx, [1, -1, 0]) is got
+    # contexts with another law or precision keep their own entries
+    for other in (build_law("multiplicative", 5), build_law("universal:4", 4)):
+        theirs = kappa_of_character(other, chi)
+        assert theirs == Substitution([other.formal_sum(chi)]).apply(other.kappa)
+        assert theirs is not got
+    assert kappa_of_character(ctx, chi) is got
+
+
+def test_substitution_is_memoised_per_characters(monkeypatch):
+    from cobcalc.roots import weyl_act
+
+    datum = build_root_datum("gl3")
+    ctx = build_law("universal:4", 5)
+    chars = [(0, 1, 0), (1, -1, 0), (0, 0, 1)]
+    sub = ctx.substitution(chars)
+    f = random_homogeneous(Random(5), ctx, 3, 2)
+    explicit = Substitution([ctx.formal_sum(c) for c in chars])
+    assert sub.apply(f) == explicit.apply(f)
+    assert ctx.substitution([list(c) for c in chars]) is sub
+    # a repeated Weyl element reuses the substitution of its matrix columns
+    w = datum.simple_reflections[0]
+    built = []
+
+    def recording(chars):
+        built.append(type(ctx).substitution(ctx, chars))
+        return built[-1]
+
+    monkeypatch.setattr(ctx, "substitution", recording, raising=False)
+    first = weyl_act(w, f, ctx, datum)
+    assert weyl_act(w, f, ctx, datum) == first
+    assert len(built) == 2 and built[0] is built[1]
+    assert first == Substitution(
+        [ctx.formal_sum(col) for col in zip(*w.matrix)]
+    ).apply(f)
 
 
 def test_k_series_additivity_full_range():

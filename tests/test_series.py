@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cobcalc.errors import (
@@ -17,6 +17,7 @@ from cobcalc.errors import (
 from cobcalc.fgl import build_law
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import (
+    Divisor,
     GradedSeries,
     complete_homogeneous,
     divide_exact,
@@ -355,16 +356,49 @@ def test_ring_laws(f, g, h):
     assert [x.terms for x in (f, g, h)] == before
 
 
+def _with_leading_coefficient(g: GradedSeries, c: dict) -> GradedSeries:
+    """g with the coefficient of the lex-leading term of its lowest
+    component replaced by c (g = c * t1 when g is zero)."""
+    if g.is_zero():
+        return GradedSeries(NV, PREC, {(1, 0): c})
+    m = g.order()
+    lead = max(e for e in g.terms if sum(e) == m)
+    return GradedSeries(NV, PREC, {**g.terms, lead: c})
+
+
+_monomial_coeffs = _coeffs.filter(lambda c: len(c) == 1)
+_polynomial_coeffs = _coeffs.filter(lambda c: len(c) > 1)
+# divisors whose leading coefficient is one b-monomial, +-1 among them
+# (whole-coefficient steps), and divisors where it is not (one term per step)
+divisors = st.one_of(
+    st.builds(_with_leading_coefficient, series, st.sampled_from([{(): 1}, {(): -1}])),
+    st.builds(_with_leading_coefficient, series, _monomial_coeffs),
+    st.builds(_with_leading_coefficient, series, _polynomial_coeffs),
+)
+
+
 @PROPERTY
-@given(series, series, st.booleans(), st.integers(1, 3))
+@given(series, divisors, st.booleans(), st.integers(1, 3))
+@example(  # (b1 + 2) * t1
+    f=GradedSeries(NV, PREC, {(1, 1): {(1,): 3, (): -1}, (0, 2): {(): 2}}),
+    g=GradedSeries(NV, PREC, {(1, 0): {(1,): 1, (): 2}}),
+    rational=False,
+    den=1,
+)
+@example(  # 3 * b1 * t1 + t2^2
+    f=GradedSeries(NV, PREC, {(2, 0): {(1,): 1}, (1, 1): {(): 2}}),
+    g=GradedSeries(NV, PREC, {(1, 0): {(1,): 3}, (0, 2): {(): 1}}),
+    rational=True,
+    den=2,
+)
 def test_divide_exact_inverts_multiplication(f, g, rational, den):
-    assume(not g.is_zero())
     if rational:
         f = f.scale(Fraction(1, den))
     product = f * g
     before = copy.deepcopy(product.terms)
     q = divide_exact(product, g, rational=rational)
     assert q == f.truncate(q.precision)
+    assert divide_exact(product, Divisor(g), rational=rational) == q
     assert product.terms == before
 
 
