@@ -241,6 +241,11 @@ def _read_class(path: str, graph) -> GKMClass:
     if top > graph.precision:
         raise ConfigError(f"class file {path!r} has precision {top} above "
                           f"--degree {graph.precision}")
+    # x_chi has order 1, so dividing by it needs precision at least 1
+    low = min(v.precision for v in values)
+    if low < 1:
+        raise ConfigError(f"class file {path!r} has precision {low}; "
+                          "membership needs precision >= 1")
     return GKMClass(graph, values)
 
 

@@ -494,8 +494,9 @@ def tensor_to_gkm(tc: TensorClass, graph: GKMGraph) -> GKMClass:
 
 def span_equal(a, b, over: str = "Q") -> bool:
     """Whether two families of series, or of classes on one graph, have the
-    same span: the same Q-vector space (``over="Q"``) or the same lattice
-    (``over="Z"``)."""
+    same span: the same Q-vector space (``over="Q"``, compared by rank) or
+    the same lattice (``over="Z"``, compared by canonical Hermite normal
+    form)."""
 
     def coords(x):
         if isinstance(x, GKMClass):

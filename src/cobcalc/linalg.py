@@ -12,6 +12,10 @@ of statement:
   echelon form by rational reconstruction (combining primes by CRT when
   needed) and checks every lifted vector exactly over Z before returning it.
 
+``span_equal_int`` compares two integer spans by their canonical column
+Hermite normal forms (``hermite_basis``); ``span_equal_rational`` compares
+rational spans by rank.
+
 ``unimodular_with_first_column`` completes a primitive character to a basis
 of the lattice by integer row operations and returns the change of basis
 together with its inverse.
@@ -342,44 +346,31 @@ def rank_int(vectors: list) -> int:
     return len(vecs) - len(kernel_rational(relations, len(vecs)))
 
 
-# -- lattice membership / span comparison --------------------------------------
+# -- span comparison -----------------------------------------------------------
 
 
-class Lattice:
-    """The integer span of a list of vectors, with exact membership testing."""
-
-    def __init__(self, vectors: list[Vec], dim: int):
-        self.dim = dim
-        # column echelon of the generator matrix (generators as columns)
-        cols = [list(v) for v in vectors if any(v)]
-        self.basis = [tuple(col) for col in cols[:_column_echelon(cols, dim)]]
-
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def contains(self, v) -> bool:
-        r = list(v)
-        if len(r) != self.dim:
-            raise ValueError("dimension mismatch")
-        for col in self.basis:
-            i = next((k for k, x in enumerate(col) if x != 0), None)
-            if i is None:
-                continue
-            if r[i] == 0:
-                continue
-            q, rem = divmod(r[i], col[i])
-            if rem:
-                return False
-            for k in range(self.dim):
-                r[k] -= q * col[k]
-        return not any(r)
+def hermite_basis(vectors: list[Vec], dim: int) -> list[Vec]:
+    """The canonical column Hermite normal form of the integer span of
+    ``vectors`` in Z^dim: its columns in increasing order of pivot row, each
+    zero above its pivot, the pivot positive, and every earlier column's
+    entry in that row reduced into ``[0, pivot)``.  Two families span the
+    same lattice exactly when these lists are equal; the rank is the length.
+    """
+    cols = [list(v) for v in vectors if any(v)]
+    cols = cols[:_column_echelon(cols, dim)]
+    p = -1
+    for k, col in enumerate(cols):
+        p = next(i for i in range(p + 1, dim) if col[i])
+        for prev in cols[:k]:
+            q = prev[p] // col[p]
+            if q:
+                for i in range(p, dim):
+                    prev[i] -= q * col[i]
+    return [tuple(c) for c in cols]
 
 
 def span_equal_int(vs: list[Vec], ws: list[Vec], dim: int) -> bool:
-    lv, lw = Lattice(vs, dim), Lattice(ws, dim)
-    if lv.rank() != lw.rank():
-        return False
-    return all(lv.contains(w) for w in ws) and all(lw.contains(v) for v in vs)
+    return hermite_basis(vs, dim) == hermite_basis(ws, dim)
 
 
 def span_equal_rational(vs: list, ws: list, dim: int) -> bool:

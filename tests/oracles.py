@@ -3,9 +3,11 @@
 Everything here is plain arithmetic over Fractions, sharing no code path with
 the package: dict-based multivariate polynomials, lex long division,
 permutation actions built from first principles, and dense rational row
-reduction.  The one exception is ``BasisChangeDivider``, the slow reference
-for division by a character class, which is built from the package's own
-series, substitutions and basis completion.
+reduction.  There are two exceptions.  ``BasisChangeDivider``, the slow
+reference for division by a character class, is built from the package's own
+series, substitutions and basis completion.  ``span_equal_int_reference``,
+the old lattice comparison by membership, runs the package's integer column
+echelon.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import permutations
 from math import gcd
 
 from cobcalc.errors import NotDivisibleError
-from cobcalc.linalg import unimodular_with_first_column
+from cobcalc.linalg import _column_echelon, unimodular_with_first_column
 from cobcalc.series import GradedSeries, Substitution
 
 
@@ -288,6 +290,48 @@ def rational_kernel(rows: list, ncols: int) -> list[tuple[int, ...]]:
             g = gcd(g, x)
         out.append(tuple(x // g for x in ints))
     return out
+
+
+# -- integral span comparison by membership ------------------------------------
+
+
+class Lattice:
+    """The integer span of a list of vectors, with exact membership testing."""
+
+    def __init__(self, vectors, dim: int):
+        self.dim = dim
+        # column echelon of the generator matrix (generators as columns)
+        cols = [list(v) for v in vectors if any(v)]
+        self.basis = [tuple(col) for col in cols[:_column_echelon(cols, dim)]]
+
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def contains(self, v) -> bool:
+        r = list(v)
+        if len(r) != self.dim:
+            raise ValueError("dimension mismatch")
+        for col in self.basis:
+            i = next((k for k, x in enumerate(col) if x != 0), None)
+            if i is None:
+                continue
+            if r[i] == 0:
+                continue
+            q, rem = divmod(r[i], col[i])
+            if rem:
+                return False
+            for k in range(self.dim):
+                r[k] -= q * col[k]
+        return not any(r)
+
+
+def span_equal_int_reference(vs, ws, dim: int) -> bool:
+    """Whether ``vs`` and ``ws`` span the same lattice: equal ranks, and each
+    family lies in the other's span."""
+    lv, lw = Lattice(vs, dim), Lattice(ws, dim)
+    if lv.rank() != lw.rank():
+        return False
+    return all(lv.contains(w) for w in ws) and all(lw.contains(v) for v in vs)
 
 
 # -- division by a character class through a change of lattice basis ----------

@@ -243,6 +243,26 @@ def test_class_file_precision_above_degree_is_usage_error(tmp_path, capsys):
     assert (code, out) == (2, "") and "precision 9 above --degree 5" in err
 
 
+def test_class_file_precision_zero_is_usage_error(tmp_path, capsys):
+    zero = '{"nvars": 2, "precision": 0, "terms": []}'
+    path = tmp_path / "class.json"
+    message = (f"error: class file {str(path)!r} has precision 0; "
+               "membership needs precision >= 1\n")
+    code, out, err = _gkm_verify_gl2(
+        tmp_path, capsys, '{"e": %s, "1": %s}' % (zero, zero)
+    )
+    assert (code, out, err) == (2, "", message)
+    # one series of precision 0 is enough
+    code, out, err = _gkm_verify_gl2(
+        tmp_path, capsys, '{"e": %s, "1": %s}' % (_GL2_ZERO, zero)
+    )
+    assert (code, out, err) == (2, "", message)
+    # precision 1 is enough for the division
+    one = _gl2_class(precision=1)
+    code, out, _ = _gkm_verify_gl2(tmp_path, capsys, one)
+    assert code == 0 and json.loads(out)["pass"]
+
+
 @pytest.mark.parametrize("precision", [5, 3])
 def test_class_file_precision_at_or_below_degree(tmp_path, capsys, precision):
     # t1^2 at e and 0 at 1 fails the congruence in degree 2; t1 at both passes

@@ -172,6 +172,20 @@ def test_span_equal_tells_lattice_from_vector_space():
         assert span_equal(a, a, over="Z")
 
 
+def test_span_equal_over_z_on_subring_basis():
+    g = flag_gkm(build_root_datum("gl3"), build_law("universal:3", 3))
+    basis = subring_basis(g, 2)
+    assert len(basis) > 2
+    b0, b1, rest = basis[0], basis[1], basis[2:]
+    # a unimodular remix spans the same lattice
+    assert span_equal([b0 + b1, b1, *rest], basis, over="Z")
+    assert span_equal([b0 + b1, b0 + b1 + b1, *rest], basis, over="Z")
+    # doubling one basis class gives a sublattice of index 2, the same space
+    doubled = [b0 + b0, b1, *rest]
+    assert not span_equal(doubled, basis, over="Z")
+    assert span_equal(doubled, basis, over="Q")
+
+
 def test_zero_edge_character_rejected():
     ctx = build_law("additive", 3)
     with pytest.raises(InternalConsistencyError):

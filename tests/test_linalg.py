@@ -5,9 +5,9 @@ import pytest
 
 from cobcalc.errors import NonPrimitiveCharacterError
 from cobcalc.linalg import (
-    Lattice,
     canonical_sign,
     clear_denominators,
+    hermite_basis,
     kernel_int,
     kernel_rational,
     rank_int,
@@ -16,7 +16,7 @@ from cobcalc.linalg import (
     unimodular_with_first_column,
 )
 
-from .oracles import rational_kernel, rref_rational
+from .oracles import rational_kernel, rref_rational, span_equal_int_reference
 
 
 def test_canonical_sign():
@@ -54,11 +54,33 @@ def test_rank():
 
 
 def test_lattice_membership():
-    lat = Lattice([(2, 0), (0, 1)], 2)
-    assert lat.contains((2, 5))
-    assert not lat.contains((1, 0))
-    assert lat.contains((0, 0))
-    assert lat.rank() == 2
+    # v lies in the lattice exactly when adding it leaves the HNF unchanged
+    gens = [(2, 0), (0, 1)]
+    hnf = hermite_basis(gens, 2)
+
+    def contains(v):
+        return hermite_basis(gens + [v], 2) == hnf
+
+    assert contains((2, 5))
+    assert not contains((1, 0))
+    assert contains((0, 0))
+    assert len(hnf) == 2
+
+
+@pytest.mark.parametrize(
+    "vectors, dim, expected",
+    [
+        ([(2, 0), (0, 1), (1, 0)], 2, [(1, 0), (0, 1)]),
+        ([(0, 1), (1, 1)], 2, [(1, 0), (0, 1)]),
+        ([(4, 2), (2, 1)], 2, [(2, 1)]),
+        ([(2, 1), (0, 3)], 2, [(2, 1), (0, 3)]),
+        ([(2, 5), (0, 3)], 2, [(2, 2), (0, 3)]),
+        ([], 3, []),
+        ([(0, 0, 0)], 3, []),
+    ],
+)
+def test_hermite_basis_pinned(vectors, dim, expected):
+    assert hermite_basis(vectors, dim) == expected
 
 
 def test_span_equal_int_detects_index():
@@ -171,3 +193,58 @@ def test_kernel_rational_survives_unlucky_primes():
     assert kernel_rational([{0: _P, 1: _P}, {0: 1, 1: 2}], 2) == []
     rows = [[3 * _P, _P, 0, _P], [_P, 0, 2 * _P, Fraction(_P, 7)], [1, 1, 1, 1]]
     assert kernel_rational(_sparse(rows), 4) == rational_kernel(rows, 4)
+
+
+# -- integral span comparison --------------------------------------------------
+
+
+def _random_family(rng: Random):
+    """Generators in dimension 1-6 with entries in [-3, 3], often with zero
+    vectors, duplicates and combinations of earlier generators."""
+    dim = rng.randint(1, 6)
+    gens = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.1:
+            gens.append((0,) * dim)
+        elif kind < 0.2 and gens:
+            gens.append(rng.choice(gens))
+        elif kind < 0.4 and gens:
+            a, b = rng.choice(gens), rng.choice(gens)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            gens.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            gens.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+    return gens, dim
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_span_equal_int_matches_reference(seed):
+    rng = Random(seed)
+    verdicts = set()
+    for _ in range(40):
+        gens, dim = _random_family(rng)
+        hnf = hermite_basis(gens, dim)
+        assert len(hnf) == rank_int(gens), gens
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        assert hermite_basis(shuffled, dim) == hnf, gens
+        variants = [shuffled]
+        if gens:
+            # one generator doubled: the same lattice or one of index 2
+            k = rng.randrange(len(gens))
+            variants.append(gens[:k] + [tuple(2 * x for x in gens[k])] + gens[k + 1:])
+        if len(gens) > 1:
+            # a unimodular mix: one generator plus a multiple of another
+            i, j = rng.sample(range(len(gens)), 2)
+            m = rng.choice([-3, -2, -1, 1, 2, 3])
+            mixed = gens[:]
+            mixed[i] = tuple(x + m * y for x, y in zip(gens[i], gens[j]))
+            assert hermite_basis(mixed, dim) == hnf, (gens, mixed)
+            variants.append(mixed)
+        for other in variants:
+            expected = span_equal_int_reference(gens, other, dim)
+            assert span_equal_int(gens, other, dim) == expected, (gens, other)
+            assert span_equal_int(other, gens, dim) == expected, (gens, other)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
