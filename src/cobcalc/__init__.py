@@ -54,6 +54,7 @@ from .roots import (
     WeylElement,
     build_root_datum,
     build_symmetric_datum,
+    divided_difference,
     product_datum,
     weyl_act,
     weyl_enumerate,
@@ -67,6 +68,7 @@ from .schubert import (
     sw_linearity_check,
 )
 from .series import (
+    DividedDifference,
     GradedSeries,
     Substitution,
     complete_homogeneous,

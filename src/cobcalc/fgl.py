@@ -25,7 +25,7 @@ from .errors import (
     PrecisionTooSmallError,
 )
 from .linalg import require_primitive, unimodular_with_first_column
-from .series import Divisor, GradedSeries, Substitution, divide_exact
+from .series import DividedDifference, Divisor, GradedSeries, Substitution, divide_exact
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,13 @@ class LawSpec:
     kind: str  # "additive" | "multiplicative" | "universal"
     ngens: int = 0
     scale: int = 1  # multiplicative only: F = x + y - scale*b1*x*y
+
+    def __post_init__(self):
+        if self.kind == "multiplicative" and not self.scale:
+            raise ConfigError(
+                "multiplicative law needs a nonzero scale; multiplicative:0 "
+                "is the additive law"
+            )
 
     @staticmethod
     def additive() -> "LawSpec":
@@ -116,6 +123,7 @@ class FGLContext:
         self._char_cache: dict = {}
         self._divisor_cache: dict = {}
         self._kappa_cache: dict = {}
+        self._dd_cache: dict = {}
 
     # -- construction -------------------------------------------------------
 
@@ -258,12 +266,30 @@ class FGLContext:
             raise PrecisionExhaustedError("no precision left for the division")
         if f.is_zero():
             return GradedSeries.zero(f.nvars, f.precision - 1)
+        return divide_exact(f, self._divisor(chi), rational=True)
+
+    def _divisor(self, chi: tuple) -> Divisor:
         div = self._divisor_cache.get(chi)
         if div is None:
             require_primitive(chi)
             div = Divisor(self.formal_sum(chi))
             self._divisor_cache[chi] = div
-        return divide_exact(f, div, rational=True)
+        return div
+
+    def divided_difference(self, chars, chi) -> DividedDifference:
+        """The operator ``f -> (f - s(f)) / x_chi`` for the substitution
+        ``s: t_i -> x_{chars[i]}`` and a primitive character chi, memoised per
+        tuple of characters and chi, so the quotient of each t-monomial is
+        divided once (see :class:`DividedDifference`).  Its results are those
+        of :meth:`divide_by_character` on ``f - s(f)``."""
+        chars = tuple(map(tuple, chars))
+        chi = tuple(int(c) for c in chi)
+        key = (chars, chi)
+        got = self._dd_cache.get(key)
+        if got is None:
+            got = DividedDifference(self.substitution(chars), self._divisor(chi))
+            self._dd_cache[key] = got
+        return got
 
 
 def build_law(

@@ -228,6 +228,19 @@ def weyl_act(w: WeylElement, f: GradedSeries, ctx, datum: RootDatum) -> GradedSe
     return ctx.substitution(zip(*w.matrix)).apply(f)
 
 
+def divided_difference(
+    w: WeylElement, beta, f: GradedSeries, ctx, datum: RootDatum
+) -> GradedSeries:
+    """``(f - w(f)) / x_beta``, the quotient of :func:`weyl_act` through the
+    law context's memoised operator for w and beta; exact for every f when
+    w is the reflection s_beta."""
+    if f.nvars != datum.rank:
+        raise NVarsMismatchError(
+            f"series has {f.nvars} variables, root datum has rank {datum.rank}"
+        )
+    return ctx.divided_difference(zip(*w.matrix), beta).apply(f)
+
+
 # -- builders ---------------------------------------------------------------------
 
 
@@ -471,6 +484,7 @@ __all__ = [
     "WeylElement",
     "build_root_datum",
     "build_symmetric_datum",
+    "divided_difference",
     "product_datum",
     "weyl_act",
     "weyl_enumerate",

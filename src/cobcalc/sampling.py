@@ -54,18 +54,25 @@ def random_homogeneous(
             f"sample degree {degree} exceeds precision {ctx.precision}"
         )
     max_extra = 0 if (b_free or ctx.ngens == 0) else ctx.precision - degree
-    f = GradedSeries.zero(nvars, ctx.precision)
+    terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         extra = rng.randint(0, max_extra) if max_extra else 0
         tdeg = degree + extra
         texp = random_composition(rng, tdeg, nvars)
         bexp = random_b_monomial(rng, extra, ctx.ngens) if extra else ()
         c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-        f = f + GradedSeries(nvars, ctx.precision, {texp: {bexp: c}})
-    if f.is_zero():
+        coeff = terms.setdefault(texp, {})
+        v = coeff.get(bexp, 0) + c
+        if v:
+            coeff[bexp] = v
+        else:
+            del coeff[bexp]
+            if not coeff:
+                del terms[texp]
+    if not terms:
         texp = random_composition(rng, degree, nvars)
-        f = GradedSeries(nvars, ctx.precision, {texp: {(): 1}})
-    return f
+        terms = {texp: {(): 1}}
+    return GradedSeries(nvars, ctx.precision, terms)
 
 
 def random_monomial_series(rng: Random, nvars: int, degree: int, precision: int):

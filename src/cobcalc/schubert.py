@@ -14,6 +14,13 @@ Sign convention: the denominator is x_{-alpha}.  Under the additive law this
 makes del_alpha equal to *minus* the classical divided difference.
 
 Each application lowers homogeneous degree and precision by one.
+
+The quotient (f - s_alpha(f)) / x_alpha comes from the law context's
+memoised divided difference (:func:`roots.divided_difference`), which
+divides each t-monomial's difference once and is linear over the
+coefficient ring.  ``verify lemma-div`` takes its quotients from the same
+operator and still certifies each one, sample by sample, by multiplying
+back by x_beta.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from .errors import PrecisionExhaustedError, UnsupportedTypeError
 from .gkm import GKMClass, GKMGraph, validate
 from .linalg import vneg
-from .roots import RootDatum, weyl_act
+from .roots import RootDatum, divided_difference
 from .series import GradedSeries
 
 
@@ -52,8 +59,7 @@ def demazure(
     i = _simple_index(datum, alpha)
     alpha_vec = datum.simple_roots[i]
     s = datum.simple_reflections[i]
-    s_f = weyl_act(s, f, ctx, datum)
-    quotient = ctx.divide_by_character(f - s_f, alpha_vec)
+    quotient = divided_difference(s, alpha_vec, f, ctx, datum)
     out = kappa_of_character(ctx, alpha_vec) * f - quotient
     return out.truncate(f.precision - 1)
 

@@ -20,7 +20,11 @@ add / sub           min of the inputs
 mul                 min of the inputs
 substitute          min over the series and all images
 divide_exact(f, g)  min(prec f, prec g) - order(g)
+divided difference  min(prec f, prec images) - 1
 ==================  ======================================
+
+The divided difference is ``(f - s(f)) / x_chi`` (:class:`DividedDifference`),
+with x_chi (of order 1) at the precision of the images of s.
 
 Comparing two series of different precision raises
 :class:`PrecisionMismatchError`; truncate explicitly first.  This is what
@@ -388,15 +392,25 @@ class Substitution:
                 f"series has {f.nvars} variables, substitution expects {self.nvars_in}"
             )
         p = min(f.precision, self.precision)
-        acc: dict = {}
-        owned: set = set()
-        for e, c in f.terms.items():
-            if sum(e) > p:
-                continue
-            for ei, ci in self._monomial_image(e).terms.items():
-                if sum(ei) <= p:
-                    _add_product(acc, owned, ei, ci, c)
-        return GradedSeries(self.nvars_out, p, acc)
+        return GradedSeries(
+            self.nvars_out, p, _sum_images(f, self._monomial_image, p, p)
+        )
+
+
+def _sum_images(f: GradedSeries, image, p: int, top: int) -> dict:
+    """The terms of ``sum c * image(e)`` over the terms ``c * t^e`` of f of
+    degree at most ``p``, keeping the output terms of degree at most
+    ``top``: the image of f under a map that is linear over the coefficient
+    ring and given on t-monomials."""
+    acc: dict = {}
+    owned: set = set()
+    for e, c in f.terms.items():
+        if sum(e) > p:
+            continue
+        for ei, ci in image(e).terms.items():
+            if sum(ei) <= top:
+                _add_product(acc, owned, ei, ci, c)
+    return acc
 
 
 # -- exact division ----------------------------------------------------------
@@ -566,6 +580,65 @@ def divide_exact(
                 for eg, cg in terms:
                     _add_product(bucket, owned, tuple(map(add, eq, eg)), src, cg)
     return GradedSeries(f.nvars, out_prec, q_terms)
+
+
+class DividedDifference:
+    """The operator ``f -> (f - s(f)) / g`` for a substitution s of the
+    variables by series in the same variables and a divisor g, prepared as
+    a :class:`Divisor`.
+
+    The operator is linear over the coefficient ring, and s acts only on the
+    t-variables, so the image of each t-monomial ``t^e`` is divided once,
+    at the precision of s and g, and memoised, as :class:`Substitution`
+    memoises monomial images; :meth:`apply` sums the coefficients of f times
+    the images of its monomials.  Truncation commutes with the long
+    division, so one memo serves every input precision, and the result is
+    the one of ``divide_exact(f - s(f), g, rational=True)``.  When some
+    monomial difference is not divisible by g, as when s is not the
+    reflection in g's character, :meth:`apply` divides the whole difference
+    instead, so a :class:`NotDivisibleError` carries the degree that
+    division reports.  :meth:`FGLContext.divided_difference` keeps one
+    operator per substitution and character.
+    """
+
+    def __init__(self, subst: Substitution, divisor: Divisor):
+        if not subst.nvars_in == subst.nvars_out == divisor.nvars:
+            raise NVarsMismatchError(
+                "divided difference needs a substitution and a divisor in the "
+                "same variables"
+            )
+        self.subst = subst
+        self.divisor = divisor
+        self.nvars = divisor.nvars
+        self.precision = min(subst.precision, divisor.precision)
+        self._memo: dict[TExp, GradedSeries] = {}
+
+    def _monomial_image(self, exp: TExp) -> GradedSeries:
+        got = self._memo.get(exp)
+        if got is None:
+            mono = GradedSeries(self.nvars, self.precision, {exp: {(): 1}})
+            got = self._divide(mono - self.subst.apply(mono))
+            self._memo[exp] = got
+        return got
+
+    def _divide(self, diff: GradedSeries) -> GradedSeries:
+        return divide_exact(diff, self.divisor, rational=True)
+
+    def apply(self, f: GradedSeries) -> GradedSeries:
+        if f.nvars != self.nvars:
+            raise NVarsMismatchError(
+                f"series has {f.nvars} variables, divided difference expects "
+                f"{self.nvars}"
+            )
+        p = min(f.precision, self.precision)
+        top = p - self.divisor.order
+        if top < 0:
+            raise PrecisionExhaustedError("no precision left for the division")
+        try:
+            terms = _sum_images(f, self._monomial_image, p, top)
+        except NotDivisibleError:
+            return self._divide(f - self.subst.apply(f))
+        return GradedSeries(self.nvars, top, terms)
 
 
 # -- symmetric functions -------------------------------------------------------

@@ -24,7 +24,7 @@ from .gkm import (
     surjectivity_probe,
     tensor_to_gkm,
 )
-from .roots import build_root_datum, build_symmetric_datum, weyl_act
+from .roots import build_root_datum, build_symmetric_datum, divided_difference, weyl_act
 from .sampling import random_homogeneous, random_monomial_series
 from .schubert import (
     bott_samelson,
@@ -107,8 +107,9 @@ def suite_fgl_check(cfg: RunConfig) -> dict:
 
 def suite_lemma_div(cfg: RunConfig) -> dict:
     """Divisibility of f - s_beta(f) by the class of beta, for seeded random
-    homogeneous f and every positive root; each quotient is certified by
-    multiplying back."""
+    homogeneous f and every positive root.  Each quotient comes from the
+    memoised divided difference (:func:`roots.divided_difference`) and is
+    certified per sample by multiplying back."""
     datum = build_root_datum(cfg.type_tag)
     ctx = cfg.context()
     rng = Random(cfg.seed)
@@ -126,7 +127,7 @@ def suite_lemma_div(cfg: RunConfig) -> dict:
         for beta, s in reflections:
             diff = f - weyl_act(s, f, ctx, datum)
             try:
-                q = ctx.divide_by_character(diff, beta)
+                q = divided_difference(s, beta, f, ctx, datum)
             except NotDivisibleError as exc:
                 failures.append({"root": list(beta), "degree": exc.degree})
                 continue

@@ -7,7 +7,8 @@ reduction.  There are two exceptions.  ``BasisChangeDivider``, the slow
 reference for division by a character class, is built from the package's own
 series, substitutions and basis completion.  ``span_equal_int_reference``,
 the old lattice comparison by membership, runs the package's integer column
-echelon.
+echelon.  ``random_homogeneous_reference``, the old one-term-at-a-time
+sample construction, adds the package's series.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import gcd
 
 from cobcalc.errors import NotDivisibleError
 from cobcalc.linalg import _column_echelon, unimodular_with_first_column
+from cobcalc.sampling import random_b_monomial, random_composition
 from cobcalc.series import GradedSeries, Substitution
 
 
@@ -372,3 +374,27 @@ class BasisChangeDivider:
             {(e[0] - 1,) + e[1:]: c for e, c in g.terms.items()},
         )
         return self.back.apply(shifted)
+
+
+# -- seeded samples, one term at a time ---------------------------------------
+
+
+def random_homogeneous_reference(
+    rng, ctx, nvars, degree, max_terms=4, coeff_bound=3, b_free=False
+):
+    """``sampling.random_homogeneous`` as it was first written: each random
+    term is added to the sample as a one-term series.  The RNG calls are
+    the same, in the same order."""
+    max_extra = 0 if (b_free or ctx.ngens == 0) else ctx.precision - degree
+    f = GradedSeries.zero(nvars, ctx.precision)
+    for _ in range(rng.randint(1, max_terms)):
+        extra = rng.randint(0, max_extra) if max_extra else 0
+        tdeg = degree + extra
+        texp = random_composition(rng, tdeg, nvars)
+        bexp = random_b_monomial(rng, extra, ctx.ngens) if extra else ()
+        c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+        f = f + GradedSeries(nvars, ctx.precision, {texp: {bexp: c}})
+    if f.is_zero():
+        texp = random_composition(rng, degree, nvars)
+        f = GradedSeries(nvars, ctx.precision, {texp: {(): 1}})
+    return f

@@ -6,7 +6,8 @@ import pytest
 
 import cobcalc
 from cobcalc.cli import main
-from cobcalc.fgl import build_law
+from cobcalc.errors import ConfigError
+from cobcalc.fgl import LawSpec, build_law
 from cobcalc.gkm import flag_gkm, line_bundle_class
 from cobcalc.roots import build_root_datum
 
@@ -393,6 +394,25 @@ def test_count_below_one_rejected(capsys, count):
     )
     assert code == 2 and out == ""
     assert f"error: argument --count: must be at least 1, got {count}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "lemma-div", "--type", "gl3", "--degree", "5"),
+    ("fgl", "check", "--degree", "4"),
+])
+def test_multiplicative_zero_scale_is_usage_error(capsys, argv):
+    # scale 0 would make the law additive with a zero coefficient value
+    code, out, err = run_cli(capsys, *argv, "--law", "multiplicative:0")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: multiplicative law needs a nonzero scale; multiplicative:0 "
+        "is the additive law\n"
+    )
+    for make in (lambda: LawSpec.multiplicative(0),
+                 lambda: LawSpec.parse("multiplicative:0")):
+        with pytest.raises(ConfigError):
+            make()
+    assert LawSpec.parse("multiplicative:-2").scale == -2
 
 
 def test_bad_word_rejected(capsys):
