@@ -374,10 +374,13 @@ class TupleSystem:
                 self.rows.append(row)
 
     def solve(self, over: str = "Z") -> list[list[GradedSeries]]:
-        """A basis of the solutions, each as one series per vertex: a basis
-        of the lattice of integer solutions (``over="Z"``), or the certified
-        reduced basis of the rational solutions scaled to primitive integer
-        vectors (``over="Q"``)."""
+        """A basis of the solutions, each as one series per vertex.
+
+        ``over="Q"``: the certified reduced basis of the rational solutions,
+        one primitive integer vector per free unknown.  ``over="Z"``: the
+        basis of the lattice of integer solutions that saturates it, in
+        Hermite normal form on the free unknowns (``kernel_int``); both are
+        canonical, so they do not depend on the order of the conditions."""
         nm = len(self.monos)
         ncols = self.nvertices * nm
         if over == "Z":
@@ -528,11 +531,17 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
     """Degreewise comparison of the span of tensor-model images of monomial
     tensors against the congruence-tuple basis.
 
-    Meaningful for gl-type data, where Weyl restriction of a monomial is again
-    a monomial so both spans consist of forms.
+    Meaningful when both spans consist of forms: on gl-type data, where the
+    Weyl image of a monomial is again a monomial, and on any root datum under
+    the additive law, where Weyl elements act linearly on the t-variables.
     """
-    if graph.datum is None or not graph.datum.label.startswith("gl"):
-        raise UnsupportedTypeError("surjectivity probe supports gl_n graphs")
+    if graph.datum is None or not (
+        graph.datum.label.startswith("gl") or graph.ctx.law.kind == "additive"
+    ):
+        raise UnsupportedTypeError(
+            "surjectivity probe supports gl_n graphs, or any root datum under "
+            "the additive law"
+        )
     n = graph.nvars
     report = {"degrees": [], "pass": True, "over": over}
     for delta in range(0, d + 1):

@@ -3,18 +3,21 @@
 ``kernel_int`` and ``kernel_rational`` are the only solvers, one per field
 of statement:
 
-* ``kernel_int`` returns a basis of the full lattice of integer solutions
-  (not merely a scaled rational basis), which is what integral span
-  comparisons need.  It column-reduces the dense matrix by unimodular
-  operations.
 * ``kernel_rational`` returns a certified basis of the rational solutions of
   a sparse system.  It eliminates modulo 31-bit primes, lifts the reduced
   echelon form by rational reconstruction (combining primes by CRT when
   needed) and checks every lifted vector exactly over Z before returning it.
+* ``kernel_int`` returns a basis of the full lattice of integer solutions
+  (not merely a scaled rational basis), which is what integral span
+  comparisons need.  It saturates ``kernel_rational``'s reduced basis: the
+  integer solutions are the combinations whose pivot coordinates are
+  integral, a set of congruences modulo the common denominator D, solved by
+  a Hermite normal form computed modulo D.
 
-``span_equal_int`` compares two integer spans by their canonical column
-Hermite normal forms (``hermite_basis``); ``span_equal_rational`` compares
-rational spans by rank.
+``hermite_basis`` is the canonical column Hermite normal form of an integer
+span, built by inserting sparse generators one at a time into a reduced
+echelon form; ``span_equal_int`` compares two integer spans by it, and
+``span_equal_rational`` compares rational spans by rank.
 
 ``unimodular_with_first_column`` completes a primitive character to a basis
 of the lattice by integer row operations and returns the change of basis
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from itertools import compress, count
+from math import gcd, isqrt, lcm
 
 from .errors import InternalConsistencyError, NonPrimitiveCharacterError
 
@@ -61,72 +65,23 @@ def content(a) -> int:
 
 
 def _denominator_lcm(values) -> int:
-    lcm = 1
-    for x in values:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-    return lcm
+    return lcm(*(x.denominator for x in values if isinstance(x, Fraction)))
+
+
+def _sparse(vectors) -> list[dict]:
+    return [{i: v[i] for i in compress(count(), v)} for v in vectors]
+
+
+def _dense(vector: dict, dim: int) -> Vec:
+    out = [0] * dim
+    for i, x in vector.items():
+        out[i] = x
+    return tuple(out)
 
 
 def clear_denominators(row) -> Vec:
-    lcm = _denominator_lcm(row)
-    return tuple(int(x * lcm) for x in row)
-
-
-# -- integer column echelon / lattice kernel -----------------------------------
-
-
-def _column_echelon(cols: list[list[int]], nrows: int) -> int:
-    """Bring the first ``nrows`` coordinates of the columns ``cols`` into
-    echelon form by unimodular column operations, in place.
-
-    Returns the number of nonzero echelon columns; they come first, and the
-    remaining columns are zero on those coordinates.  Coordinates past
-    ``nrows`` take part in every operation without being swept, so appending
-    a unit matrix below records the operations.
-    """
-    start = 0
-    for r in range(nrows):
-        # gcd-sweep row r across columns start..end
-        j = start
-        while j < len(cols):
-            if cols[j][r] != 0:
-                break
-            j += 1
-        else:
-            continue
-        if j != start:
-            cols[start], cols[j] = cols[j], cols[start]
-        for j in range(start + 1, len(cols)):
-            while cols[j][r] != 0:
-                a, b = cols[start][r], cols[j][r]
-                if abs(a) > abs(b):
-                    cols[start], cols[j] = cols[j], cols[start]
-                    continue
-                q = b // a
-                cols[j] = [x - q * y for x, y in zip(cols[j], cols[start])]
-        if cols[start][r] < 0:
-            cols[start] = [-x for x in cols[start]]
-        start += 1
-    return start
-
-
-def kernel_int(rows: list, ncols: int) -> list[Vec]:
-    """Basis of the lattice of integer solutions of ``A x = 0``.
-
-    Rows may contain Fractions; they are cleared first (same solution set).
-    Deterministic for a fixed row order.
-    """
-    int_rows = [clear_denominators(r) for r in rows]
-    nrows = len(int_rows)
-    # column j of A with the j-th unit vector below it
-    cols = [
-        [r[j] for r in int_rows] + [1 if i == j else 0 for i in range(ncols)]
-        for j in range(ncols)
-    ]
-    rank = _column_echelon(cols, nrows)
-    return [canonical_sign(tuple(c[nrows:])) for c in cols[rank:]]
+    m = _denominator_lcm(row)
+    return tuple(int(x * m) for x in row)
 
 
 # -- certified rational kernel by modular elimination --------------------------
@@ -250,8 +205,8 @@ def _reconstruct(a: int, m: int):
 
 
 def _lift(pivots, entries: dict, modulus: int, ncols: int):
-    """Primitive integer kernel vectors, one per free column in increasing
-    order, positive at their free column; None if a reconstruction fails."""
+    """The free columns in increasing order and one primitive integer kernel
+    vector for each, positive there; None if a reconstruction fails."""
     pivot_set = set(pivots)
     free = [f for f in range(ncols) if f not in pivot_set]
     fracs: dict[int, dict[int, tuple]] = {f: {} for f in free}
@@ -264,16 +219,14 @@ def _lift(pivots, entries: dict, modulus: int, ncols: int):
     basis = []
     for f in free:
         col = fracs[f]
-        lcm = 1
-        for _, d in col.values():
-            lcm = lcm * d // gcd(lcm, d)
-        vec = {c: n * (lcm // d) for c, (n, d) in col.items()}
-        vec[f] = lcm
+        m = lcm(*(d for _, d in col.values()))
+        vec = {c: n * (m // d) for c, (n, d) in col.items()}
+        vec[f] = m
         g = 0
         for x in vec.values():
             g = gcd(g, x)
         basis.append({c: x // g for c, x in vec.items()})
-    return basis
+    return free, basis
 
 
 def _annihilates(rows: list[dict], basis: list[dict]) -> bool:
@@ -311,10 +264,16 @@ def kernel_rational(rows: list[dict], ncols: int) -> list[Vec]:
     ones); otherwise the next prime is taken.  No vector is returned
     unchecked.
     """
+    _, basis = _reduced_kernel(rows, ncols)
+    return [_dense(x, ncols) for x in basis]
+
+
+def _reduced_kernel(rows: list[dict], ncols: int) -> tuple[list[int], list[dict]]:
+    """``kernel_rational``'s free columns and its basis as sparse vectors."""
     int_rows = []
     for row in rows:
-        lcm = _denominator_lcm(row.values())
-        r = {c: int(v * lcm) for c, v in row.items() if v}
+        m = _denominator_lcm(row.values())
+        r = {c: int(v * m) for c, v in row.items() if v}
         if r:
             int_rows.append(r)
     int_rows.sort(key=len)
@@ -328,9 +287,9 @@ def kernel_rational(rows: list[dict], ncols: int) -> list[Vec]:
             modulus *= p
         else:
             continue  # unlucky: its pivots are not the earliest of largest rank
-        basis = _lift(pivots, residues, modulus, ncols)
-        if basis is not None and _annihilates(int_rows, basis):
-            return [tuple(x.get(c, 0) for c in range(ncols)) for x in basis]
+        lifted = _lift(pivots, residues, modulus, ncols)
+        if lifted is not None and _annihilates(int_rows, lifted[1]):
+            return lifted
 
 
 def rank_int(vectors: list) -> int:
@@ -346,7 +305,128 @@ def rank_int(vectors: list) -> int:
     return len(vecs) - len(kernel_rational(relations, len(vecs)))
 
 
-# -- span comparison -----------------------------------------------------------
+# -- integer lattices: sparse Hermite normal form and the Z-kernel -------------
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(d, s, t) with d = gcd(a, b) = s a + t b > 0."""
+    s0, s1, t0, t1, r0, r1 = 1, 0, 0, 1, a, b
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (r0, s0, t0) if r0 > 0 else (-r0, -s0, -t0)
+
+
+def _combine(s: int, x: dict, t: int, y: dict, modulus: int) -> dict:
+    """s x + t y for sparse vectors, with every entry reduced modulo
+    ``modulus`` unless that is 0."""
+    out = {}
+    for i in x.keys() | y.keys():
+        z = s * x.get(i, 0) + t * y.get(i, 0)
+        if modulus:
+            z %= modulus
+        if z:
+            out[i] = z
+    return out
+
+
+def _subtract(x: dict, q: int, y: dict, modulus: int) -> None:
+    """x -= q y in place for q != 0, reduced modulo ``modulus`` unless that
+    is 0."""
+    get = x.get
+    if modulus:
+        for i, c in y.items():
+            z = (get(i, 0) - q * c) % modulus
+            if z:
+                x[i] = z
+            else:
+                x.pop(i, None)
+        return
+    for i, c in y.items():
+        z = get(i, 0) - q * c
+        if z:
+            x[i] = z
+        else:
+            del x[i]
+
+
+def _hermite(vectors, dim: int, modulus: int = 0) -> list[dict]:
+    """The canonical column Hermite normal form of the span of the sparse
+    ``{row: value}`` vectors, as sparse columns in increasing order of pivot
+    row.  The vectors are consumed.
+
+    The vectors are inserted one at a time.  At its least nonzero row a
+    vector is reduced by the column with its pivot there: exactly if the
+    pivot divides the entry, and otherwise by extended gcd, which leaves the
+    gcd as the pivot and a remainder that is zero on that row.  A vector
+    that reaches a row with no column becomes a new column.  After each
+    change to a column the echelon is made reduced again, every entry at a
+    later pivot row in ``[0, pivot)``, so that later vectors stay sparse and
+    entries do not grow; at the end it is the canonical form.
+
+    With ``modulus`` D > 0 the span is that of the vectors and D Z^dim: the
+    columns start as D times the unit vectors, and every entry below the row
+    being worked on is kept modulo D (modulo-determinant arithmetic, as in
+    Domich, Kannan and Trotter 1987).  That is exact: the columns with later
+    pivots are not touched by then, and they span D Z^dim on those rows.
+    """
+    cols = {i: {i: modulus} for i in range(dim)} if modulus else {}
+    for v in vectors:
+        while v:
+            p = min(v)
+            col = cols.get(p)
+            if col is None:
+                cols[p] = v if v[p] > 0 else {i: -x for i, x in v.items()}
+                _settle(cols, p)
+                break
+            a, b = col[p], v[p]
+            if b % a:
+                d, s, t = _xgcd(a, b)
+                cols[p] = _combine(s, col, t, v, modulus)
+                v = _combine(b // d, col, -(a // d), v, modulus)
+                _settle(cols, p)
+            else:
+                _subtract(v, b // a, col, modulus)
+    return [cols[p] for p in sorted(cols)]
+
+
+def _settle(cols: dict[int, dict], p: int) -> None:
+    """Make the echelon ``cols`` (pivot row -> column) reduced again after
+    its column at pivot row ``p`` changed: that column at the later pivot
+    rows, then every column whose entry at row ``p`` is out of range (and
+    then at the later pivot rows where the changed column has entries)."""
+    col = cols[p]
+    _reduce_at(col, cols, [i for i in col if i > p and i in cols])
+    later = [i for i in col if i > p and i in cols]
+    h = col[p]
+    for other in cols.values():
+        q = other.get(p, 0) // h
+        if q and other is not col:
+            _subtract(other, q, col, 0)
+            if later:
+                _reduce_at(other, cols, later[:])
+
+
+def _reduce_at(col: dict, cols: dict[int, dict], rows: list[int]) -> None:
+    """Reduce the entries of ``col`` at the pivot rows ``rows``, and at the
+    later pivot rows where that changes them, into ``[0, pivot)``, in
+    increasing order."""
+    heapify(rows)
+    done = -1
+    while rows:
+        i = heappop(rows)
+        if i <= done:
+            continue
+        done = i
+        by = cols[i]
+        q = col.get(i, 0) // by[i]
+        if q:
+            _subtract(col, q, by, 0)
+            for j in by:
+                if j > i and j in cols:
+                    heappush(rows, j)
 
 
 def hermite_basis(vectors: list[Vec], dim: int) -> list[Vec]:
@@ -356,21 +436,74 @@ def hermite_basis(vectors: list[Vec], dim: int) -> list[Vec]:
     entry in that row reduced into ``[0, pivot)``.  Two families span the
     same lattice exactly when these lists are equal; the rank is the length.
     """
-    cols = [list(v) for v in vectors if any(v)]
-    cols = cols[:_column_echelon(cols, dim)]
-    p = -1
-    for k, col in enumerate(cols):
-        p = next(i for i in range(p + 1, dim) if col[i])
-        for prev in cols[:k]:
-            q = prev[p] // col[p]
-            if q:
-                for i in range(p, dim):
-                    prev[i] -= q * col[i]
-    return [tuple(c) for c in cols]
+    return [_dense(col, dim) for col in _hermite(_sparse(vectors), dim)]
 
 
 def span_equal_int(vs: list[Vec], ws: list[Vec], dim: int) -> bool:
-    return hermite_basis(vs, dim) == hermite_basis(ws, dim)
+    return _hermite(_sparse(vs), dim) == _hermite(_sparse(ws), dim)
+
+
+def kernel_int(rows: list, ncols: int) -> list[Vec]:
+    """Basis of the lattice of integer solutions of ``A x = 0``.
+
+    ``rows`` are dense, with int or Fraction entries.  The lattice is the
+    saturation of ``kernel_rational``'s reduced basis: v_f for each free
+    column f, with l_f = v_f[f] > 0.  A rational solution
+    x = sum_f c_f v_f / l_f has x_f = c_f, so it is integral exactly when c
+    is integral and, for each pivot column p,
+    sum_f c_f (D / l_f) v_f[p] = 0 mod D, where D = lcm(l_f).  For D = 1
+    there are no conditions and the reduced basis is the answer.  Otherwise
+    the c that meet them are read off a Hermite normal form kept modulo D,
+    with one coordinate per condition ahead of the coordinates of c, so no
+    entry grows past D.
+
+    The free coordinates of the basis are in column Hermite normal form
+    (for D = 1, the unit vectors), so the basis is canonical: one vector per
+    free column in increasing order, positive there and zero at the earlier
+    free columns.  It does not depend on the row order.
+    """
+    free, basis = _reduced_kernel(_sparse(rows), ncols)
+    scale = [v[f] for f, v in zip(free, basis)]
+    modulus = lcm(*scale)
+    if modulus > 1:
+        basis = _saturate(basis, free, scale, modulus)
+    return [_dense(v, ncols) for v in basis]
+
+
+def _saturate(basis: list[dict], free: list[int], scale: list[int], modulus: int):
+    """The lattice basis of the integer vectors in the rational span of the
+    reduced ``basis`` (see ``kernel_int``), as sparse vectors: the Hermite
+    columns of the conditions' solutions c, lifted to sum_f c_f v_f / l_f."""
+    conditions: dict[int, dict[int, int]] = {}
+    for j, (f, v) in enumerate(zip(free, basis)):
+        m = modulus // scale[j]
+        for c, x in v.items():
+            if c != f and m * x % modulus:
+                conditions.setdefault(c, {})[j] = m * x % modulus
+    r = len(conditions)
+    gens = [{r + j: 1} for j in range(len(free))]
+    for i, c in enumerate(sorted(conditions)):
+        for j, x in conditions[c].items():
+            gens[j][i] = x
+    out = []
+    for col in _hermite(gens, r + len(free), modulus)[r:]:
+        acc: dict[int, int] = {}
+        for i, h in col.items():
+            m = h * (modulus // scale[i - r])
+            for c, x in basis[i - r].items():
+                acc[c] = acc.get(c, 0) + m * x
+        vec = {}
+        for c, x in acc.items():
+            q, rem = divmod(x, modulus)
+            if rem:
+                raise InternalConsistencyError("saturated kernel vector is not integral")
+            if q:
+                vec[c] = q
+        out.append(vec)
+    return out
+
+
+# -- span comparison -----------------------------------------------------------
 
 
 def span_equal_rational(vs: list, ws: list, dim: int) -> bool:

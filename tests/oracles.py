@@ -5,10 +5,11 @@ the package: dict-based multivariate polynomials, lex long division,
 permutation actions built from first principles, and dense rational row
 reduction.  There are two exceptions.  ``BasisChangeDivider``, the slow
 reference for division by a character class, is built from the package's own
-series, substitutions and basis completion.  ``span_equal_int_reference``,
-the old lattice comparison by membership, runs the package's integer column
-echelon.  ``random_homogeneous_reference``, the old one-term-at-a-time
-sample construction, adds the package's series.
+series, substitutions and basis completion.  ``random_homogeneous_reference``,
+the old one-term-at-a-time sample construction, adds the package's series.
+``kernel_int_reference`` and ``span_equal_int_reference`` (the old lattice
+kernel and the old lattice comparison by membership) run the dense integer
+column echelon kept here, which the package no longer has.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from itertools import permutations
 from math import gcd
 
 from cobcalc.errors import NotDivisibleError
-from cobcalc.linalg import _column_echelon, unimodular_with_first_column
+from cobcalc.linalg import (
+    canonical_sign,
+    clear_denominators,
+    unimodular_with_first_column,
+)
 from cobcalc.sampling import random_b_monomial, random_composition
 from cobcalc.series import GradedSeries, Substitution
 
@@ -292,6 +297,69 @@ def rational_kernel(rows: list, ncols: int) -> list[tuple[int, ...]]:
             g = gcd(g, x)
         out.append(tuple(x // g for x in ints))
     return out
+
+
+# -- integer lattices by dense column echelon ----------------------------------
+
+
+def _column_echelon(cols: list[list[int]], nrows: int) -> int:
+    """Bring the first ``nrows`` coordinates of the columns ``cols`` into
+    echelon form by unimodular column operations, in place.
+
+    Returns the number of nonzero echelon columns; they come first, and the
+    remaining columns are zero on those coordinates.  Coordinates past
+    ``nrows`` take part in every operation without being swept, so appending
+    a unit matrix below records the operations.
+    """
+    start = 0
+    for r in range(nrows):
+        # gcd-sweep row r across columns start..end
+        j = start
+        while j < len(cols):
+            if cols[j][r] != 0:
+                break
+            j += 1
+        else:
+            continue
+        if j != start:
+            cols[start], cols[j] = cols[j], cols[start]
+        for j in range(start + 1, len(cols)):
+            while cols[j][r] != 0:
+                a, b = cols[start][r], cols[j][r]
+                if abs(a) > abs(b):
+                    cols[start], cols[j] = cols[j], cols[start]
+                    continue
+                q = b // a
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[start])]
+        if cols[start][r] < 0:
+            cols[start] = [-x for x in cols[start]]
+        start += 1
+    return start
+
+
+def kernel_int_reference(rows: list, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the lattice of integer solutions of ``A x = 0`` by unimodular
+    column reduction of the dense matrix with a unit block below it (the
+    package's old ``kernel_int``); rows may contain Fractions."""
+    int_rows = [clear_denominators(r) for r in rows]
+    nrows = len(int_rows)
+    cols = [
+        [r[j] for r in int_rows] + [1 if i == j else 0 for i in range(ncols)]
+        for j in range(ncols)
+    ]
+    rank = _column_echelon(cols, nrows)
+    return [canonical_sign(tuple(c[nrows:])) for c in cols[rank:]]
+
+
+def is_saturated(vectors, dim: int) -> bool:
+    """Whether the integer span of the independent ``vectors`` in Z^dim is
+    saturated (all of its rational span's integer points): exactly when
+    y -> (v . y)_v maps Z^dim onto Z^k, that is when the column echelon of
+    the dim coordinate columns is the identity."""
+    k = len(vectors)
+    cols = [[v[i] for v in vectors] for i in range(dim)]
+    rank = _column_echelon(cols, k)
+    return rank == k and all(cols[j][j] == 1 for j in range(k))
 
 
 # -- integral span comparison by membership ------------------------------------

@@ -9,7 +9,10 @@ from cobcalc.cli import main
 from cobcalc.errors import ConfigError
 from cobcalc.fgl import LawSpec, build_law
 from cobcalc.gkm import flag_gkm, line_bundle_class
+from cobcalc.linalg import kernel_int, kernel_rational
 from cobcalc.roots import build_root_datum
+
+from .oracles import is_saturated
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +138,33 @@ def test_compute_invariants(capsys):
     assert code == 0
     artifact = json.loads(out)
     assert artifact["rank"] == 2  # the constant and s1
+
+
+def test_compute_invariants_a2_universal_degree_zero(capsys, monkeypatch):
+    # an 81x82 system whose integer kernel once took minutes of entry growth
+    systems = []
+
+    def recording(rows, ncols):
+        basis = kernel_int(rows, ncols)
+        systems.append((rows, ncols, basis))
+        return basis
+
+    monkeypatch.setattr(cobcalc.gkm, "kernel_int", recording)
+    code, out, _ = run_cli(
+        capsys,
+        "compute", "invariants", "--type", "a2", "--law", "universal:4",
+        "--degree", "0",
+    )
+    assert code == 0
+    [(rows, ncols, basis)] = systems
+    assert (len(rows), ncols) == (81, 82)
+    assert json.loads(out)["rank"] == len(basis)
+    for v in basis:
+        for r in rows:
+            assert sum(a * x for a, x in zip(r, v)) == 0
+    sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    assert len(basis) == len(kernel_rational(sparse, ncols))
+    assert is_saturated(basis, ncols)
 
 
 def test_gkm_verify_self_checks(capsys):

@@ -341,11 +341,36 @@ def test_surjectivity_probe_gl3_additive():
     assert surjectivity_probe(g, 2, over="Q")["pass"]
 
 
+@pytest.mark.parametrize(
+    "tag, degree, over_z",
+    [
+        # over Z only degree 0 agrees on the adjoint a1, a2 and b2: their
+        # fundamental weights are not characters
+        ("a1", 3, [True, False, False, False]),
+        ("a2", 3, [True, False, False, False]),
+        ("b2", 4, [True, False, False, False, False]),
+        # g2 agrees through degree 2 and fails from degree 3 on, where
+        # H*(G2/T; Z) needs a generator of degree 3 (2 is a torsion prime)
+        ("g2", 4, [True, True, True, False, False]),
+    ],
+    ids=["a1", "a2", "b2", "g2"],
+)
+def test_surjectivity_probe_additive_root_data(tag, degree, over_z):
+    g = flag_gkm(build_root_datum(tag), build_law("additive", 5))
+    over_q = surjectivity_probe(g, degree, over="Q")
+    assert over_q["pass"]
+    assert len(over_q["degrees"]) == degree + 1
+    report = surjectivity_probe(g, degree, over="Z")
+    assert [d["spans_agree"] for d in report["degrees"]] == over_z
+    assert not report["pass"]
+
+
 def test_surjectivity_probe_rejects_non_gl():
-    ctx = build_law("additive", 5)
-    g = flag_gkm(build_root_datum("a2"), ctx)
-    with pytest.raises(UnsupportedTypeError):
-        surjectivity_probe(g, 1)
+    # off gl_n only the additive law makes the Weyl images forms
+    for law in ("multiplicative", "universal:4"):
+        g = flag_gkm(build_root_datum("a2"), build_law(law, 5))
+        with pytest.raises(UnsupportedTypeError):
+            surjectivity_probe(g, 1)
 
 
 # -- invariants ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -16,7 +17,13 @@ from cobcalc.linalg import (
     unimodular_with_first_column,
 )
 
-from .oracles import rational_kernel, rref_rational, span_equal_int_reference
+from .oracles import (
+    is_saturated,
+    kernel_int_reference,
+    rational_kernel,
+    rref_rational,
+    span_equal_int_reference,
+)
 
 
 def test_canonical_sign():
@@ -44,6 +51,16 @@ def test_kernel_is_saturated():
 def test_kernel_empty_system():
     basis = kernel_int([], 2)
     assert sorted(basis) == [(0, 1), (1, 0)]
+
+
+def test_kernel_int_is_hermite_in_the_free_columns():
+    # 2x + y + z = 0: the reduced rational basis (-1, 2, 0), (-1, 0, 2) spans
+    # only the solutions with y + z even; the lattice basis has free
+    # coordinates (1, 1) and (0, 2), the Hermite form of that condition
+    assert kernel_int([[2, 1, 1]], 3) == [(-1, 1, 1), (-1, 0, 2)]
+    assert kernel_int([[2, 3]], 2) == [(-3, 2)]
+    assert kernel_int([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(-2, 3)]
+    assert kernel_int([[1, 2], [3, 4]], 2) == []
 
 
 def test_rank():
@@ -176,6 +193,59 @@ def test_kernel_rational_edge_cases():
     assert kernel_rational([{0: Fraction(1, 2), 1: Fraction(-1, 3)}], 2) == [(2, 3)]
     assert kernel_rational([{0: 2, 1: -2}], 2) == [(1, 1)]
     assert kernel_rational([{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}], 3) == [(1, -2, 1)]
+
+
+def _random_integer_system(rng: Random):
+    """1-7 columns: no rows, a full-rank triangle, or up to 7 random rows
+    with entries in [-6, 6], about two thirds of them zero; a fifth of the
+    systems have Fraction rows."""
+    ncols = rng.randint(1, 7)
+    kind = rng.random()
+    if kind < 0.05:
+        rows = []
+    elif kind < 0.15:
+        rows = [
+            [0] * i + [rng.choice((-3, -2, -1, 1, 2, 3))]
+            + [rng.randint(-4, 4) for _ in range(ncols - i - 1)]
+            for i in range(ncols)
+        ]
+        rng.shuffle(rows)
+    else:
+        rows = [
+            [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 7))
+        ]
+    if rng.random() < 0.2:
+        rows = [[Fraction(x, rng.randint(1, 4)) for x in r] for r in rows]
+    return rows, ncols
+
+
+def test_kernel_int_matches_reference():
+    rng = Random(2024)
+    saturated = 0
+    for _ in range(1500):
+        rows, ncols = _random_integer_system(rng)
+        got = kernel_int(rows, ncols)
+        expected = kernel_int_reference(rows, ncols)
+        assert len(got) == len(expected), (rows, ncols)
+        assert span_equal_int(got, expected, ncols), (rows, ncols)
+        for v in got:
+            for r in rows:
+                assert sum(a * x for a, x in zip(r, v)) == 0, (rows, v)
+        # the reduced rational basis ends at its free column; a scale above
+        # 1 there means kernel_int had to saturate it
+        scales = [next(x for x in reversed(v) if x) for v in kernel_rational(_sparse(rows), ncols)]
+        if lcm(*scales) > 1:
+            saturated += 1
+    assert saturated > 100
+
+
+def test_is_saturated_oracle():
+    assert is_saturated([(2, 1)], 2)
+    assert not is_saturated([(2, 0)], 2)
+    assert not is_saturated([(1, 1, 0), (1, -1, 0)], 3)
+    assert is_saturated([(1, 1, 0), (0, 1, 0)], 3)
+    assert is_saturated([], 3)
 
 
 # the two largest primes below 2**31, the first moduli kernel_rational tries
