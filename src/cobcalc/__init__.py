@@ -25,18 +25,12 @@ from .fgl import (
     LawSpec,
     build_law,
     fgl_axiom_report,
-    formal_sum,
-    inverse_series,
-    k_series,
-    kappa_series,
 )
 from .gkm import (
-    FlagRingApprox,
     GKMClass,
     GKMGraph,
     TensorClass,
     TupleSystem,
-    approx_flag_ring,
     constant_class,
     flag_gkm,
     gln_relations,
@@ -57,7 +51,6 @@ from .roots import (
     divided_difference,
     product_datum,
     weyl_act,
-    weyl_enumerate,
 )
 from .schubert import (
     bott_samelson,

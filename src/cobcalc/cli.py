@@ -193,9 +193,10 @@ def _summarize(report: dict) -> None:
 
 def _cmd_bott_samelson(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
+    word = cfg.word_on(datum)
     graph = flag_gkm(datum, cfg.context())
     try:
-        return bott_samelson(cfg.word, graph).to_json()
+        return bott_samelson(word, graph).to_json()
     except PrecisionExhaustedError as exc:
         # the word and the degree both come from the command line
         raise ConfigError(str(exc)) from None

@@ -101,7 +101,9 @@ def _solve_fixed_point(equation, start: GradedSeries, precision: int) -> GradedS
 
 
 class FGLContext:
-    """A formal group law with cached series, immutable after construction."""
+    """A formal group law with cached series, immutable after construction:
+    ``group_law`` F(x, y), ``inverse`` (the series with F(x, inverse(x)) = 0)
+    and ``kappa`` = (x + inverse(x)) / (x inverse(x)), trusted through D - 1."""
 
     def __init__(self, law: LawSpec, precision: int, rational: bool = False):
         if precision < 1:
@@ -182,6 +184,7 @@ class FGLContext:
     # -- series accessors -----------------------------------------------------
 
     def k_series(self, k: int) -> GradedSeries:
+        """The k-fold formal sum [k](x); [-k] = inverse([k](x)), [0] = 0."""
         got = self._k_cache.get(k)
         if got is not None:
             return got
@@ -299,25 +302,6 @@ def build_law(
     if isinstance(spec, str):
         spec = LawSpec.parse(spec)
     return FGLContext(spec, precision, rational=rational)
-
-
-def inverse_series(ctx: FGLContext) -> GradedSeries:
-    """The series ι with F(x, ι(x)) = 0; ι = -x + higher order."""
-    return ctx.inverse
-
-
-def k_series(ctx: FGLContext, k: int) -> GradedSeries:
-    """The k-fold formal sum [k](x); [-k] = ι([k](x)), [0] = 0."""
-    return ctx.k_series(k)
-
-
-def kappa_series(ctx: FGLContext) -> GradedSeries:
-    """κ = (x + ι(x)) / (x ι(x)), an honest series trusted through D - 1."""
-    return ctx.kappa
-
-
-def formal_sum(ctx: FGLContext, coeffs) -> GradedSeries:
-    return ctx.formal_sum(coeffs)
 
 
 def fgl_axiom_report(ctx: FGLContext) -> list[dict]:

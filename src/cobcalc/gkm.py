@@ -2,6 +2,12 @@
 congruence (membership) test, line bundle classes, graded basis solvers, and
 the tensor-product model with its comparison map.
 
+Every Weyl-labelled graph is a coset graph, built by :func:`coset_graph`:
+the fixed points are cosets w W_L and each curve (r, chi) joins w W_L to
+w r W_L with the character w(chi).  The flag graph takes all of W, the
+trivial W_L and the reflections of the positive roots; the wonderful and
+toric graphs of :mod:`cobcalc.wonderful` take root and restricted curves.
+
 A class on a graph is a tuple of series, one per vertex; it is a member of
 the model ring when for every edge (v, w, chi) the difference of the two
 entries is exactly divisible by the character class x_chi.
@@ -24,14 +30,15 @@ from .linalg import (
     span_equal_rational,
 )
 from .roots import RootDatum, WeylElement, mat_mul, weyl_act
-from .series import GradedSeries, complete_homogeneous, elementary_symmetric
+from .series import GradedSeries, elementary_symmetric
 
 # When true, every produced class is membership-checked (slow; used in tests).
 DEBUG_VALIDATE = False
 
 
 class GKMGraph:
-    """Vertices, labelled edges, and the bound law context.
+    """Vertices, labelled edges, and the bound law context; vertex 0 is the
+    base point.
 
     ``weyl_vertices`` (when present) identifies vertices with Weyl cosets so
     the group can act; ``element_to_vertex`` sends *every* Weyl matrix to the
@@ -43,7 +50,6 @@ class GKMGraph:
         ctx,
         ids,
         edges,
-        base: int = 0,
         datum: RootDatum | None = None,
         weyl_vertices=None,
         element_to_vertex=None,
@@ -56,7 +62,6 @@ class GKMGraph:
         self.edges = tuple(
             (i, j, tuple(chi)) for (i, j, chi) in edges
         )
-        self.base = base
         self.datum = datum
         self.weyl_vertices = tuple(weyl_vertices) if weyl_vertices else None
         self.element_to_vertex = element_to_vertex
@@ -85,7 +90,7 @@ class GKMGraph:
     def to_json(self) -> dict:
         return {
             "vertices": list(self.ids),
-            "base": self.ids[self.base],
+            "base": self.ids[0],
             "edges": [
                 {"v": self.ids[i], "w": self.ids[j], "chi": list(chi)}
                 for (i, j, chi) in self.edges
@@ -166,37 +171,60 @@ def validate(cls: GKMClass) -> GKMClass:
 # -- graphs ------------------------------------------------------------------------
 
 
-def flag_gkm(datum: RootDatum, ctx, precision: int | None = None) -> GKMGraph:
+def coset_graph(ctx, datum: RootDatum, elements, levi, families, kind: str):
+    """The moment graph on the cosets w W_L of ``elements``.
+
+    ``elements`` are Weyl elements in BFS order, a union of cosets of the
+    subgroup ``levi`` (its matrices); each coset is a vertex, numbered in
+    first-seen order and represented by its element of least BFS index.
+    ``families`` are lists of curves (r, chi), r a Weyl matrix: each gives,
+    for every w, the edge {w W_L, w r W_L} labelled by w(chi) up to sign.
+    A loop, or two characters on one vertex pair, is a defect.  Returns the
+    graph and, per family, the number of edges it was the first to add.
+    """
+    element_to_vertex = {}
+    vertices = []
+    for w in elements:
+        if w.matrix not in element_to_vertex:
+            for m in levi:
+                element_to_vertex[mat_mul(w.matrix, m)] = len(vertices)
+            vertices.append(w)
+    edges: dict = {}
+    counts = []
+    for family in families:
+        before = len(edges)
+        for w in elements:
+            i = element_to_vertex[w.matrix]
+            for r, chi in family:
+                j = element_to_vertex[mat_mul(w.matrix, r)]
+                if i == j:
+                    raise InternalConsistencyError(f"curve {chi} is a loop")
+                key = (min(i, j), max(i, j))
+                label = canonical_sign(w.act(chi))
+                if edges.setdefault(key, label) != label:
+                    raise InternalConsistencyError(
+                        f"conflicting edge characters on vertices {key}"
+                    )
+        counts.append(len(edges) - before)
+    graph = GKMGraph(
+        ctx,
+        ids=[w.id_string() for w in vertices],
+        edges=[(i, j, chi) for (i, j), chi in sorted(edges.items())],
+        datum=datum,
+        weyl_vertices=vertices,
+        element_to_vertex=element_to_vertex,
+        kind=kind,
+    )
+    return graph, counts
+
+
+def flag_gkm(datum: RootDatum, ctx) -> GKMGraph:
     """The flag moment graph: vertices are Weyl elements, one edge {w, w s_beta}
     per positive root beta, labelled by w(beta)."""
-    if precision is not None and precision != ctx.precision:
-        raise PrecisionExhaustedError(
-            "graph precision is fixed by the law context"
-        )
     weyl = datum.weyl()
-    index = {w.matrix: i for i, w in enumerate(weyl)}
-    edges = {}
-    for i, w in enumerate(weyl):
-        for beta in datum.positive_roots:
-            j = index[mat_mul(w.matrix, datum.reflection(beta))]
-            if i < j:
-                chi = canonical_sign(w.act(beta))
-                prev = edges.get((i, j))
-                if prev is None:
-                    edges[(i, j)] = chi
-                elif prev != chi:
-                    raise InternalConsistencyError("conflicting edge characters")
-    edge_list = [(i, j, chi) for (i, j), chi in sorted(edges.items())]
-    return GKMGraph(
-        ctx,
-        ids=[w.id_string() for w in weyl],
-        edges=edge_list,
-        base=0,
-        datum=datum,
-        weyl_vertices=weyl,
-        element_to_vertex=index,
-        kind="flag",
-    )
+    curves = [(datum.reflection(beta), beta) for beta in datum.positive_roots]
+    graph, _ = coset_graph(ctx, datum, weyl, [weyl[0].matrix], [curves], "flag")
+    return graph
 
 
 def line_bundle_class(chi, graph: GKMGraph) -> GKMClass:
@@ -564,64 +592,3 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
         )
         report["pass"] = report["pass"] and same
     return report
-
-
-# -- truncated flag-variety quotient ---------------------------------------------------
-
-
-class FlagRingApprox:
-    """Normal-form reduction modulo the triangular ideal
-    (h_N(t_n), h_{N-1}(t_{n-1}, t_n), ..., h_{N-n+1}(t_1..t_n)).
-
-    Leading terms are the pure powers t_j^(N-n+j), which are pairwise coprime,
-    so the relations form a Groebner basis and the reduction is confluent.
-    """
-
-    def __init__(self, N: int, n: int, ctx):
-        if N <= n:
-            raise UnsupportedTypeError("flag ring approximation needs N > n")
-        self.N = N
-        self.n = n
-        self.ctx = ctx
-        self.bounds = [N - n + j for j in range(1, n + 1)]
-        self.rules = []
-        for j in range(1, n + 1):
-            bound = self.bounds[j - 1]
-            variables = [
-                GradedSeries.variable(i, n, N + 1) for i in range(j - 1, n)
-            ]
-            h = complete_homogeneous(bound, variables)
-            lead = tuple(bound if i == j - 1 else 0 for i in range(n))
-            rest = (-h).terms
-            if rest.pop(lead, None) != {(): -1}:
-                raise InternalConsistencyError(
-                    f"relation {j} does not lead with t{j}^{bound}"
-                )
-            self.rules.append((lead, rest))
-
-    def reduce(self, f: GradedSeries) -> GradedSeries:
-        if f.nvars != self.n:
-            raise NVarsMismatchError("wrong number of variables")
-        n, p = self.n, f.precision
-        out = GradedSeries.zero(n, p)
-        agenda = f
-        while not agenda.is_zero():
-            e = min(agenda.terms)
-            term = GradedSeries(n, p, {e: agenda.terms[e]})
-            agenda = agenda - term
-            j = next((j for j in range(n) if e[j] >= self.bounds[j]), None)
-            if j is None:
-                out = out + term
-                continue
-            lead, rest = self.rules[j]
-            cof = tuple(a - b for a, b in zip(e, lead))
-            shift = GradedSeries(n, p, {cof: term.terms[e]})
-            agenda = agenda + shift * GradedSeries(n, p, rest)
-        return out
-
-    def is_zero(self, f: GradedSeries) -> bool:
-        return self.reduce(f).is_zero()
-
-
-def approx_flag_ring(N: int, n: int, ctx) -> FlagRingApprox:
-    return FlagRingApprox(N, n, ctx)

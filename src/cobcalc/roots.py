@@ -9,6 +9,8 @@ Cartan matrix.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import (
     InternalConsistencyError,
     InvolutionError,
@@ -24,15 +26,12 @@ Vec = tuple[int, ...]
 
 def mat_mul(a, b):
     """Product of two square integer matrices given as tuples of rows."""
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _mat_vec(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _identity(n):
@@ -213,10 +212,6 @@ class RootDatum:
             all(c <= 0 for c in self.simple_coordinates[w.act(beta)])
             for beta in self.positive_roots
         )
-
-
-def weyl_enumerate(datum: RootDatum) -> list[WeylElement]:
-    return datum.weyl()
 
 
 def weyl_act(w: WeylElement, f: GradedSeries, ctx, datum: RootDatum) -> GradedSeries:
@@ -476,16 +471,3 @@ def build_symmetric_datum(case, theta=None) -> SymmetricDatum:
     if theta is None:
         raise InvolutionError("custom symmetric datum needs a theta matrix")
     return SymmetricDatum(case, theta, label="custom")
-
-
-__all__ = [
-    "RootDatum",
-    "SymmetricDatum",
-    "WeylElement",
-    "build_root_datum",
-    "build_symmetric_datum",
-    "divided_difference",
-    "product_datum",
-    "weyl_act",
-    "weyl_enumerate",
-]

@@ -85,7 +85,7 @@ def point_class(graph: GKMGraph) -> GKMClass:
     for beta in datum.positive_roots:
         euler = euler * ctx.formal_sum(vneg(beta))
     values = [
-        euler if i == graph.base else GradedSeries.zero(datum.rank, ctx.precision)
+        euler if i == 0 else GradedSeries.zero(datum.rank, ctx.precision)
         for i in range(graph.nvertices)
     ]
     return validate(GKMClass(graph, values))

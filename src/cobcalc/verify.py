@@ -69,6 +69,16 @@ class RunConfig:
             rational=self.rational if rational is None else rational,
         )
 
+    def word_on(self, datum) -> tuple:
+        """The word, checked letter by letter against the simple roots."""
+        for i in self.word:
+            if not 0 <= i < datum.nsimple:
+                raise ConfigError(
+                    f"word letter {i + 1} is not in 1..{datum.nsimple} "
+                    f"for {datum.label}"
+                )
+        return tuple(self.word)
+
     def to_json(self) -> dict:
         return {
             "law": self.law_spec().canonical(),
@@ -317,6 +327,7 @@ def suite_tensor_iso(cfg: RunConfig) -> dict:
 
 def suite_bott_samelson(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
+    word = cfg.word_on(datum)
     # the point class alone has degree len(positive_roots)
     needed = max(2, len(datum.positive_roots))
     _require_degree(cfg, needed, f"the bott-samelson suite on {cfg.type_tag}")
@@ -340,7 +351,7 @@ def suite_bott_samelson(cfg: RunConfig) -> dict:
         one = constant_class(graph, 1).truncate(bs.precision)
         checks.append({"name": "rank_one_word_is_unit", "pass": bs == one})
 
-    word = tuple(cfg.word) or tuple(
+    word = word or tuple(
         rng.randrange(datum.nsimple) for _ in range(2)
     )
     if graph.precision >= len(word) + len(datum.positive_roots):
@@ -411,7 +422,7 @@ def suite_esph(cfg: RunConfig) -> dict:
         detail = []
         for m in range(0, min(cfg.degree, ctx.precision) + 1):
             via_p = [
-                c.values[graph.base]
+                c.values[0]
                 for c in invariant_tuple_basis(graph, datum.simple_reflections, m)
             ]
             via_x = invariant_subring_X(model, m)

@@ -6,8 +6,9 @@ The fixed points are the cosets w * z over W/W_L.  Curves come in two
 species: translates of the root curves (character w(alpha) for alpha a
 positive root outside the Levi) joining w z to w s_alpha z, and translates of
 the restricted curves (character w(gamma), gamma = alpha - theta(alpha))
-joining w z to w s_alpha s_{theta(alpha)} z.  The toric subvariety sees only
-the restricted curves.
+joining w z to w s_alpha s_{theta(alpha)} z.  The toric subvariety has the
+fixed points w z for w in W^theta and sees only the restricted curves.  Both
+graphs are coset graphs, each built by one call of :func:`gkm.coset_graph`.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .gkm import (
     GKMGraph,
     TupleSystem,
     ambient_monomials,
+    coset_graph,
     constant_class,
     membership,
     span_equal,
 )
 from .linalg import canonical_sign, vneg, vsub
-from .roots import SymmetricDatum, WeylElement, mat_mul, weyl_act
+from .roots import SymmetricDatum, WeylElement, weyl_act
 from .series import GradedSeries
 
 
@@ -42,101 +44,23 @@ class WonderfulModel:
         self.ctx = ctx
         self.precision = ctx.precision
         datum = sd.datum
-        weyl = datum.weyl()
-        wl = set(sd.w_L)
-
-        # cosets of W/W_L, represented by their least-BFS-index element
-        index_of = {w.matrix: i for i, w in enumerate(weyl)}
-        rep_of: dict = {}
-        reps: list[int] = []
-        for i, w in enumerate(weyl):
-            if w.matrix in rep_of:
-                continue
-            members = sorted(index_of[mat_mul(w.matrix, l)] for l in wl)
-            rep = members[0]
-            if rep == i:
-                reps.append(i)
-            for k in members:
-                rep_of[weyl[k].matrix] = rep
-        vertex_of_rep = {rep: v for v, rep in enumerate(reps)}
-        element_to_vertex = {
-            m: vertex_of_rep[rep] for m, rep in rep_of.items()
-        }
-        vertices = [weyl[rep] for rep in reps]
-
-        sigma_plus_outside = [
-            beta
+        levi_roots = set(sd.sigma_L_pos)
+        root_curves = [
+            (datum.reflection(beta), beta)
             for beta in datum.positive_roots
-            if beta not in set(sd.sigma_L_pos)
+            if beta not in levi_roots
         ]
-        edges: dict = {}
-
-        def add_edge(i, j, chi):
-            if i == j:
-                return
-            key = (min(i, j), max(i, j), canonical_sign(chi))
-            edges[key] = True
-
-        root_edge_count = 0
-        for w in weyl:
-            wi = element_to_vertex[w.matrix]
-            for beta in sigma_plus_outside:
-                wj = element_to_vertex[mat_mul(w.matrix, datum.reflection(beta))]
-                add_edge(wi, wj, w.act(beta))
-        root_edge_count = len(edges)
-        for w in weyl:
-            wi = element_to_vertex[w.matrix]
-            for k in range(len(sd.restricted)):
-                r = sd.restricted_reflection(k)
-                wj = element_to_vertex[mat_mul(w.matrix, r.matrix)]
-                gamma = sd.restricted[k][0]
-                add_edge(wi, wj, w.act(gamma))
-        self.root_edge_count = root_edge_count
-        self.restricted_edge_count = len(edges) - root_edge_count
-
-        self.x_graph = GKMGraph(
-            ctx,
-            ids=[v.id_string() for v in vertices],
-            edges=[(i, j, chi) for (i, j, chi) in sorted(edges)],
-            base=0,
-            datum=datum,
-            weyl_vertices=vertices,
-            element_to_vertex=element_to_vertex,
-            kind="wonderful",
+        restricted_curves = [
+            (sd.restricted_reflection(k).matrix, gamma)
+            for k, (gamma, _, _) in enumerate(sd.restricted)
+        ]
+        self.x_graph, (self.root_edge_count, self.restricted_edge_count) = (
+            coset_graph(ctx, datum, datum.weyl(), sd.w_L,
+                        [root_curves, restricted_curves], "wonderful")
         )
-
-        # toric subgraph: the W^theta-orbit of the base point, restricted curves
-        y_vertex_set = sorted(
-            {element_to_vertex[w.matrix] for w in sd.w_theta}
+        self.y_graph, _ = coset_graph(
+            ctx, datum, sd.w_theta, sd.w_L, [restricted_curves], "toric"
         )
-        y_index = {v: i for i, v in enumerate(y_vertex_set)}
-        y_edges: dict = {}
-        for w in sd.w_theta:
-            wi = element_to_vertex[w.matrix]
-            for k in range(len(sd.restricted)):
-                r = sd.restricted_reflection(k)
-                wj = element_to_vertex[mat_mul(w.matrix, r.matrix)]
-                gamma = sd.restricted[k][0]
-                key = (
-                    min(y_index[wi], y_index[wj]),
-                    max(y_index[wi], y_index[wj]),
-                    canonical_sign(w.act(gamma)),
-                )
-                y_edges[key] = True
-        y_element_to_vertex = {
-            w.matrix: y_index[element_to_vertex[w.matrix]] for w in sd.w_theta
-        }
-        self.y_graph = GKMGraph(
-            ctx,
-            ids=[self.x_graph.ids[v] for v in y_vertex_set],
-            edges=[(i, j, chi) for (i, j, chi) in sorted(y_edges)],
-            base=0,
-            datum=datum,
-            weyl_vertices=[vertices[v] for v in y_vertex_set],
-            element_to_vertex=y_element_to_vertex,
-            kind="toric",
-        )
-        self.y_vertex_set = y_vertex_set
 
     def counts(self) -> dict:
         out = self.sd.counts()
@@ -245,7 +169,7 @@ def invariant_subring_Y(model: WonderfulModel, degree: int) -> list[GradedSeries
     basis = invariant_tuple_basis(
         model.y_graph, _w_theta_generators(model.sd), degree
     )
-    return [c.values[model.y_graph.base] for c in basis]
+    return [c.values[0] for c in basis]
 
 
 def verify_esph(model: WonderfulModel, degree: int) -> dict:
@@ -266,7 +190,7 @@ def verify_esph(model: WonderfulModel, degree: int) -> dict:
         reduced = invariant_subring_X(model, m)
         with_root_edges = invariant_subring_X(model, m, impose_root_edges=True)
         x_tuples = invariant_tuple_basis(model.x_graph, datum.simple_reflections, m)
-        x_restricted = [c.values[model.x_graph.base] for c in x_tuples]
+        x_restricted = [c.values[0] for c in x_tuples]
         y_restricted = invariant_subring_Y(model, m)
         agree_root = span_equal(reduced, with_root_edges)
         agree_x = span_equal(reduced, x_restricted)
@@ -309,7 +233,6 @@ def projective_space_model(weights, ctx, weyl_vertices=None, element_to_vertex=N
         ctx,
         ids=ids or [f"p{i}" for i in range(len(weights))],
         edges=edges,
-        base=0,
         datum=datum,
         weyl_vertices=weyl_vertices,
         element_to_vertex=element_to_vertex,

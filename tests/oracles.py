@@ -10,6 +10,9 @@ the old one-term-at-a-time sample construction, adds the package's series.
 ``kernel_int_reference`` and ``span_equal_int_reference`` (the old lattice
 kernel and the old lattice comparison by membership) run the dense integer
 column echelon kept here, which the package no longer has.
+``flag_graph_reference`` and ``wonderful_graphs_reference``, the separate
+flag and wonderful graph constructions that ``gkm.coset_graph`` replaced,
+read the package's Weyl groups, reflections and symmetric data.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from cobcalc.linalg import (
     clear_denominators,
     unimodular_with_first_column,
 )
+from cobcalc.roots import mat_mul
 from cobcalc.sampling import random_b_monomial, random_composition
 from cobcalc.series import GradedSeries, Substitution
 
@@ -466,3 +470,95 @@ def random_homogeneous_reference(
         texp = random_composition(rng, degree, nvars)
         f = GradedSeries(nvars, ctx.precision, {texp: {(): 1}})
     return f
+
+
+# -- moment graphs as first built, one loop per kind of graph -------------------
+
+
+def flag_graph_reference(datum) -> dict:
+    """The flag moment graph as ``gkm.flag_gkm`` first built it: one vertex
+    per Weyl element, and for each w and positive root beta the edge
+    {w, w s_beta} labelled by w(beta), recorded from its lower end."""
+    weyl = datum.weyl()
+    index = {w.matrix: i for i, w in enumerate(weyl)}
+    edges = {}
+    for i, w in enumerate(weyl):
+        for beta in datum.positive_roots:
+            j = index[mat_mul(w.matrix, datum.reflection(beta))]
+            if i < j:
+                chi = canonical_sign(w.act(beta))
+                if edges.setdefault((i, j), chi) != chi:
+                    raise ValueError("conflicting edge characters")
+    return {
+        "ids": [w.id_string() for w in weyl],
+        "edges": [(i, j, chi) for (i, j), chi in sorted(edges.items())],
+        "element_to_vertex": index,
+        "weyl_vertices": list(weyl),
+    }
+
+
+def wonderful_graphs_reference(sd) -> tuple[dict, dict, int, int]:
+    """The X graph, the toric Y graph and the X root and restricted edge
+    counts, as ``wonderful.WonderfulModel`` first built them: cosets of W_L
+    found by sorting each coset's BFS indices, the two curve species in two
+    loops over W, and the Y graph as the sorted X vertices of W^theta with a
+    third loop over the restricted curves."""
+    datum = sd.datum
+    weyl = datum.weyl()
+    index_of = {w.matrix: i for i, w in enumerate(weyl)}
+    rep_of: dict = {}
+    reps: list[int] = []
+    for i, w in enumerate(weyl):
+        if w.matrix in rep_of:
+            continue
+        members = sorted(index_of[mat_mul(w.matrix, m)] for m in sd.w_L)
+        if members[0] == i:
+            reps.append(i)
+        for k in members:
+            rep_of[weyl[k].matrix] = members[0]
+    vertex_of_rep = {rep: v for v, rep in enumerate(reps)}
+    element_to_vertex = {m: vertex_of_rep[rep] for m, rep in rep_of.items()}
+    vertices = [weyl[rep] for rep in reps]
+
+    edges: dict = {}
+
+    def add_edge(i, j, chi):
+        if i != j:
+            edges[(min(i, j), max(i, j), canonical_sign(chi))] = True
+
+    outside = [b for b in datum.positive_roots if b not in set(sd.sigma_L_pos)]
+    for w in weyl:
+        for beta in outside:
+            j = element_to_vertex[mat_mul(w.matrix, datum.reflection(beta))]
+            add_edge(element_to_vertex[w.matrix], j, w.act(beta))
+    root_edges = len(edges)
+    for w in weyl:
+        for k, (gamma, _, _) in enumerate(sd.restricted):
+            r = sd.restricted_reflection(k)
+            j = element_to_vertex[mat_mul(w.matrix, r.matrix)]
+            add_edge(element_to_vertex[w.matrix], j, w.act(gamma))
+    x = {
+        "ids": [v.id_string() for v in vertices],
+        "edges": sorted(edges),
+        "element_to_vertex": element_to_vertex,
+        "weyl_vertices": vertices,
+    }
+
+    y_vertex_set = sorted({element_to_vertex[w.matrix] for w in sd.w_theta})
+    y_index = {v: i for i, v in enumerate(y_vertex_set)}
+    y_edges: dict = {}
+    for w in sd.w_theta:
+        wi = y_index[element_to_vertex[w.matrix]]
+        for k, (gamma, _, _) in enumerate(sd.restricted):
+            r = sd.restricted_reflection(k)
+            wj = y_index[element_to_vertex[mat_mul(w.matrix, r.matrix)]]
+            y_edges[(min(wi, wj), max(wi, wj), canonical_sign(w.act(gamma)))] = True
+    y = {
+        "ids": [x["ids"][v] for v in y_vertex_set],
+        "edges": sorted(y_edges),
+        "element_to_vertex": {
+            w.matrix: y_index[element_to_vertex[w.matrix]] for w in sd.w_theta
+        },
+        "weyl_vertices": [vertices[v] for v in y_vertex_set],
+    }
+    return x, y, root_edges, len(edges) - root_edges

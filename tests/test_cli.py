@@ -450,6 +450,18 @@ def test_bad_word_rejected(capsys):
         capsys, "schubert", "bott-samelson", "--type", "gl2", "--word", "x,y"
     )
     assert code == 2
+    # letters are 1-based, and the message names the letter as typed
+    for argv, letter in (
+        (["schubert", "bott-samelson"], 3),
+        (["schubert", "bott-samelson"], 0),
+        (["compute", "bott-samelson"], 3),
+        (["verify", "bott-samelson"], 3),
+    ):
+        code, out, err = run_cli(
+            capsys, *argv, "--type", "gl3", "--word", f"1,{letter}"
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: word letter {letter} is not in 1..2 for gl3\n"
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,6 @@ from cobcalc.fgl import (
     LawSpec,
     build_law,
     fgl_axiom_report,
-    inverse_series,
-    k_series,
-    kappa_series,
 )
 from cobcalc.roots import build_root_datum
 from cobcalc.sampling import random_homogeneous
@@ -47,8 +44,8 @@ def test_additive_law():
     x = GradedSeries.variable(0, 2, 5)
     y = GradedSeries.variable(1, 2, 5)
     assert ctx.group_law == x + y
-    assert inverse_series(ctx) == -GradedSeries.variable(0, 1, 5)
-    assert kappa_series(ctx).is_zero()
+    assert ctx.inverse == -GradedSeries.variable(0, 1, 5)
+    assert ctx.kappa.is_zero()
 
 
 def test_multiplicative_law():
@@ -59,13 +56,13 @@ def test_multiplicative_law():
     assert ctx.group_law == x + y - (x * y).scale(beta)
     t = GradedSeries.variable(0, 1, 3)
     # iota = -x - beta x^2 - beta^2 x^3
-    assert inverse_series(ctx) == -t - (t ** 2).scale(beta) - (t ** 3).scale(
+    assert ctx.inverse == -t - (t ** 2).scale(beta) - (t ** 3).scale(
         {(2,): 1}
     )
     # kappa is the constant beta
-    assert kappa_series(ctx) == GradedSeries(1, ctx.precision - 1, {(0,): beta})
+    assert ctx.kappa == GradedSeries(1, ctx.precision - 1, {(0,): beta})
     # [2](x) = 2x - beta x^2
-    assert k_series(ctx, 2) == t.scale(2) - (t ** 2).scale(beta)
+    assert ctx.k_series(2) == t.scale(2) - (t ** 2).scale(beta)
 
 
 def _sympy_universal_law(ngens: int, degree: int):
@@ -117,20 +114,20 @@ def test_universal_2_frozen_values():
     two_b1 = {(1,): 2}
     assert ctx.group_law == t1 + t2 + (t1 * t2).scale(two_b1)
     u = GradedSeries.variable(0, 1, 2)
-    assert inverse_series(ctx) == -u + (u * u).scale(two_b1)
+    assert ctx.inverse == -u + (u * u).scale(two_b1)
     # kappa's constant term: forced by kappa * x * iota = x + iota, so -2 b1
-    assert kappa_series(ctx).terms[(0,)] == {(1,): -2}
+    assert ctx.kappa.terms[(0,)] == {(1,): -2}
 
 
 def test_k_series():
     ctx = build_law("universal:4", 5)
     u = GradedSeries.variable(0, 1, 5)
-    assert k_series(ctx, 1) == u
-    assert k_series(ctx, 0).is_zero()
-    assert k_series(ctx, -1) == inverse_series(ctx)
+    assert ctx.k_series(1) == u
+    assert ctx.k_series(0).is_zero()
+    assert ctx.k_series(-1) == ctx.inverse
     for k, m in [(2, 2), (-1, 3), (-2, -2), (4, -3)]:
-        lhs = k_series(ctx, k + m)
-        rhs = ctx.group_law.substitute([k_series(ctx, k), k_series(ctx, m)])
+        lhs = ctx.k_series(k + m)
+        rhs = ctx.group_law.substitute([ctx.k_series(k), ctx.k_series(m)])
         assert lhs == rhs
 
 
@@ -142,11 +139,11 @@ def test_axiom_report_all_laws():
 
 def test_kappa_identity_precision():
     ctx = build_law("universal:4", 5)
-    kap = kappa_series(ctx)
+    kap = ctx.kappa
     assert kap.precision == ctx.precision - 1
     u = GradedSeries.variable(0, 1, ctx.precision)
-    lhs = kap * u * inverse_series(ctx)
-    rhs = (u + inverse_series(ctx)).truncate(lhs.precision)
+    lhs = kap * u * ctx.inverse
+    rhs = (u + ctx.inverse).truncate(lhs.precision)
     assert lhs == rhs
 
 
@@ -154,8 +151,8 @@ def test_specialization_to_additive():
     ctx = build_law("universal:4", 5)
     add = build_law("additive", 5)
     assert ctx.group_law.specialize_b_zero() == add.group_law
-    assert inverse_series(ctx).specialize_b_zero() == inverse_series(add)
-    assert kappa_series(ctx).specialize_b_zero() == kappa_series(add)
+    assert ctx.inverse.specialize_b_zero() == add.inverse
+    assert ctx.kappa.specialize_b_zero() == add.kappa
     x = ctx.formal_sum((2, -1, 1))
     assert x.specialize_b_zero() == add.formal_sum((2, -1, 1))
 
@@ -278,8 +275,8 @@ def test_k_series_additivity_full_range():
     ctx = build_law("universal:4", 5)
     for k in range(-4, 5):
         for m in range(-4, 5):
-            lhs = k_series(ctx, k + m)
-            rhs = ctx.group_law.substitute([k_series(ctx, k), k_series(ctx, m)])
+            lhs = ctx.k_series(k + m)
+            rhs = ctx.group_law.substitute([ctx.k_series(k), ctx.k_series(m)])
             assert lhs == rhs, (k, m)
 
 

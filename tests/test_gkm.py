@@ -12,8 +12,8 @@ from cobcalc.gkm import (
     GKMClass,
     GKMGraph,
     TensorClass,
-    approx_flag_ring,
     constant_class,
+    coset_graph,
     flag_gkm,
     gln_relations,
     invariants_basis,
@@ -25,11 +25,17 @@ from cobcalc.gkm import (
     t_monomials,
     tensor_to_gkm,
 )
-from cobcalc.roots import build_root_datum, weyl_enumerate
+from cobcalc.roots import build_root_datum, build_symmetric_datum
 from cobcalc.sampling import random_homogeneous
-from cobcalc.series import GradedSeries, complete_homogeneous
+from cobcalc.series import GradedSeries
+from cobcalc.wonderful import build_wonderful_graph
 
-from .oracles import ClassicalFlagOracle, engine_permutation
+from .oracles import (
+    ClassicalFlagOracle,
+    engine_permutation,
+    flag_graph_reference,
+    wonderful_graphs_reference,
+)
 
 
 def test_flag_graph_counts():
@@ -186,6 +192,63 @@ def test_span_equal_over_z_on_subring_basis():
     assert span_equal(doubled, basis, over="Q")
 
 
+def _graph_data(graph) -> dict:
+    return {
+        "ids": list(graph.ids),
+        "edges": list(graph.edges),
+        "element_to_vertex": graph.element_to_vertex,
+        "weyl_vertices": [w.id_string() for w in graph.weyl_vertices],
+    }
+
+
+def _reference_data(ref: dict) -> dict:
+    return dict(ref, weyl_vertices=[w.id_string() for w in ref["weyl_vertices"]])
+
+
+# a3 with theta fixing the outer simples: the linear/symplectic pair
+_LINEAR_SYMPLECTIC = (build_root_datum("a3"), [[1, -1, 0], [0, -1, 0], [0, -1, 1]])
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [("flag", tag) for tag in ("gl2", "gl3", "gl4", "a1", "a2", "a3", "b2",
+                               "g2", "psl2xpsl2", "psl3")]
+    + [("wonderful", c) for c in ("group:a1", "group:psl2", "group:psl3",
+                                  "group:b2", "group:g2", "linear-symplectic")],
+)
+def test_coset_graphs_match_reference(kind, case):
+    """One coset-graph builder rebuilds the separately built flag, wonderful
+    and toric graphs exactly: ids, edges, coset map and representatives."""
+    ctx = build_law("additive", 2, rational=True)
+    if kind == "flag":
+        datum = build_root_datum(case)
+        pairs = [(flag_gkm(datum, ctx), flag_graph_reference(datum))]
+    else:
+        sd = build_symmetric_datum(
+            *(_LINEAR_SYMPLECTIC if case == "linear-symplectic" else (case,))
+        )
+        model = build_wonderful_graph(sd, ctx)
+        x, y, root_edges, restricted_edges = wonderful_graphs_reference(sd)
+        assert (model.root_edge_count, model.restricted_edge_count) == (
+            root_edges, restricted_edges
+        )
+        pairs = [(model.x_graph, x), (model.y_graph, y)]
+    for graph, ref in pairs:
+        assert _graph_data(graph) == _reference_data(ref)
+
+
+def test_coset_graph_rejects_inconsistent_curves():
+    """Two characters on one vertex pair, or a curve from a vertex to
+    itself, are defects."""
+    ctx = build_law("additive", 2)
+    datum = build_root_datum("gl2")
+    weyl = datum.weyl()
+    identity, s = weyl[0].matrix, datum.reflection((1, -1))
+    for family in ([(s, (1, -1)), (s, (1, 0))], [(identity, (1, 0))]):
+        with pytest.raises(InternalConsistencyError):
+            coset_graph(ctx, datum, weyl, [identity], [family], "flag")
+
+
 def test_zero_edge_character_rejected():
     ctx = build_law("additive", 3)
     with pytest.raises(InternalConsistencyError):
@@ -206,7 +269,7 @@ def test_subring_ranks_match_classical_oracle():
             got = len(subring_basis(g, d))
             assert got == expected[(tag, d)]
             assert got == _classical_tuple_rank(oracle, d)
-            lengths = [len(w.word) for w in weyl_enumerate(datum)]
+            lengths = [len(w.word) for w in datum.weyl()]
             closed_form = sum(
                 _dim_forms(n, d - l) for l in lengths if l <= d
             )
@@ -427,54 +490,8 @@ def test_invariants_are_invariant():
         basis = invariants_basis(datum, ctx, d)
         assert any(f.homogeneous_degree() == 2 for f in basis), tag
         for f in basis:
-            for w in weyl_enumerate(datum):
+            for w in datum.weyl():
                 assert weyl_act(w, f, ctx, datum).equals_truncated(f), tag
-
-
-# -- flag ring approximation -----------------------------------------------------------
-
-
-def test_approx_flag_ring_univariate():
-    ctx = build_law("additive", 6)
-    ring = approx_flag_ring(4, 1, ctx)
-    t = GradedSeries.variable(0, 1, 6)
-    assert ring.reduce(t ** 4).is_zero()
-    assert ring.reduce(t ** 3) == t ** 3
-
-
-def test_approx_flag_ring_rank2():
-    ctx = build_law("additive", 6)
-    ring = approx_flag_ring(3, 2, ctx)
-    t1 = GradedSeries.variable(0, 2, 6)
-    t2 = GradedSeries.variable(1, 2, 6)
-    assert ring.reduce(t2 ** 3).is_zero()
-    # the defining relations themselves reduce to zero
-    for j, vars in ((0, [t1, t2]), (1, [t2])):
-        h = complete_homogeneous(ring.bounds[j], vars)
-        assert ring.reduce(h).is_zero()
-
-
-def test_approx_flag_ring_stability():
-    """Below degree N - n + 1 no relation fires: the reduction is the identity
-    on every monomial, so the truncated ring agrees with the free one there."""
-    ctx = build_law("additive", 6)
-    N, n = 5, 2
-    ring = approx_flag_ring(N, n, ctx)
-    for d in range(0, N - n + 1):
-        for mono in t_monomials(n, d):
-            f = GradedSeries(n, 6, {mono: {(): 1}})
-            assert ring.reduce(f) == f
-
-
-def test_approx_flag_ring_confluence():
-    ctx = build_law("additive", 8)
-    ring = approx_flag_ring(4, 2, ctx)
-    t1 = GradedSeries.variable(0, 2, 8)
-    t2 = GradedSeries.variable(1, 2, 8)
-    f = (t1 + t2) ** 4
-    g = t1 ** 4 + (t2 * t1) ** 2
-    assert ring.reduce(f + g) == ring.reduce(f) + ring.reduce(g)
-    assert ring.reduce(ring.reduce(f)) == ring.reduce(f)
 
 
 def test_degree_exceeds_precision():

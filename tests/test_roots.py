@@ -14,7 +14,6 @@ from cobcalc.roots import (
     build_symmetric_datum,
     product_datum,
     weyl_act,
-    weyl_enumerate,
 )
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
@@ -105,13 +104,13 @@ def test_simple_coordinates_expand_every_root(tag):
 def test_word_lengths_match_geometric_length(tag):
     datum = build_root_datum(tag)
     assert datum.order() <= 48
-    for w in weyl_enumerate(datum):
+    for w in datum.weyl():
         assert len(w.word) == datum.matrix_length(w)
 
 
 def test_bfs_words_are_lex_least():
     gl3 = build_root_datum("gl3")
-    words = {w.id_string() for w in weyl_enumerate(gl3)}
+    words = {w.id_string() for w in gl3.weyl()}
     assert words == {"e", "1", "2", "12", "21", "121"}
 
 
@@ -120,7 +119,7 @@ def test_weyl_act_permutes_variables_for_gl():
     gl3 = build_root_datum("gl3")
     rng = Random(4)
     f = random_homogeneous(rng, ctx, 3, 2)
-    for w in weyl_enumerate(gl3):
+    for w in gl3.weyl():
         g = weyl_act(w, f, ctx, gl3)
         # permutation of variables: same multiset of coefficients per degree
         assert sorted(sorted(c.items()) for c in g.terms.values()) == sorted(
@@ -131,7 +130,7 @@ def test_weyl_act_permutes_variables_for_gl():
 def test_weyl_act_identity_and_rank_check():
     ctx = build_law("additive", 4)
     gl2 = build_root_datum("gl2")
-    e = weyl_enumerate(gl2)[0]
+    e = gl2.weyl()[0]
     f = GradedSeries.variable(0, 2, 4)
     assert weyl_act(e, f, ctx, gl2) == f
     with pytest.raises(NVarsMismatchError):
@@ -142,7 +141,7 @@ def test_adjoint_a1_reflection_gives_inverse_class():
     # on the adjoint lattice s_alpha(x_alpha) is the inverse series of t
     ctx = build_law("universal:3", 4)
     a1 = build_root_datum("a1")
-    s = weyl_enumerate(a1)[1]
+    s = a1.weyl()[1]
     x_alpha = ctx.formal_sum((1,))
     got = weyl_act(s, x_alpha, ctx, a1)
     assert got == ctx.formal_sum((-1,))
@@ -153,7 +152,7 @@ def test_weyl_action_is_group_action():
     ctx = build_law("universal:4", 5)
     a2 = build_root_datum("a2")
     rng = Random(11)
-    weyl = weyl_enumerate(a2)
+    weyl = a2.weyl()
     for _ in range(6):
         f = random_homogeneous(rng, ctx, 2, rng.randint(1, 2))
         v = weyl[rng.randrange(len(weyl))]
@@ -168,7 +167,7 @@ def test_weyl_act_is_ring_homomorphism():
     ctx = build_law("universal:4", 5)
     b2 = build_root_datum("b2")
     rng = Random(13)
-    w = weyl_enumerate(b2)[5]
+    w = b2.weyl()[5]
     for _ in range(5):
         f = random_homogeneous(rng, ctx, 2, 1)
         g = random_homogeneous(rng, ctx, 2, 2)
