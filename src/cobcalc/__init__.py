@@ -16,6 +16,7 @@ from .errors import (
     NVarsMismatchError,
     PrecisionExhaustedError,
     PrecisionMismatchError,
+    PrecisionTooLargeError,
     PrecisionTooSmallError,
     RepeatedWeightError,
     UnsupportedTypeError,

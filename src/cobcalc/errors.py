@@ -13,6 +13,10 @@ class PrecisionTooSmallError(ConfigError):
     pass
 
 
+class PrecisionTooLargeError(ConfigError):
+    """A precision above what the packed series layout supports."""
+
+
 class InsufficientGeneratorsError(ConfigError):
     """A universal law was requested with too few coefficient generators to be
     faithful at the requested truncation degree."""

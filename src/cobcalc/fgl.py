@@ -95,8 +95,8 @@ def _solve_fixed_point(equation, start: GradedSeries, precision: int) -> GradedS
     for d in range(2, precision + 1):
         residual = equation(s)
         rd = residual.t_component(d)
-        if rd:
-            s = s - GradedSeries(1, precision, rd)
+        if not rd.is_zero():
+            s = s - rd
     return s
 
 
@@ -202,7 +202,7 @@ class FGLContext:
 
     def formal_sum(self, coeffs) -> GradedSeries:
         """The first Chern class x_chi of the character with these coordinates."""
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         got = self._fsum_cache.get(coeffs)
         if got is not None:
             return got
@@ -230,7 +230,7 @@ class FGLContext:
 
     def kappa_of_character(self, chi) -> GradedSeries:
         """kappa(x_chi), memoised per character."""
-        chi = tuple(int(c) for c in chi)
+        chi = tuple(map(int, chi))
         got = self._kappa_cache.get(chi)
         if got is None:
             got = Substitution([self.formal_sum(chi)]).apply(self.kappa)
@@ -262,7 +262,7 @@ class FGLContext:
         :class:`NotDivisibleError` reports the first degree at which the
         residual is not divisible by that linear form.
         """
-        chi = tuple(int(c) for c in chi)
+        chi = tuple(map(int, chi))
         if f.nvars != len(chi):
             raise NVarsMismatchError("character rank != series nvars")
         if f.precision < 1:
@@ -286,7 +286,7 @@ class FGLContext:
         divided once (see :class:`DividedDifference`).  Its results are those
         of :meth:`divide_by_character` on ``f - s(f)``."""
         chars = tuple(map(tuple, chars))
-        chi = tuple(int(c) for c in chi)
+        chi = tuple(map(int, chi))
         key = (chars, chi)
         got = self._dd_cache.get(key)
         if got is None:

@@ -336,22 +336,6 @@ def ambient_monomials(ctx, nvars: int, coh_degree: int) -> list[tuple]:
     return out
 
 
-def _coords(s: GradedSeries) -> dict:
-    """A series as sparse coordinates {(t-exponent, b-exponent): value}."""
-    return {(e, b): val for e, c in s.terms.items() for b, val in c.items()}
-
-
-def _remainder(g: GradedSeries) -> dict:
-    """Coordinates of the terms of g free of t1: its remainder modulo t1,
-    which after a character transform is the remainder modulo x_chi."""
-    return {
-        (e, b): val
-        for e, c in g.terms.items()
-        if e[0] == 0
-        for b, val in c.items()
-    }
-
-
 class TupleSystem:
     """Linear conditions on tuples of series, one per vertex, each an unknown
     combination of the monomials ``monos`` ((t-exponent, b-exponent) pairs);
@@ -365,7 +349,7 @@ class TupleSystem:
         self.nvertices = nvertices
         self.monos = list(monos)
         self.monomials = [
-            GradedSeries(nvars, ctx.precision, {t: {b: 1}})
+            GradedSeries.from_terms(nvars, ctx.precision, {t: {b: 1}})
             for t, b in self.monos
         ]
         self.rows: list[dict] = []
@@ -381,14 +365,17 @@ class TupleSystem:
         reduced once.
         """
         fwd = None if chi is None else self.ctx.character_transform(tuple(chi))
+        p = self.ctx.precision
         nm = len(self.monos)
         coords: dict = {}
         reduced: dict = {}
         for v, scale, images in parts:
             red = reduced.get(id(images))
             if red is None:
+                # modulo x_chi: the terms free of t1 after the character
+                # transform, which makes x_chi divisible by t1
                 red = reduced[id(images)] = [
-                    _coords(s) if fwd is None else _remainder(fwd.apply(s))
+                    s.coords(p) if fwd is None else fwd.apply(s).coords(p, free_of=0)
                     for s in images
                 ]
             for k, img in enumerate(red):
@@ -416,17 +403,19 @@ class TupleSystem:
             basis = kernel_int(dense, ncols)
         else:
             basis = kernel_rational(self.rows, ncols)
-        out = []
-        for vec in basis:
-            values = []
-            for v in range(self.nvertices):
-                terms: dict = {}
-                for (texp, bexp), c in zip(self.monos, vec[v * nm:(v + 1) * nm]):
-                    if c:
-                        terms.setdefault(texp, {})[bexp] = c
-                values.append(GradedSeries(self.nvars, self.ctx.precision, terms))
-            out.append(values)
-        return out
+        p = self.ctx.precision
+        labels = [label for m in self.monomials for label in m.coords(p)]
+        return [
+            [
+                GradedSeries.from_coords(
+                    self.nvars,
+                    p,
+                    {k: c for k, c in zip(labels, vec[v * nm:(v + 1) * nm]) if c},
+                )
+                for v in range(self.nvertices)
+            ]
+            for vec in basis
+        ]
 
 
 def subring_basis(graph: GKMGraph, d: int) -> list[GKMClass]:
@@ -529,14 +518,20 @@ def span_equal(a, b, over: str = "Q") -> bool:
     the same lattice (``over="Z"``, compared by canonical Hermite normal
     form)."""
 
+    def values(x):
+        return x.values if isinstance(x, GKMClass) else (x,)
+
+    # one label precision, so that equal labels name equal monomials
+    top = max((s.precision for x in [*a, *b] for s in values(x)), default=0)
+
     def coords(x):
         if isinstance(x, GKMClass):
             return {
-                (v,) + key: val
+                (v, key): val
                 for v, s in enumerate(x.values)
-                for key, val in _coords(s).items()
+                for key, val in s.coords(top).items()
             }
-        return _coords(x)
+        return x.coords(top)
 
     ca = [coords(x) for x in a]
     cb = [coords(x) for x in b]
@@ -577,8 +572,8 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
         for p in range(0, delta + 1):
             for ea in t_monomials(n, p):
                 for eb in t_monomials(n, delta - p):
-                    a = GradedSeries(n, graph.precision, {ea: {(): 1}})
-                    b = GradedSeries(n, graph.precision, {eb: {(): 1}})
+                    a = GradedSeries.from_terms(n, graph.precision, {ea: {(): 1}})
+                    b = GradedSeries.from_terms(n, graph.precision, {eb: {(): 1}})
                     images.append(tensor_to_gkm(TensorClass.of(a, b), graph))
         basis = subring_basis(graph, delta)
         same = span_equal(images, basis, over)

@@ -72,9 +72,9 @@ def random_homogeneous(
     if not terms:
         texp = random_composition(rng, degree, nvars)
         terms = {texp: {(): 1}}
-    return GradedSeries(nvars, ctx.precision, terms)
+    return GradedSeries.from_terms(nvars, ctx.precision, terms)
 
 
 def random_monomial_series(rng: Random, nvars: int, degree: int, precision: int):
     exp = random_composition(rng, degree, nvars)
-    return GradedSeries(nvars, precision, {exp: {(): 1}})
+    return GradedSeries.from_terms(nvars, precision, {exp: {(): 1}})

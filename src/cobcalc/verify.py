@@ -87,7 +87,7 @@ class RunConfig:
             "case": self.case,
             "rational": self.rational,
             "seed": self.seed,
-            "word": list(self.word),
+            "word": [i + 1 for i in self.word],
             "count": self.count,
         }
 
@@ -329,8 +329,14 @@ def suite_bott_samelson(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
     word = cfg.word_on(datum)
     # the point class alone has degree len(positive_roots)
-    needed = max(2, len(datum.positive_roots))
-    _require_degree(cfg, needed, f"the bott-samelson suite on {cfg.type_tag}")
+    positive = len(datum.positive_roots)
+    _require_degree(cfg, max(2, positive), f"the bott-samelson suite on {cfg.type_tag}")
+    # an explicit word that does not fit is a usage error, as for
+    # `schubert bott-samelson`; only the seeded default word is skipped
+    if word and cfg.degree < len(word) + positive:
+        raise ConfigError(
+            f"word of length {len(word)} needs precision >= {len(word) + positive}"
+        )
     ctx = cfg.context()
     graph = flag_gkm(datum, ctx)
     rng = Random(cfg.seed)
@@ -354,7 +360,14 @@ def suite_bott_samelson(cfg: RunConfig) -> dict:
     word = word or tuple(
         rng.randrange(datum.nsimple) for _ in range(2)
     )
-    if graph.precision >= len(word) + len(datum.positive_roots):
+    skipped = None
+    if graph.precision < len(word) + positive:
+        skipped = {
+            "checks": ["word_class_congruences", "edge_pair_constancy_after_step"],
+            "word": [i + 1 for i in word],
+            "reason": f"the seeded word needs precision >= {len(word) + positive}",
+        }
+    else:
         c = bott_samelson(word, graph)
         ok_member, witness = membership(c, graph)
         checks.append(
@@ -391,7 +404,10 @@ def suite_bott_samelson(cfg: RunConfig) -> dict:
         if not (lhs - rhs.truncate(lhs.precision)).is_zero():
             ok = False
     checks.append({"name": "compatible_with_tensor_model", "pass": ok})
-    return _report("bott-samelson", cfg, checks)
+    report = _report("bott-samelson", cfg, checks)
+    if skipped:
+        report["skipped"] = skipped
+    return report
 
 
 def suite_esph(cfg: RunConfig) -> dict:

@@ -45,6 +45,7 @@ from .oracles import (
     classical_divided_difference,
     engine_permutation,
     engine_series_to_poly,
+    nested,
     transposition,
 )
 
@@ -156,7 +157,7 @@ def test_criterion_03_demazure_contract():
     checked = 0
     for d in range(0, 6):
         for e in _monomials(2, d):
-            f = GradedSeries(2, 5, {e: {(): 1}})
+            f = GradedSeries.from_terms(2, 5, {e: {(): 1}})
             got = demazure(f, 0, addctx, datum)
             oracle = classical_divided_difference(Poly({e: 1}), alpha, perm)
             assert engine_series_to_poly(got) == -oracle
@@ -278,7 +279,7 @@ def test_criterion_09_specialization_coherence():
         for _ in range(25):
             f = random_homogeneous(rng, uctx, datum.rank, rng.randint(1, 4),
                                    b_free=True)
-            fa = GradedSeries(datum.rank, 5, dict(f.terms))
+            fa = GradedSeries.from_terms(datum.rank, 5, nested(f))
             for beta in datum.positive_roots:
                 s = datum.reflection_element(beta)
                 qu = uctx.divide_by_character(

@@ -229,10 +229,14 @@ def _gl2_class(precision=5, t=(1, 0), b=(), c="1"):
         _gl2_class(t=(1.0, 0)),
         _gl2_class(b=(-1,)),
         _gl2_class(t=(3, 3)),
+        _gl2_class(b=(1024,)),
+        _gl2_class(b=(0,) * 1023 + (1,)),
+        _gl2_class(precision=10**9),
     ],
     ids=["missing", "empty", "wrong-nvars", "text-precision", "zero-denominator",
          "negative-precision", "long-exponent", "negative-exponent",
-         "float-exponent", "negative-b-exponent", "above-precision"],
+         "float-exponent", "negative-b-exponent", "above-precision",
+         "b-weight-past-packing", "b-index-past-packing", "precision-past-packing"],
 )
 def test_gkm_verify_bad_class_file(tmp_path, capsys, content):
     path = tmp_path / "class.json"
@@ -244,6 +248,14 @@ def test_gkm_verify_bad_class_file(tmp_path, capsys, content):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_class_file_heavy_b_weight_is_packed_wider(tmp_path, capsys):
+    # b1^40 weighs more than the narrowest layout holds: the series is packed
+    # in a wider one, not refused, and the class (constant) is a member
+    code, out, err = _gkm_verify_gl2(tmp_path, capsys, _gl2_class(b=(40,)))
+    assert code == 0, err
+    assert json.loads(out)["checks"][0]["pass"]
 
 
 def _gkm_verify_gl2(tmp_path, capsys, content):
@@ -375,7 +387,7 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("command", ["compute", "schubert"])
+@pytest.mark.parametrize("command", ["compute", "schubert", "verify"])
 def test_word_too_long_for_degree_is_usage_error(capsys, command):
     code, out, err = run_cli(
         capsys, command, "bott-samelson", "--type", "gl3", "--word", "1,2,1",
@@ -383,6 +395,40 @@ def test_word_too_long_for_degree_is_usage_error(capsys, command):
     )
     assert code == 2 and out == ""
     assert err == "error: word of length 3 needs precision >= 6\n"
+
+
+def test_verify_bott_samelson_reports_a_skipped_seeded_word(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "bott-samelson", "--type", "gl3", "--law", "additive",
+        "--degree", "4",
+    )
+    assert code == 0
+    report = json.loads(out)
+    names = [c["name"] for c in report["checks"]]
+    assert "word_class_congruences" not in names
+    assert report["skipped"]["checks"] == [
+        "word_class_congruences", "edge_pair_constancy_after_step",
+    ]
+    assert report["skipped"]["reason"] == "the seeded word needs precision >= 5"
+    code, out, _ = run_cli(
+        capsys, "verify", "bott-samelson", "--type", "gl3", "--law", "additive",
+        "--degree", "5",
+    )
+    report = json.loads(out)
+    assert code == 0 and "skipped" not in report
+    assert "word_class_congruences" in [c["name"] for c in report["checks"]]
+
+
+def test_config_word_is_one_based(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "bott-samelson", "--type", "gl3", "--law", "additive",
+        "--degree", "5", "--word", "1,2",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["word"] == [1, 2]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["word_class_congruences"]["word"] == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -501,5 +547,21 @@ def test_no_private_attribute_access_across_objects():
         and node.attr.startswith("_")
         and not (node.attr.startswith("__") and node.attr.endswith("__"))
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert found == []
+
+
+def test_only_the_series_module_reads_packed_keys():
+    # the key layout is private to cobcalc.series: every other module, and
+    # every test, goes through the tuple view or the opaque coords labels
+    packed = {"packed", "packed_in", "packed_sorted", "layout"}
+    package = Path(cobcalc.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "series.py"]
+    paths += Path(__file__).parent.glob("*.py")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(paths)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in packed
     ]
     assert found == []

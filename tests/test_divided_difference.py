@@ -16,7 +16,7 @@ from cobcalc.schubert import demazure, kappa_of_character
 from cobcalc.series import Divisor, GradedSeries
 from cobcalc.verify import RunConfig, suite_lemma_div
 
-from .oracles import random_homogeneous_reference
+from .oracles import nested, random_homogeneous_reference
 
 D = 5
 LAWS = ("additive", "multiplicative", "universal:4")
@@ -48,7 +48,9 @@ def _inputs(rng, ctx, datum, rational):
         out.append(f)
     # terms above the context's precision are dropped, as in f - w(f)
     high = (D + 1,) + (0,) * (n - 1), (1,) * (n - 1) + (D + 2 - (n - 1),)
-    out.append(GradedSeries(n, D + 2, {**f.terms, **{e: {(): 1} for e in high}}))
+    out.append(
+        GradedSeries.from_terms(n, D + 2, {**nested(f), **{e: {(): 1} for e in high}})
+    )
     out += [f.truncate(D - 2), f.truncate(1)]
     out += [GradedSeries.zero(n, D), GradedSeries.zero(n, 2)]
     return out
@@ -164,8 +166,8 @@ def test_random_homogeneous_matches_reference(law, precision, nvars, b_free):
             f = random_homogeneous(rng, ctx, nvars, degree, **kwargs)
             g = random_homogeneous_reference(ref_rng, ctx, nvars, degree, **kwargs)
             assert f.precision == g.precision
-            assert list(f.terms.items()) == list(g.terms.items())
-            assert [list(c.items()) for c in f.terms.values()] == [
-                list(c.items()) for c in g.terms.values()
+            assert list(nested(f).items()) == list(nested(g).items())
+            assert [list(c.items()) for c in nested(f).values()] == [
+                list(c.items()) for c in nested(g).values()
             ]
             assert rng.getstate() == ref_rng.getstate()

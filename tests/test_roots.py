@@ -18,6 +18,8 @@ from cobcalc.roots import (
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
 
+from .oracles import nested
+
 
 @pytest.mark.parametrize(
     "tag,order,npos",
@@ -122,8 +124,8 @@ def test_weyl_act_permutes_variables_for_gl():
     for w in gl3.weyl():
         g = weyl_act(w, f, ctx, gl3)
         # permutation of variables: same multiset of coefficients per degree
-        assert sorted(sorted(c.items()) for c in g.terms.values()) == sorted(
-            sorted(c.items()) for c in f.terms.values()
+        assert sorted(sorted(c.items()) for c in nested(g).values()) == sorted(
+            sorted(c.items()) for c in nested(f).values()
         )
 
 

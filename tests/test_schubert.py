@@ -116,7 +116,7 @@ def test_additive_demazure_is_minus_classical(tag):
             for e in _monomials(n, d)
         ]
         for e in exps:
-            f = GradedSeries(n, 5, {e: {(): 1}})
+            f = GradedSeries.from_terms(n, 5, {e: {(): 1}})
             got = demazure(f, i, ctx, datum)
             oracle = classical_divided_difference(
                 Poly({e: 1}), alpha, perm

@@ -1,4 +1,3 @@
-import copy
 import json
 from fractions import Fraction
 from random import Random
@@ -24,6 +23,8 @@ from cobcalc.series import (
     elementary_symmetric,
 )
 
+from .oracles import nested
+
 
 def var(i, n=2, p=5):
     return GradedSeries.variable(i, n, p)
@@ -37,7 +38,7 @@ def test_add_cancellation():
 def test_mul_basic():
     t1, t2 = var(0), var(1)
     prod = t1 * t2
-    assert prod.terms == {(1, 1): {(): 1}}
+    assert nested(prod) == {(1, 1): {(): 1}}
     assert prod.precision == 5
 
 
@@ -45,7 +46,7 @@ def test_product_of_chern_classes_is_monomial():
     ctx = build_law("universal:2", 3)
     x1 = ctx.formal_sum((1, 0))
     x2 = ctx.formal_sum((0, 1))
-    assert (x1 * x2).terms == {(1, 1): {(): 1}}
+    assert nested(x1 * x2) == {(1, 1): {(): 1}}
 
 
 def test_precision_rules():
@@ -200,7 +201,7 @@ def test_formal_sum_linear_term():
     for _ in range(10):
         coeffs = tuple(rng.randint(-3, 3) for _ in range(3))
         x = ctx.formal_sum(coeffs)
-        linear = {e: c for e, c in x.terms.items() if sum(e) == 1}
+        linear = {e: c for e, c in nested(x).items() if sum(e) == 1}
         expected = {
             tuple(1 if j == i else 0 for j in range(3)): {(): c}
             for i, c in enumerate(coeffs)
@@ -269,14 +270,14 @@ def test_lemma_div_property_b2_g2():
 
 def const(c, p=4):
     """A constant series in one variable with coefficient dict ``c``."""
-    return GradedSeries(1, p, {(0,): c})
+    return GradedSeries.from_terms(1, p, {(0,): c})
 
 
 def test_mixed_length_b_exponents_multiply():
     # 2 b1 * 5 b3 = 10 b1 b3, keys trimmed to different lengths
-    assert (const({(1,): 2}) * const({(0, 0, 1): 5})).terms == {(0,): {(1, 0, 1): 10}}
+    assert nested(const({(1,): 2}) * const({(0, 0, 1): 5})) == {(0,): {(1, 0, 1): 10}}
     t = GradedSeries.variable(0, 1, 4)
-    assert (t.scale({(1,): 2}) * t.scale({(): 3, (0, 1): 1})).terms == {
+    assert nested(t.scale({(1,): 2}) * t.scale({(): 3, (0, 1): 1})) == {
         (2,): {(1,): 6, (1, 1): 2}
     }
 
@@ -304,13 +305,13 @@ def test_b2_not_divisible_by_b1():
 def test_specialize_b_zero_keeps_the_b_free_part():
     t = GradedSeries.variable(0, 1, 4)
     f = t.scale({(): 4, (1,): 7}) + (t * t).scale({(2,): 1})
-    assert f.specialize_b_zero().terms == {(1,): {(): 4}}
+    assert nested(f.specialize_b_zero()) == {(1,): {(): 4}}
 
 
 def test_wire_format_normalises_integral_fractions():
     row = {"t": [1], "b": [1, 0], "c": "4/2"}
     f = GradedSeries.from_json({"nvars": 1, "precision": 3, "terms": [row]})
-    assert f.terms == {(1,): {(1,): 2}}
+    assert nested(f) == {(1,): {(1,): 2}}
     assert f.to_json(2)["terms"] == [{"t": [1], "b": [1, 0], "c": "2"}]
     # b1 written with and without a trailing zero is one monomial
     rows = [{"t": [1], "b": [1, 0], "c": "2"}, {"t": [1], "b": [1], "c": "-2"}]
@@ -340,30 +341,30 @@ _texps = st.tuples(st.integers(0, PREC), st.integers(0, PREC)).filter(
     lambda e: sum(e) <= PREC
 )
 series = st.dictionaries(_texps, _coeffs, max_size=4).map(
-    lambda terms: GradedSeries(NV, PREC, terms)
+    lambda terms: GradedSeries.from_terms(NV, PREC, terms)
 )
 
 
 @PROPERTY
 @given(series, series, series)
 def test_ring_laws(f, g, h):
-    before = [copy.deepcopy(x.terms) for x in (f, g, h)]
+    before = [nested(x) for x in (f, g, h)]
     assert (f * g) * h == f * (g * h)
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
     assert (f + g) - g == f
-    # results may share coefficient dicts with their inputs, never change them
-    assert [x.terms for x in (f, g, h)] == before
+    # results never change their inputs
+    assert [nested(x) for x in (f, g, h)] == before
 
 
 def _with_leading_coefficient(g: GradedSeries, c: dict) -> GradedSeries:
     """g with the coefficient of the lex-leading term of its lowest
     component replaced by c (g = c * t1 when g is zero)."""
     if g.is_zero():
-        return GradedSeries(NV, PREC, {(1, 0): c})
+        return GradedSeries.from_terms(NV, PREC, {(1, 0): c})
     m = g.order()
-    lead = max(e for e in g.terms if sum(e) == m)
-    return GradedSeries(NV, PREC, {**g.terms, lead: c})
+    lead = max(e for e in nested(g) if sum(e) == m)
+    return GradedSeries.from_terms(NV, PREC, {**nested(g), lead: c})
 
 
 _monomial_coeffs = _coeffs.filter(lambda c: len(c) == 1)
@@ -380,14 +381,14 @@ divisors = st.one_of(
 @PROPERTY
 @given(series, divisors, st.booleans(), st.integers(1, 3))
 @example(  # (b1 + 2) * t1
-    f=GradedSeries(NV, PREC, {(1, 1): {(1,): 3, (): -1}, (0, 2): {(): 2}}),
-    g=GradedSeries(NV, PREC, {(1, 0): {(1,): 1, (): 2}}),
+    f=GradedSeries.from_terms(NV, PREC, {(1, 1): {(1,): 3, (): -1}, (0, 2): {(): 2}}),
+    g=GradedSeries.from_terms(NV, PREC, {(1, 0): {(1,): 1, (): 2}}),
     rational=False,
     den=1,
 )
 @example(  # 3 * b1 * t1 + t2^2
-    f=GradedSeries(NV, PREC, {(2, 0): {(1,): 1}, (1, 1): {(): 2}}),
-    g=GradedSeries(NV, PREC, {(1, 0): {(1,): 3}, (0, 2): {(): 1}}),
+    f=GradedSeries.from_terms(NV, PREC, {(2, 0): {(1,): 1}, (1, 1): {(): 2}}),
+    g=GradedSeries.from_terms(NV, PREC, {(1, 0): {(1,): 3}, (0, 2): {(): 1}}),
     rational=True,
     den=2,
 )
@@ -395,11 +396,11 @@ def test_divide_exact_inverts_multiplication(f, g, rational, den):
     if rational:
         f = f.scale(Fraction(1, den))
     product = f * g
-    before = copy.deepcopy(product.terms)
+    before = nested(product)
     q = divide_exact(product, g, rational=rational)
     assert q == f.truncate(q.precision)
     assert divide_exact(product, Divisor(g), rational=rational) == q
-    assert product.terms == before
+    assert nested(product) == before
 
 
 @PROPERTY
