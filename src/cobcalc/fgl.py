@@ -200,12 +200,36 @@ class FGLContext:
         self._k_cache[k] = out
         return out
 
+    def _once_per_sorted_character(self, cache: dict, chi, compute) -> GradedSeries:
+        """``cache[chi]``, computed once per sorted character: ``compute(chi)``
+        when chi's coordinates descend (ties by index), else the series of
+        the sorted character with its variables renamed.  This is exact: a
+        formal sum does not depend on the order of its summands, the law is
+        exactly commutative and associative as a truncated series, and
+        truncation commutes with substituting images of positive order."""
+        chi = tuple(map(int, chi))
+        got = cache.get(chi)
+        if got is None:
+            order = sorted(range(len(chi)), key=lambda i: (-chi[i], i))
+            if order == list(range(len(chi))):
+                got = compute(chi)
+            else:
+                ordered = [chi[i] for i in order]
+                src = sorted(range(len(chi)), key=order.__getitem__)
+                got = self._once_per_sorted_character(cache, ordered, compute)
+                got = got.rename(src)
+            cache[chi] = got
+        return got
+
     def formal_sum(self, coeffs) -> GradedSeries:
-        """The first Chern class x_chi of the character with these coordinates."""
-        coeffs = tuple(map(int, coeffs))
-        got = self._fsum_cache.get(coeffs)
-        if got is not None:
-            return got
+        """The first Chern class x_chi of the character with these
+        coordinates, the iterated formal sum of the ``[chi_i](t_i)``,
+        computed once per sorted character."""
+        return self._once_per_sorted_character(
+            self._fsum_cache, coeffs, self._iterated_sum
+        )
+
+    def _iterated_sum(self, coeffs: tuple) -> GradedSeries:
         n = len(coeffs)
         p = self.precision
         acc = GradedSeries.zero(n, p)
@@ -214,7 +238,6 @@ class FGLContext:
                 continue
             xi = self.k_series(c).substitute([GradedSeries.variable(i, n, p)])
             acc = xi if acc.is_zero() else self.group_law.substitute([acc, xi])
-        self._fsum_cache[coeffs] = acc
         return acc
 
     def substitution(self, chars) -> Substitution:
@@ -229,13 +252,13 @@ class FGLContext:
         return got
 
     def kappa_of_character(self, chi) -> GradedSeries:
-        """kappa(x_chi), memoised per character."""
-        chi = tuple(map(int, chi))
-        got = self._kappa_cache.get(chi)
-        if got is None:
-            got = Substitution([self.formal_sum(chi)]).apply(self.kappa)
-            self._kappa_cache[chi] = got
-        return got
+        """kappa(x_chi), computed once per sorted character and memoised per
+        character."""
+        return self._once_per_sorted_character(
+            self._kappa_cache,
+            chi,
+            lambda c: Substitution([self.formal_sum(c)]).apply(self.kappa),
+        )
 
     # -- division by a character class ----------------------------------------
 

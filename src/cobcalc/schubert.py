@@ -46,7 +46,7 @@ def _simple_index(datum: RootDatum, alpha) -> int:
 
 def kappa_of_character(ctx, chi) -> GradedSeries:
     """kappa(x_chi), a homogeneous degree -1 series in the lattice variables,
-    computed once per law context and character."""
+    computed once per law context and sorted character."""
     return ctx.kappa_of_character(chi)
 
 

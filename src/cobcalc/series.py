@@ -600,6 +600,36 @@ class GradedSeries:
         terms = {k: v for k, v in self.packed.items() if not k & m}
         return _finish(self.nvars, self.precision, self.layout, terms)
 
+    def rename(self, src) -> "GradedSeries":
+        """The series with ``t_{src[j]+1}`` renamed ``t_{j+1}``: the
+        t-exponents ``e`` of a term become ``(e[src[0]], ..., e[src[n-1]])``.
+        ``src`` is a permutation of ``range(nvars)``; the identity returns
+        the series itself.  Precision, layout and b-parts are kept."""
+        n = self.nvars
+        src = tuple(src)
+        if sorted(src) != list(range(n)):
+            raise ValueError(f"{src} is not a permutation of range({n})")
+        lay = self.layout
+        fields, m, bmask = lay.tfields, lay.tmask, lay.bmask
+        moves = [(fields[s], fields[j]) for j, s in enumerate(src) if s != j]
+        if not moves:
+            return self
+        # the moved fields are cleared, then refilled from their sources;
+        # the t-degree field stays
+        keep = ~sum(m << s for s, _ in moves)
+        renamed: dict = {}  # t-part of a key -> that of its renamed key
+        terms = {}
+        for k, v in self.packed.items():
+            tk = k & ~bmask
+            nt = renamed.get(tk)
+            if nt is None:
+                nt = tk & keep
+                for s, d in moves:
+                    nt |= ((tk >> s) & m) << d
+                renamed[tk] = nt
+            terms[nt | (k & bmask)] = v
+        return GradedSeries(n, self.precision, lay, terms)
+
     # -- substitution --------------------------------------------------------
 
     def substitute(self, images: list["GradedSeries"]) -> "GradedSeries":

@@ -40,7 +40,6 @@ from .wonderful import (
     group_psl2_projective_model,
     invariant_subring_X,
     invariant_tuple_basis,
-    naive_presentation_report,
     verify_esph,
 )
 
@@ -448,12 +447,6 @@ def suite_esph(cfg: RunConfig) -> dict:
         checks.append(
             {"name": "projective_route_agrees", "pass": ok, "degrees": detail}
         )
-        naive = naive_presentation_report(model)
-        naive["note"] = (
-            "recorded only; the displayed presentations are not asserted"
-        )
-        checks.append({"name": "naive_presentations", "pass": True,
-                       "recorded": naive})
     return _report("esph", cfg, checks)
 
 

@@ -27,7 +27,6 @@ from .gkm import (
     TupleSystem,
     ambient_monomials,
     coset_graph,
-    constant_class,
     membership,
     span_equal,
 )
@@ -300,29 +299,3 @@ def group_psl2_projective_model(model: WonderfulModel):
     )
     report["edges_match_wonderful"] = set(graph.edges) == set(x.edges)
     return graph, zeta, report
-
-
-def naive_presentation_report(model: WonderfulModel) -> dict:
-    """Record (without asserting) whether the literal polynomial relations of
-    the rank-one worked example vanish on the moment-graph tuples: on X the
-    square of x^2 - t1^2 t2^2 and on Y the square of x - t1 t2, with x read as
-    the tautological hyperplane tuple and t_i as constants."""
-    graph, zeta, _ = group_psl2_projective_model(model)
-    ctx = model.ctx
-    n = graph.nvars
-    p = ctx.precision
-    t1 = GradedSeries.variable(0, n, p)
-    t2 = GradedSeries.variable(1, n, p)
-    t1sq_t2sq = t1 * t1 * t2 * t2
-    x_expr = zeta * zeta - constant_class(graph, t1sq_t2sq)
-    x_rel = x_expr * x_expr
-    y_vertices = [graph.ids.index(model.y_graph.ids[i])
-                  for i in range(model.y_graph.nvertices)]
-    y_vals = []
-    for v in y_vertices:
-        expr = zeta.values[v] - t1 * t2
-        y_vals.append(expr * expr)
-    return {
-        "x_relation_literal_zero": x_rel.is_zero(),
-        "y_relation_literal_zero": all(s.is_zero() for s in y_vals),
-    }

@@ -3,10 +3,13 @@
 Everything here is plain arithmetic over Fractions, sharing no code path with
 the package: dict-based multivariate polynomials, lex long division,
 permutation actions built from first principles, and dense rational row
-reduction.  There are two exceptions.  ``BasisChangeDivider``, the slow
+reduction.  The exceptions follow.  ``BasisChangeDivider``, the slow
 reference for division by a character class, is built from the package's own
-series, substitutions and basis completion.  ``random_homogeneous_reference``,
-the old one-term-at-a-time sample construction, adds the package's series.
+series, substitutions and basis completion.  ``formal_sum_reference`` and
+``kappa_of_character_reference`` compute x_chi and kappa(x_chi) character by
+character from the package's law and substitution.
+``random_homogeneous_reference``, the old one-term-at-a-time sample
+construction, adds the package's series.
 ``kernel_int_reference`` and ``span_equal_int_reference`` (the old lattice
 kernel and the old lattice comparison by membership) run the dense integer
 column echelon kept here, which the package no longer has.
@@ -459,6 +462,27 @@ class BasisChangeDivider:
             {(e[0] - 1,) + e[1:]: c for e, c in terms.items()},
         )
         return self.back.apply(shifted)
+
+
+# -- x_chi and kappa(x_chi) character by character ----------------------------
+
+
+def formal_sum_reference(ctx, chi) -> GradedSeries:
+    """x_chi as ``FGLContext.formal_sum`` computed it for every character
+    before it computed once per sorted character: the group law iterated
+    over chi's coordinates in their own order."""
+    n, p = len(chi), ctx.precision
+    acc = GradedSeries.zero(n, p)
+    for i, c in enumerate(chi):
+        if c:
+            xi = ctx.k_series(c).substitute([GradedSeries.variable(i, n, p)])
+            acc = xi if acc.is_zero() else ctx.group_law.substitute([acc, xi])
+    return acc
+
+
+def kappa_of_character_reference(ctx, chi) -> GradedSeries:
+    """kappa(x_chi) by one substitution of the reference x_chi into kappa."""
+    return Substitution([formal_sum_reference(ctx, chi)]).apply(ctx.kappa)
 
 
 # -- seeded samples, one term at a time ---------------------------------------

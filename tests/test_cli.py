@@ -101,8 +101,22 @@ def test_symmetric_verify(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["pass"]
-    names = {c["name"] for c in report["checks"]}
-    assert "naive_presentations" in names
+
+
+@pytest.mark.parametrize(
+    "alias, command, flags",
+    [
+        (["symmetric", "verify"], ["verify", "esph"],
+         ["--case", "group:psl2", "--law", "universal:3", "--degree", "3", "--rational"]),
+        (["schubert", "bott-samelson"], ["compute", "bott-samelson"],
+         ["--type", "gl3", "--law", "universal:4", "--degree", "5", "--word", "1,2"]),
+    ],
+    ids=["symmetric-verify", "schubert-bott-samelson"],
+)
+def test_alias_prints_the_same_stdout(capsys, alias, command, flags):
+    code, out, _ = run_cli(capsys, *alias, *flags)
+    assert code == 0 and out
+    assert run_cli(capsys, *command, *flags)[:2] == (code, out)
 
 
 def test_schubert_bott_samelson_artifact(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -18,9 +19,14 @@ from cobcalc.fgl import (
 )
 from cobcalc.roots import build_root_datum
 from cobcalc.sampling import random_homogeneous
-from cobcalc.series import GradedSeries, Substitution
+from cobcalc.series import Divisor, GradedSeries, Substitution, divide_exact
 
-from .oracles import BasisChangeDivider, nested
+from .oracles import (
+    BasisChangeDivider,
+    formal_sum_reference,
+    kappa_of_character_reference,
+    nested,
+)
 
 
 def test_law_spec_parsing():
@@ -243,6 +249,47 @@ def test_kappa_of_character_is_memoised():
         assert theirs == Substitution([other.formal_sum(chi)]).apply(other.kappa)
         assert theirs is not got
     assert kappa_of_character(ctx, chi) is got
+
+
+# characters with repeated or non-unit coordinates, besides the roots
+_UNSORTED_CHARACTERS = [(2, -1, 0), (1, 1, -2), (0, 0, 3), (-1, 2), (0, -2, 1, 1)]
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["Z", "Q"])
+@pytest.mark.parametrize(
+    "law", ["additive", "multiplicative", "multiplicative:3", "universal:4"]
+)
+def test_sorted_character_route_matches_the_per_character_route(law, rational):
+    """x_chi and kappa(x_chi), computed once per sorted character and renamed,
+    and the quotients of division by x_chi equal those of the per-character
+    route, on the roots of gl2-gl4, psl3, b2 and g2 and on characters with
+    repeated or non-unit coordinates.  One context serves every character,
+    so most of them take a sorted character's series from the memo."""
+    ctx = build_law(law, 5, rational=rational)
+    rng = Random(f"{law}/{rational}")
+    chars = [
+        c
+        for tag in ("gl2", "gl3", "gl4", "psl3", "b2", "g2")
+        for b in build_root_datum(tag).positive_roots
+        for c in (b, tuple(-x for x in b))
+    ]
+    seen = {"quotient": 0, "not divisible": 0}
+    for chi in chars + _UNSORTED_CHARACTERS:
+        x_chi = formal_sum_reference(ctx, chi)
+        assert ctx.formal_sum(chi) == x_chi, chi
+        assert ctx.kappa_of_character(chi) == kappa_of_character_reference(ctx, chi), chi
+        if gcd(*chi) != 1:
+            continue
+        n = len(chi)
+        exact = random_homogeneous(rng, ctx, n, rng.randint(0, 3)) * x_chi
+        for f in (exact, exact + random_homogeneous(rng, ctx, n, rng.randint(1, 4))):
+            got = _division_outcome(lambda g: ctx.divide_by_character(g, chi), f)
+            expected = _division_outcome(
+                lambda g: divide_exact(g, Divisor(x_chi), rational=True), f
+            )
+            assert got == expected, (chi, f)
+            seen[got[0]] += 1
+    assert all(seen.values()), seen
 
 
 def test_substitution_is_memoised_per_characters(monkeypatch):

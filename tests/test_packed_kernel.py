@@ -281,3 +281,60 @@ def test_precisions_in_different_layouts_meet():
         assert _same(subst.apply(h), ref.apply(to_tuple(h)))
     q = divide_exact(x * g, x)
     assert _same(q, tuple_divide_exact(to_tuple(x * g), to_tuple(x)))
+
+
+# -- renaming the variables ----------------------------------------------------
+
+
+def _renamed(terms: dict, src) -> dict:
+    return {tuple(t[s] for s in src): c for t, c in terms.items()}
+
+
+@SETTINGS
+@given(st.data())
+def test_rename_permutes_the_t_exponents(data):
+    nvars = data.draw(st.integers(1, 4))
+    p = data.draw(st.integers(0, 12))
+    ngens = data.draw(st.sampled_from(NGENS))
+    fractions = data.draw(st.booleans())
+    f = GradedSeries.from_terms(nvars, p, data.draw(_terms(nvars, p, ngens, fractions)))
+    src = data.draw(st.permutations(range(nvars)))
+    g = f.rename(src)
+    assert nested(g) == _renamed(nested(f), src)
+    kept = (f.nvars, f.precision, f.order(), f.homogeneous_degree())
+    assert (g.nvars, g.precision, g.order(), g.homogeneous_degree()) == kept
+    inverse = sorted(range(nvars), key=src.__getitem__)
+    assert g.rename(inverse) == f
+
+
+def test_rename_keeps_a_homogeneous_series_and_the_identity_keeps_itself():
+    f = build_law("universal:4", 5).formal_sum((1, 0, -1))
+    assert f.rename((0, 1, 2)) is f
+    g = f.rename((2, 0, 1))
+    assert nested(g) == _renamed(nested(f), (2, 0, 1))
+    assert (g.precision, g.order(), g.homogeneous_degree()) == (5, 1, 1)
+    for bad in ((0, 0, 1), (0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            f.rename(bad)
+
+
+def test_rename_of_a_wide_series():
+    # b-weight 20 is above the bound 15 of the layout of precision 4
+    f = GradedSeries.from_terms(
+        3, 4, {(1, 0, 2): {(20,): 1, (): 2}, (0, 1, 0): {(0, 1): 3}}
+    )
+    g = GradedSeries.from_terms(3, 4, {(0, 0, 1): {(4,): 1}, (1, 0, 0): {(): -1}})
+    r = f.rename((2, 0, 1))
+    assert nested(r) == {(2, 1, 0): {(20,): 1, (): 2}, (0, 0, 1): {(0, 1): 3}}
+    assert _same(r * g, to_tuple(r) * to_tuple(g))
+    assert _same(g * r + r, to_tuple(g) * to_tuple(r) + to_tuple(r))
+
+
+def test_a_renamed_copy_sorts_its_own_terms():
+    f = build_law("universal:4", 5).formal_sum((1, -1, 0))
+    g = GradedSeries.variable(0, 3, 5)
+    # the longer factor keeps its sorted terms from its second product on
+    first = f * g
+    assert f * g == first
+    r = f.rename((1, 2, 0))
+    assert _same(r * g, to_tuple(r) * to_tuple(g))

@@ -15,7 +15,6 @@ from cobcalc.wonderful import (
     invariant_subring_X,
     invariant_subring_Y,
     invariant_tuple_basis,
-    naive_presentation_report,
     projective_space_model,
     verify_esph,
 )
@@ -200,14 +199,6 @@ def test_projective_route_matches_reduced_subring(psl2):
         ]
         via_reduced = invariant_subring_X(model, m)
         assert span_equal(via_projective, via_reduced)
-
-
-def test_naive_presentation_recorded(psl2):
-    ctx = build_law("additive", 3, rational=True)
-    model = build_wonderful_graph(psl2, ctx)
-    report = naive_presentation_report(model)
-    assert set(report) == {"x_relation_literal_zero", "y_relation_literal_zero"}
-    # recorded, not asserted: both booleans are data, not requirements
 
 
 def test_specialization_reduces_universal_bases_to_additive(psl2):
