@@ -4,7 +4,6 @@ symmetric varieties of minimal rank."""
 
 from .errors import (
     CobcalcError,
-    CoefficientModeError,
     ConfigError,
     ConstantTermError,
     InsufficientGeneratorsError,

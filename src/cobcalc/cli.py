@@ -2,8 +2,10 @@
 
 Machine-readable JSON goes to stdout (and to ``--out`` when given); human
 summaries go to stderr.  Exit codes: 0 all checks passed, 1 a verification
-failed, 2 usage or configuration error.  Every flag can be defaulted through
-an environment variable with the ``COBCALC_`` prefix (e.g. ``COBCALC_LAW``).
+failed, 2 usage or configuration error.  Every option can be defaulted
+through an environment variable with the ``COBCALC_`` prefix (e.g.
+``COBCALC_LAW``).  Commands: ``fgl check``, ``verify SUITE``, ``compute
+{subring-basis,invariants}``, ``schubert bott-samelson`` and ``gkm verify``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import sys
 
 from .errors import (
     CobcalcError,
-    CoefficientModeError,
     ConfigError,
+    InsufficientGeneratorsError,
     InvolutionError,
     NotMinimalRankError,
     PrecisionExhaustedError,
@@ -41,7 +43,6 @@ from .verify import RunConfig, SUITES, run_suite, suite_fgl_check
 _CONFIG_ERRORS = (
     ConfigError,
     UnsupportedTypeError,
-    CoefficientModeError,
     NotMinimalRankError,
     InvolutionError,
     RepeatedWeightError,
@@ -62,26 +63,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _truth(text: str) -> bool:
-    try:
-        return {"0": False, "1": True, "false": False, "true": True}[text.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"expected 0, 1, true or false, got {text!r}"
-        ) from None
-
-
-class _Flag(argparse.Action):
-    """``store_true`` whose default may be the text of an environment
-    variable, read by ``_truth``."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, type=_truth, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True)
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--law", default=_env("law", "universal:4"),
                    help="additive | multiplicative[:beta] | universal:N")
@@ -89,8 +70,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="root datum tag (gl2, gl3, a2, b2, g2, psl2xpsl2, ...)")
     p.add_argument("--degree", type=int, default=_env("degree", 5),
                    help="working degree (see each subcommand)")
-    p.add_argument("--rational", action=_Flag, default=_env("rational", False),
-                   help="compute with rational coefficients")
     p.add_argument("--seed", type=int, default=_env("seed", 0))
     p.add_argument("--out", default=_env("out"),
                    help="also write the JSON artifact to this path")
@@ -123,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("compute", help="compute a JSON artifact")
-    p.add_argument("what", choices=("bott-samelson", "subring-basis", "invariants"))
+    p.add_argument("what", choices=("subring-basis", "invariants"))
     _add_common(p)
 
     p = sub.add_parser("schubert", help="Schubert calculus commands")
@@ -134,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gkm", help="moment graph commands")
     gkm_sub = p.add_subparsers(dest="subcommand", required=True)
     _add_common(gkm_sub.add_parser("verify", help="check graph/class congruences"))
-
-    p = sub.add_parser("symmetric", help="wonderful symmetric variety commands")
-    sym_sub = p.add_subparsers(dest="subcommand", required=True)
-    _add_common(sym_sub.add_parser("verify",
-                                   help="compare the invariant subring routes"))
     return parser
 
 
@@ -158,7 +132,6 @@ def _config(args) -> RunConfig:
         degree=args.degree,
         type_tag=args.type_tag,
         case=args.case,
-        rational=args.rational,
         seed=args.seed,
         word=_parse_word(args.word),
         count=args.count,
@@ -203,12 +176,16 @@ def _cmd_bott_samelson(cfg: RunConfig) -> dict:
 
 
 def _cmd_compute(args, cfg: RunConfig) -> dict:
-    if args.what == "bott-samelson":
-        return _cmd_bott_samelson(cfg)
     if cfg.degree < 0:
         raise ConfigError(f"--degree must be >= 0, got {cfg.degree}")
     datum = build_root_datum(cfg.type_tag)
-    ctx = build_law(cfg.law_spec(), max(5, cfg.degree), rational=cfg.rational)
+    precision = max(5, cfg.degree)
+    try:
+        ctx = build_law(cfg.law_spec(), precision)
+    except InsufficientGeneratorsError as exc:
+        raise InsufficientGeneratorsError(
+            f"{exc} (compute works at precision max(5, --degree) = {precision})"
+        ) from None
     if args.what == "subring-basis":
         graph = flag_gkm(datum, ctx)
         basis = [c.to_json() for c in subring_basis(graph, cfg.degree)]
@@ -304,8 +281,6 @@ def main(argv=None) -> int:
             report = _cmd_bott_samelson(cfg)
         elif args.command == "gkm":
             report = _cmd_gkm(args, cfg)
-        elif args.command == "symmetric":
-            report = run_suite("esph", cfg)
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command!r}")
         _emit(report, args.out)

@@ -66,10 +66,6 @@ class InvolutionError(CobcalcError):
     pass
 
 
-class CoefficientModeError(CobcalcError):
-    pass
-
-
 class PrecisionExhaustedError(CobcalcError):
     pass
 

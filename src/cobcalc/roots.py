@@ -57,12 +57,6 @@ class WeylElement:
     def compose(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(mat_mul(self.matrix, other.matrix), self.word + other.word)
 
-    def length(self) -> int:
-        return len(self.word)
-
-    def is_identity(self) -> bool:
-        return self.matrix == _identity(len(self.matrix))
-
     def id_string(self) -> str:
         return "e" if not self.word else "".join(str(i + 1) for i in self.word)
 
@@ -186,25 +180,6 @@ class RootDatum:
 
     def order(self) -> int:
         return len(self.weyl())
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "rank": self.rank,
-            "adjoint": self.adjoint,
-            "simple_roots": [list(a) for a in self.simple_roots],
-            "simple_coroots": [list(a) for a in self.simple_coroots],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "RootDatum":
-        return RootDatum(
-            obj["label"],
-            obj["rank"],
-            obj["simple_roots"],
-            obj["simple_coroots"],
-            obj["adjoint"],
-        )
 
     def matrix_length(self, w: WeylElement) -> int:
         """#{positive roots sent to negative ones} (the geometric length)."""
@@ -410,9 +385,6 @@ class SymmetricDatum:
         d = self.datum
         return d.simple_reflections[i].compose(d.reflection_element(talpha))
 
-    def restricted_basis(self) -> tuple:
-        return tuple(gamma for gamma, _, _ in self.restricted)
-
     def counts(self) -> dict:
         return {
             "rank": self.datum.rank,
@@ -421,15 +393,6 @@ class SymmetricDatum:
             "w_L_order": len(self.w_L),
             "w_GK_order": len(self.w_GK),
             "restricted_rank": len(self.restricted),
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "datum": self.datum.to_json(),
-            "theta": [list(r) for r in self.theta],
-            "levi_simples": list(self.delta_L),
-            "restricted_basis": [list(g) for g in self.restricted_basis()],
         }
 
 

@@ -2,7 +2,7 @@
 
 A :class:`GradedSeries` is a finite sum of terms ``c * b^k * t^e`` with
 ``t^e = t1^e1 ... tn^en``, ``b^k`` a monomial in the coefficient generators
-``b1, b2, ...`` and ``c`` a nonzero int (a Fraction in rational mode).
+``b1, b2, ...`` and ``c`` a nonzero int or Fraction.
 ``b_i`` has cohomological degree ``-i``, and the *weight* of ``b^k`` is
 ``sum(i * k_i)``.
 
@@ -893,15 +893,10 @@ class Divisor:
                 return None
         return b - self.lead_b
 
-    def quotient_value(self, v, rational: bool):
-        """``v / lead_v``, or None when that is not an integer and not
-        ``rational``."""
+    def quotient_value(self, v):
+        """``v / lead_v``: an int when it is one, else a Fraction."""
         q, r = divmod(v, self.lead_v)
-        if r:
-            if not rational:
-                return None
-            q = Fraction(v, self.lead_v)
-        return q
+        return Fraction(v, self.lead_v) if r else q
 
 
 def _add_product(group: dict, e: int, c1: dict, c2: dict, guard: int) -> None:
@@ -926,9 +921,7 @@ def _add_product(group: dict, e: int, c1: dict, c2: dict, guard: int) -> None:
         del group[e]
 
 
-def divide_exact(
-    f: GradedSeries, g: GradedSeries | Divisor, rational: bool = False
-) -> GradedSeries:
+def divide_exact(f: GradedSeries, g: GradedSeries | Divisor) -> GradedSeries:
     """Return q with ``q * g == f`` through degree ``min(prec f, prec g) - order(g)``.
 
     ``g`` is a series or a :class:`Divisor` prepared from one.  The
@@ -939,9 +932,10 @@ def divide_exact(
     denominator of kappa), each step divides a whole coefficient of f by it;
     otherwise each step divides one term, in the order of (t-exponent,
     b-monomial) keys.  Both orders are monomial orders, so in the domain
-    Z[t, b] (Q[t, b] when ``rational``) either way succeeds exactly when the
-    division is exact, and the first failing step certifies
-    non-divisibility.  :class:`NotDivisibleError` carries its degree: the
+    Q[t, b] either way succeeds exactly when the division is exact, and the
+    first failing step certifies non-divisibility.  A quotient value is an
+    int wherever the leading value divides it, so integral quotients keep
+    int coefficients.  :class:`NotDivisibleError` carries its degree: the
     lowest degree at which f minus (quotient so far) * g has a component
     that the lowest component of g does not divide.
     """
@@ -964,7 +958,7 @@ def divide_exact(
         if div.layout is not lay:
             div = Divisor(div.series, lay)
         try:
-            terms = _long_divide(f.packed_in(lay), div, horizon, rational)
+            terms = _long_divide(f.packed_in(lay), div, horizon)
         except _Overflow:
             # a partial product passed the weight bound: widen and redo
             lay = _common(lay, lay, 1 << lay.bw)
@@ -972,7 +966,7 @@ def divide_exact(
         return _finish(f.nvars, out_prec, lay, terms)
 
 
-def _long_divide(terms: dict, div: Divisor, horizon: int, rational: bool) -> dict:
+def _long_divide(terms: dict, div: Divisor, horizon: int) -> dict:
     """The quotient terms of :func:`divide_exact`, for numerator terms in
     the divisor's layout."""
     lay = div.layout
@@ -1032,22 +1026,22 @@ def _long_divide(terms: dict, div: Divisor, horizon: int, rational: bool) -> dic
                 src = {}
                 for b, v in c.items():
                     bq = div.quotient_b(b)
-                    qv = div.quotient_value(v, rational)
-                    if bq is None or qv is None:
+                    if bq is None:
                         raise NotDivisibleError(
                             f"coefficient not divisible at degree {degree}",
                             degree=degree,
                         )
+                    qv = div.quotient_value(v)
                     q_terms[base + bq] = qv
                     src[bq] = -qv
             else:
                 b = max(c)
                 bq = div.quotient_b(b)
-                qv = div.quotient_value(c[b], rational)
-                if bq is None or qv is None:
+                if bq is None:
                     raise NotDivisibleError(
                         f"coefficient not divisible at degree {degree}", degree=degree
                     )
+                qv = div.quotient_value(c[b])
                 q_terms[base + bq] = qv
                 src = {bq: -qv}
                 # cancels the (e, b) term; e stays pending while it has more
@@ -1075,7 +1069,7 @@ class DividedDifference:
     coefficients of f times the images of its monomials.  Truncation
     commutes with the long division, so one memo serves every input
     precision, and the result is the one of
-    ``divide_exact(f - s(f), g, rational=True)``.  When some monomial
+    ``divide_exact(f - s(f), g)``.  When some monomial
     difference is not divisible by g, as when s is not the reflection in
     g's character, :meth:`apply` divides the whole difference instead, so a
     :class:`NotDivisibleError` carries the degree that division reports; it
@@ -1103,14 +1097,11 @@ class DividedDifference:
         lay = self._lay
         t, _ = lay.unpack(tp << lay.tshift)
         mono = GradedSeries.from_terms(self.nvars, self.precision, {t: {(): 1}})
-        q = self._divide(mono - self.subst.apply(mono))
+        q = divide_exact(mono - self.subst.apply(mono), self.divisor)
         if q.layout is not lay:
             raise _Overflow
         got = self._memo[tp] = _image(q.packed, lay)
         return got
-
-    def _divide(self, diff: GradedSeries) -> GradedSeries:
-        return divide_exact(diff, self.divisor, rational=True)
 
     def apply(self, f: GradedSeries) -> GradedSeries:
         if f.nvars != self.nvars:
@@ -1132,7 +1123,7 @@ class DividedDifference:
                 pass
             else:
                 return _finish(self.nvars, top, lay, terms)
-        return self._divide(f - self.subst.apply(f))
+        return divide_exact(f - self.subst.apply(f), self.divisor)
 
 
 # -- symmetric functions -------------------------------------------------------

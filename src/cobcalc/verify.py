@@ -52,7 +52,6 @@ class RunConfig:
     degree: int = 5
     type_tag: str = "gl2"
     case: str = "group:psl2"
-    rational: bool = False
     seed: int = 0
     word: tuple = ()
     count: int = 200
@@ -61,12 +60,8 @@ class RunConfig:
     def law_spec(self) -> LawSpec:
         return LawSpec.parse(self.law)
 
-    def context(self, rational: bool | None = None):
-        return build_law(
-            self.law_spec(),
-            self.degree,
-            rational=self.rational if rational is None else rational,
-        )
+    def context(self):
+        return build_law(self.law_spec(), self.degree)
 
     def word_on(self, datum) -> tuple:
         """The word, checked letter by letter against the simple roots."""
@@ -84,7 +79,6 @@ class RunConfig:
             "degree": self.degree,
             "type": self.type_tag,
             "case": self.case,
-            "rational": self.rational,
             "seed": self.seed,
             "word": [i + 1 for i in self.word],
             "count": self.count,
@@ -411,7 +405,7 @@ def suite_bott_samelson(cfg: RunConfig) -> dict:
 
 def suite_esph(cfg: RunConfig) -> dict:
     sd = build_symmetric_datum(cfg.case)
-    ctx = cfg.context(rational=True)
+    ctx = cfg.context()
     model = build_wonderful_graph(sd, ctx)
     checks = []
     counts = model.counts()

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import (
-    CoefficientModeError,
     PrecisionExhaustedError,
     RepeatedWeightError,
     UnsupportedTypeError,
@@ -96,8 +95,6 @@ def invariant_subring_X(
     ``impose_root_edges=True`` to check that imposing them changes nothing).
     """
     ctx = model.ctx
-    if not ctx.rational:
-        raise CoefficientModeError("invariant subrings are computed rationally")
     if degree > ctx.precision:
         raise PrecisionExhaustedError("degree exceeds working precision")
     sd = model.sd
@@ -133,8 +130,6 @@ def invariant_tuple_basis(
     under the group generated by ``generators`` acting by
     (w f)_v = w(f at w^{-1} v)."""
     ctx = graph.ctx
-    if not ctx.rational:
-        raise CoefficientModeError("invariant subrings are computed rationally")
     datum = graph.datum
     system = TupleSystem(
         ctx, graph.nvars, graph.nvertices, ambient_monomials(ctx, graph.nvars, degree)
@@ -161,8 +156,6 @@ def _w_theta_generators(sd: SymmetricDatum) -> list[WeylElement]:
 def invariant_subring_Y(model: WonderfulModel, degree: int) -> list[GradedSeries]:
     """Invariant classes on the toric subgraph, restricted at the base point."""
     ctx = model.ctx
-    if not ctx.rational:
-        raise CoefficientModeError("invariant subrings are computed rationally")
     if degree > ctx.precision:
         raise PrecisionExhaustedError("degree exceeds working precision")
     basis = invariant_tuple_basis(
@@ -179,11 +172,7 @@ def verify_esph(model: WonderfulModel, degree: int) -> dict:
     * full invariant tuples on the X-graph restricted at the base point,
     * invariant tuples on the toric subgraph restricted at the base point.
     """
-    ctx = model.ctx
-    if not ctx.rational:
-        raise CoefficientModeError("the comparison is a rational statement")
-    sd = model.sd
-    datum = sd.datum
+    datum = model.sd.datum
     report = {"degrees": [], "pass": True}
     for m in range(0, degree + 1):
         reduced = invariant_subring_X(model, m)

@@ -956,20 +956,13 @@ class TupleDivisor:
             return None
         return _trim(tuple(map(sub, b, lead)) + b[len(lead):])
 
-    def quotient_value(self, v, rational: bool):
-        """``v / lead_v``, or None when that is not an integer and not
-        ``rational``."""
+    def quotient_value(self, v):
+        """``v / lead_v``: an int when it is one, else a Fraction."""
         q, r = divmod(v, self.lead_v)
-        if r:
-            if not rational:
-                return None
-            q = Fraction(v, self.lead_v)
-        return q
+        return Fraction(v, self.lead_v) if r else q
 
 
-def tuple_divide_exact(
-    f: TupleSeries, g: TupleSeries | TupleDivisor, rational: bool = False
-) -> TupleSeries:
+def tuple_divide_exact(f: TupleSeries, g: TupleSeries | TupleDivisor) -> TupleSeries:
     """Return q with ``q * g == f`` through degree ``min(prec f, prec g) - order(g)``.
 
     ``g`` is a series or a :class:`Divisor` prepared from one.  The
@@ -979,9 +972,8 @@ def tuple_divide_exact(
     (as for every character class x_chi and the denominator of kappa), each
     step divides a whole coefficient of f by it; otherwise each step divides
     one term, in lex order on (t-exponent, b-exponent).  In the domain
-    Z[t, b] (Q[t, b] when ``rational``) either way succeeds exactly when the
-    division is exact, so the first failing step certifies
-    non-divisibility.  :class:`NotDivisibleError` carries its degree: the
+    Q[t, b] either way succeeds exactly when the division is exact, so the
+    first failing step certifies non-divisibility.  :class:`NotDivisibleError` carries its degree: the
     lowest degree at which f minus (quotient so far) * g has a component
     that the lowest component of g does not divide.
     """
@@ -1047,22 +1039,21 @@ def tuple_divide_exact(
                 q = q_terms[eq] = {}
                 for b, v in c.items():
                     bq = div.quotient_b(b)
-                    qv = div.quotient_value(v, rational)
-                    if bq is None or qv is None:
+                    if bq is None:
                         raise NotDivisibleError(
                             f"coefficient not divisible at degree {degree}",
                             degree=degree,
                         )
-                    q[bq] = qv
+                    q[bq] = div.quotient_value(v)
                 src = {b: -v for b, v in q.items()}
             else:
                 b = max(c)
                 bq = div.quotient_b(b)
-                qv = div.quotient_value(c[b], rational)
-                if bq is None or qv is None:
+                if bq is None:
                     raise NotDivisibleError(
                         f"coefficient not divisible at degree {degree}", degree=degree
                     )
+                qv = div.quotient_value(c[b])
                 q_terms.setdefault(eq, {})[bq] = qv
                 src = {bq: -qv}
                 # cancels the (e, b) term; e stays pending while it has more
@@ -1089,7 +1080,7 @@ class TupleDividedDifference:
     memoises monomial images; :meth:`apply` sums the coefficients of f times
     the images of its monomials.  Truncation commutes with the long
     division, so one memo serves every input precision, and the result is
-    the one of ``tuple_divide_exact(f - s(f), g, rational=True)``.  When some
+    the one of ``tuple_divide_exact(f - s(f), g)``.  When some
     monomial difference is not divisible by g, as when s is not the
     reflection in g's character, :meth:`apply` divides the whole difference
     instead, so a :class:`NotDivisibleError` carries the degree that
@@ -1113,12 +1104,9 @@ class TupleDividedDifference:
         got = self._memo.get(exp)
         if got is None:
             mono = TupleSeries(self.nvars, self.precision, {exp: {(): 1}})
-            got = self._divide(mono - self.subst.apply(mono))
+            got = tuple_divide_exact(mono - self.subst.apply(mono), self.divisor)
             self._memo[exp] = got
         return got
-
-    def _divide(self, diff: TupleSeries) -> TupleSeries:
-        return tuple_divide_exact(diff, self.divisor, rational=True)
 
     def apply(self, f: TupleSeries) -> TupleSeries:
         if f.nvars != self.nvars:
@@ -1133,5 +1121,5 @@ class TupleDividedDifference:
         try:
             terms = _sum_images(f, self._monomial_image, p, top)
         except NotDivisibleError:
-            return self._divide(f - self.subst.apply(f))
+            return tuple_divide_exact(f - self.subst.apply(f), self.divisor)
         return TupleSeries(self.nvars, top, terms)

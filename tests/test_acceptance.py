@@ -223,7 +223,7 @@ def test_criterion_07_esph():
     start = time.monotonic()
     sd = build_symmetric_datum("group:psl2")
     for law in ("additive", "universal:3"):
-        ctx = build_law(law, 3, rational=True)
+        ctx = build_law(law, 3)
         model = build_wonderful_graph(sd, ctx)
         report = verify_esph(model, 3)
         assert report["pass"], (law, report)
@@ -255,7 +255,7 @@ def test_criterion_08_structural_counts():
     a2 = flag_gkm(build_root_datum("a2"), ctx)
     assert a2.nvertices == 6 and len(a2.edges) == 9
     sd = build_symmetric_datum("group:a1")
-    model = build_wonderful_graph(sd, build_law("additive", 3, rational=True))
+    model = build_wonderful_graph(sd, build_law("additive", 3))
     counts = model.counts()
     assert counts["x_vertices"] == 4 and counts["x_edges"] == 6
     assert counts["y_vertices"] == 2 and counts["y_edges"] == 1
@@ -315,8 +315,8 @@ def test_criterion_09_specialization_coherence():
 
     # wonderful-variety subring bases specialize to the additive bases
     sd = build_symmetric_datum("group:a1")
-    u3 = build_law("universal:3", 3, rational=True)
-    a3 = build_law("additive", 3, rational=True)
+    u3 = build_law("universal:3", 3)
+    a3 = build_law("additive", 3)
     um = build_wonderful_graph(sd, u3)
     am = build_wonderful_graph(sd, a3)
     for m in range(0, 4):
@@ -355,7 +355,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
         out = str(tmp_path / f"bs-{label}.json")
         code = cli_main(
             [
-                "compute", "bott-samelson", "--type", "gl3",
+                "schubert", "bott-samelson", "--type", "gl3",
                 "--law", "universal:4", "--degree", "5", "--word", "1,2",
                 "--out", out,
             ]

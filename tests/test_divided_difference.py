@@ -61,7 +61,7 @@ def _inputs(rng, ctx, datum, rational):
 @pytest.mark.parametrize("tag", ["gl3", "b2", "g2"])
 def test_divided_difference_matches_direct_division(tag, law, rational):
     datum = build_root_datum(tag)
-    ctx = build_law(law, D, rational=rational)
+    ctx = build_law(law, D)
     rng = Random(f"{tag}-{law}-{rational}")
     inputs = _inputs(rng, ctx, datum, rational)
     for beta in datum.positive_roots:
@@ -136,9 +136,9 @@ def test_lemma_div_divides_each_monomial_once(monkeypatch):
         counts["divide_by_character"] += 1
         return by_character(self, f, chi)
 
-    def counting_divide_exact(f, g, rational=False):
+    def counting_divide_exact(f, g):
         counts["by_character_class"] += isinstance(g, Divisor)
-        return divide_exact(f, g, rational)
+        return divide_exact(f, g)
 
     monkeypatch.setattr(FGLContext, "divide_by_character", counting_by_character)
     monkeypatch.setattr(series, "divide_exact", counting_divide_exact)

@@ -219,7 +219,7 @@ _LINEAR_SYMPLECTIC = (build_root_datum("a3"), [[1, -1, 0], [0, -1, 0], [0, -1, 1
 def test_coset_graphs_match_reference(kind, case):
     """One coset-graph builder rebuilds the separately built flag, wonderful
     and toric graphs exactly: ids, edges, coset map and representatives."""
-    ctx = build_law("additive", 2, rational=True)
+    ctx = build_law("additive", 2)
     if kind == "flag":
         datum = build_root_datum(case)
         pairs = [(flag_gkm(datum, ctx), flag_graph_reference(datum))]

@@ -210,9 +210,8 @@ _POLYNOMIAL = st.sampled_from([{(1,): 1, (): 2}, {(2,): 1, (0, 1): -3}])
 
 
 @SETTINGS
-@given(_pair(max_precision=8), st.one_of(_MONOMIAL, _POLYNOMIAL), st.booleans(),
-       st.booleans())
-def test_divide_exact_matches_the_tuple_kernel(pair, lead, rational, exact):
+@given(_pair(max_precision=8), st.one_of(_MONOMIAL, _POLYNOMIAL), st.booleans())
+def test_divide_exact_matches_the_tuple_kernel(pair, lead, exact):
     """Quotients and NotDivisibleError degrees, with a leading coefficient
     of one b-monomial (whole-coefficient steps) or not (one term a step)."""
     f, g = pair
@@ -225,11 +224,10 @@ def test_divide_exact_matches_the_tuple_kernel(pair, lead, rational, exact):
     if exact:
         f = f * g
     pf, pg = from_tuple(f), from_tuple(g)
-    got = _outcome(lambda: divide_exact(pf, pg, rational=rational), nested)
-    assert got == _outcome(lambda: tuple_divide_exact(f, g, rational=rational),
-                           lambda q: q.terms)
+    got = _outcome(lambda: divide_exact(pf, pg), nested)
+    assert got == _outcome(lambda: tuple_divide_exact(f, g), lambda q: q.terms)
     prepared = Divisor(pg)
-    assert _outcome(lambda: divide_exact(pf, prepared, rational=rational), nested) == got
+    assert _outcome(lambda: divide_exact(pf, prepared), nested) == got
 
 
 # -- the bounds of the packing ----------------------------------------------------

@@ -188,7 +188,7 @@ def test_group_case_psl2():
     assert counts["w_L_order"] == 1
     assert counts["w_GK_order"] == 2
     assert counts["w_theta_order"] == 2
-    assert sd.restricted_basis() == ((1, -1),)
+    assert [gamma for gamma, _, _ in sd.restricted] == [(1, -1)]
     assert sd.sigma_L == ()
 
 
@@ -234,20 +234,8 @@ def test_custom_swap_equals_group_case():
     assert sd.counts()["w_GK_order"] == 6
 
 
-def test_root_datum_json_roundtrip():
-    from cobcalc.roots import RootDatum
-
-    for tag in ("gl3", "b2", "psl2xpsl2"):
-        datum = build_root_datum(tag)
-        back = RootDatum.from_json(datum.to_json())
-        assert back.simple_roots == datum.simple_roots
-        assert back.order() == datum.order()
-        assert back.positive_roots == datum.positive_roots
-
-
-def test_symmetric_datum_json():
+def test_symmetric_datum_group_psl2():
     sd = build_symmetric_datum("group:psl2")
-    blob = sd.to_json()
-    assert blob["restricted_basis"] == [[1, -1]]
-    assert blob["theta"] == [[0, 1], [1, 0]]
-    assert blob["datum"]["rank"] == 2
+    assert [gamma for gamma, _, _ in sd.restricted] == [(1, -1)]
+    assert sd.theta == ((0, 1), (1, 0))
+    assert sd.datum.rank == 2
