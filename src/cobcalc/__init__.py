@@ -61,8 +61,8 @@ from .schubert import (
     sw_linearity_check,
 )
 from .series import (
-    DividedDifference,
     GradedSeries,
+    MonomialMap,
     Substitution,
     complete_homogeneous,
     divide_exact,

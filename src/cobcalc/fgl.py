@@ -24,8 +24,15 @@ from .errors import (
     PrecisionExhaustedError,
     PrecisionTooSmallError,
 )
-from .linalg import require_primitive, unimodular_with_first_column
-from .series import DividedDifference, Divisor, GradedSeries, Substitution, divide_exact
+from .linalg import require_primitive
+from .series import (
+    Divisor,
+    GradedSeries,
+    MonomialMap,
+    Substitution,
+    divide_exact,
+    remainder,
+)
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,10 @@ class FGLContext:
         self._k_cache: dict[int, GradedSeries] = {}
         self._fsum_cache: dict = {}
         self._subst_cache: dict = {}
-        self._char_cache: dict = {}
         self._divisor_cache: dict = {}
         self._kappa_cache: dict = {}
         self._dd_cache: dict = {}
+        self._remainder_cache: dict = {}
 
     # -- construction -------------------------------------------------------
 
@@ -261,18 +268,6 @@ class FGLContext:
 
     # -- division by a character class ----------------------------------------
 
-    def character_transform(self, chi: tuple) -> Substitution:
-        """The change of lattice basis that makes the primitive character
-        chi the first basis character: ``t_i -> x_{c_i}`` for the columns
-        ``c_i`` of ``U^-1``, where U is unimodular with first column chi.
-        A series divisible by x_chi maps to one divisible by ``t1``."""
-        got = self._char_cache.get(chi)
-        if got is None:
-            _, uinv = unimodular_with_first_column(chi)
-            got = self.substitution(zip(*uinv))
-            self._char_cache[chi] = got
-        return got
-
     def divide_by_character(self, f: GradedSeries, chi) -> GradedSeries:
         """Exact division of f by x_chi for a primitive character chi.
 
@@ -301,19 +296,35 @@ class FGLContext:
             self._divisor_cache[chi] = div
         return div
 
-    def divided_difference(self, chars, chi) -> DividedDifference:
+    def divided_difference(self, chars, chi) -> MonomialMap:
         """The operator ``f -> (f - s(f)) / x_chi`` for the substitution
         ``s: t_i -> x_{chars[i]}`` and a primitive character chi, memoised per
         tuple of characters and chi, so the quotient of each t-monomial is
-        divided once (see :class:`DividedDifference`).  Its results are those
-        of :meth:`divide_by_character` on ``f - s(f)``."""
+        divided once (see :class:`MonomialMap`).  Its results are those of
+        :meth:`divide_by_character` on ``f - s(f)``."""
         chars = tuple(map(tuple, chars))
         chi = tuple(map(int, chi))
         key = (chars, chi)
         got = self._dd_cache.get(key)
         if got is None:
-            got = DividedDifference(self.substitution(chars), self._divisor(chi))
-            self._dd_cache[key] = got
+            subst, div = self.substitution(chars), self._divisor(chi)
+            got = self._dd_cache[key] = MonomialMap(
+                lambda f: divide_exact(f - subst.apply(f), div),
+                len(chi), min(subst.precision, div.precision), div.order,
+            )
+        return got
+
+    def remainder_map(self, chi) -> MonomialMap:
+        """The remainder modulo x_chi for a primitive character chi (see
+        :func:`series.remainder`), memoised per chi: it is linear over the
+        coefficient ring, so each t-monomial is reduced once.  It is zero
+        exactly when x_chi divides the series."""
+        chi = tuple(map(int, chi))
+        got = self._remainder_cache.get(chi)
+        if got is None:
+            div = self._divisor(chi)
+            got = MonomialMap(lambda f: remainder(f, div), len(chi), div.precision, 0)
+            self._remainder_cache[chi] = got
         return got
 
 

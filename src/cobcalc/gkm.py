@@ -364,7 +364,7 @@ class TupleSystem:
         in sorted order and drops zero rows; each distinct images list is
         reduced once.
         """
-        fwd = None if chi is None else self.ctx.character_transform(tuple(chi))
+        reduce = None if chi is None else self.ctx.remainder_map(chi).apply
         p = self.ctx.precision
         nm = len(self.monos)
         coords: dict = {}
@@ -372,11 +372,10 @@ class TupleSystem:
         for v, scale, images in parts:
             red = reduced.get(id(images))
             if red is None:
-                # modulo x_chi: the terms free of t1 after the character
-                # transform, which makes x_chi divisible by t1
+                # modulo x_chi: the remainder of the long division by x_chi,
+                # which is zero exactly when x_chi divides
                 red = reduced[id(images)] = [
-                    s.coords(p) if fwd is None else fwd.apply(s).coords(p, free_of=0)
-                    for s in images
+                    (s if reduce is None else reduce(s)).coords(p) for s in images
                 ]
             for k, img in enumerate(red):
                 col = v * nm + k

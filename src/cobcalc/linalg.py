@@ -19,9 +19,8 @@ span, built by inserting sparse generators one at a time into a reduced
 echelon form; ``span_equal_int`` compares two integer spans by it, and
 ``span_equal_rational`` compares rational spans by rank.
 
-``unimodular_with_first_column`` completes a primitive character to a basis
-of the lattice by integer row operations and returns the change of basis
-together with its inverse.
+``require_primitive`` refuses a character whose entries have a common
+factor: division by a character class is defined only for primitive ones.
 """
 
 from __future__ import annotations
@@ -514,7 +513,7 @@ def span_equal_rational(vs: list, ws: list, dim: int) -> bool:
     return rank_int(list(vs) + list(ws)) == rv
 
 
-# -- unimodular basis completion -----------------------------------------------
+# -- primitive characters ------------------------------------------------------
 
 
 def require_primitive(alpha: Vec) -> None:
@@ -525,50 +524,3 @@ def require_primitive(alpha: Vec) -> None:
             f"character {tuple(alpha)} is not primitive; divisibility by its "
             "class is defined only for primitive characters"
         )
-
-
-def unimodular_with_first_column(alpha: Vec):
-    """An integer matrix U with det +-1 whose first column is ``alpha``, and
-    its inverse: the pair ``(U, U^-1)``.
-
-    Requires ``alpha`` primitive.  Deterministic: built from a fixed sequence
-    of extended-gcd row operations.
-    """
-    n = len(alpha)
-    require_primitive(alpha)
-    # Row-reduce alpha to e1 by unimodular row ops, tracking their product M,
-    # so M alpha = e1 and U = M^{-1} has first column alpha.  U is built
-    # alongside by the inverse column op of each row op: if M' = E M then
-    # U' = U E^{-1}.
-    a = list(alpha)
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    u = [row[:] for row in m]
-
-    def rowop(i, j, q):
-        # row_i -= q * row_j on a and m; col_j += q * col_i on u
-        a[i] -= q * a[j]
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        for row in u:
-            row[j] += q * row[i]
-
-    def rowswap(i, j):
-        a[i], a[j] = a[j], a[i]
-        m[i], m[j] = m[j], m[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-
-    pivot = 0
-    for i in range(1, n):
-        while a[i] != 0:
-            if a[pivot] == 0 or abs(a[i]) < abs(a[pivot]):
-                rowswap(pivot, i)
-                continue
-            rowop(i, pivot, a[i] // a[pivot])
-    if a[pivot] < 0:
-        a[pivot] = -a[pivot]
-        m[pivot] = [-x for x in m[pivot]]
-        for row in u:
-            row[pivot] = -row[pivot]
-    if a[pivot] != 1 or any(a[1:]):
-        raise InternalConsistencyError("primitive reduction failed")
-    return u, m

@@ -35,11 +35,13 @@ add / sub           min of the inputs
 mul                 min of the inputs
 substitute          min over the series and all images
 divide_exact(f, g)  min(prec f, prec g) - order(g)
+remainder(f, g)     min(prec f, prec g)
 divided difference  min(prec f, prec images) - 1
 ==================  ======================================
 
-The divided difference is ``(f - s(f)) / x_chi`` (:class:`DividedDifference`),
-with x_chi (of order 1) at the precision of the images of s.
+The divided difference is ``(f - s(f)) / x_chi``, with x_chi (of order 1)
+at the precision of the images of s; it and the remainder modulo x_chi are
+memoised per t-monomial by :class:`MonomialMap`.
 
 Comparing two series of different precision raises
 :class:`PrecisionMismatchError`; truncate explicitly first.  This is what
@@ -406,26 +408,21 @@ class GradedSeries:
             t, b = unpack(k)
             yield t, b, v
 
-    def coords(self, precision: int | None = None, free_of: int | None = None) -> dict:
-        """The terms as sparse coordinates ``{label: value}``, optionally
-        only those free of the variable ``t_{free_of+1}``.  A label is an
-        opaque int naming the monomial; labels sort, and they agree between
-        series of one nvars taken at one ``precision`` (by default the
-        series' own; at least it), as long as their b-weights are at most
-        precision + 1."""
+    def coords(self, precision: int | None = None) -> dict:
+        """The terms as sparse coordinates ``{label: value}``.  A label is
+        an opaque int naming the monomial; labels sort, and they agree
+        between series of one nvars taken at one ``precision`` (by default
+        the series' own; at least it), as long as their b-weights are at
+        most precision + 1."""
         lay = self.layout
         if precision is not None and (precision != self.precision or lay.wide):
             lay = _layout(self.nvars, precision)
         try:
-            terms = self.packed_in(lay)
+            return dict(self.packed_in(lay))
         except _Overflow:
             raise ValueError(
                 f"a b-weight above {lay.bound} has no label at precision {precision}"
             ) from None
-        if free_of is None:
-            return dict(terms)
-        s, m = lay.tfields[free_of], lay.tmask
-        return {k: v for k, v in terms.items() if not (k >> s) & m}
 
     @staticmethod
     def from_coords(nvars: int, precision: int, coords: dict) -> "GradedSeries":
@@ -836,16 +833,18 @@ class Substitution:
 
 class Divisor:
     """A nonzero series g prepared for use as the divisor of
-    :func:`divide_exact`: its order, the leading term of its lowest
-    component (greatest t-exponent in lex order, then greatest b-monomial in
-    key order), the other terms of that component, and the higher terms
-    grouped by t-degree, each as ``(t-part, {b-part: value})`` pairs of
-    packed keys in ``layout``.  Preparing once pays off when one series
-    divides many numerators, as each character class x_chi does."""
+    :func:`divide_exact` and :func:`remainder`: its order, the leading term
+    of its lowest component (greatest t-exponent in lex order), the other
+    terms of that component, and the higher terms grouped by t-degree, each
+    as ``(t-part, {b-part: value})`` pairs of packed keys in ``layout``.
+    The leading coefficient must be one b-monomial, as for every character
+    class x_chi and the denominator of kappa; any other raises
+    ``ValueError``.  Preparing once pays off when one series divides many
+    numerators, as each character class x_chi does."""
 
     __slots__ = (
         "series", "layout", "nvars", "precision", "order", "lead_t", "lead_nz",
-        "lead_b", "lead_bnz", "lead_v", "lead_c", "whole", "rest", "high",
+        "lead_b", "lead_bnz", "lead_v", "rest", "high",
     )
 
     def __init__(self, g: GradedSeries, lay: _Layout | None = None):
@@ -870,14 +869,15 @@ class Divisor:
             for s in lay.tfields
             if (y := (self.lead_t >> (s - tshift)) & lay.tmask)
         ]
-        self.lead_c = low[self.lead_t]
-        self.lead_b = max(self.lead_c)
+        lead_c = low[self.lead_t]
+        if len(lead_c) != 1:
+            raise ValueError(
+                "a divisor's leading coefficient must be one b-monomial times a number"
+            )
+        ((self.lead_b, self.lead_v),) = lead_c.items()
         self.lead_bnz = [
             (s, mask, y) for s, mask in lay.bfields if (y := (self.lead_b >> s) & mask)
         ]
-        self.lead_v = self.lead_c[self.lead_b]
-        # a leading coefficient of one b-monomial divides whole coefficients
-        self.whole = len(self.lead_c) == 1
         self.rest = [(e, c) for e, c in low.items() if e != self.lead_t]
         by_degree: dict = {}
         for e, c in groups.items():
@@ -921,36 +921,61 @@ def _add_product(group: dict, e: int, c1: dict, c2: dict, guard: int) -> None:
         del group[e]
 
 
+def _prepared(f: GradedSeries, g: GradedSeries | Divisor) -> Divisor:
+    if f.nvars != g.nvars:
+        raise NVarsMismatchError("divide: nvars mismatch")
+    return g if isinstance(g, Divisor) else Divisor(g)
+
+
 def divide_exact(f: GradedSeries, g: GradedSeries | Divisor) -> GradedSeries:
     """Return q with ``q * g == f`` through degree ``min(prec f, prec g) - order(g)``.
 
-    ``g`` is a series or a :class:`Divisor` prepared from one.  The
-    numerator is bucketed by t-degree and grouped by t-exponent once, and
-    each homogeneous component is long-divided by the lowest component of g,
-    leading t-exponent first in lex order.  When the leading coefficient of
-    g is a single b-monomial (as for every character class x_chi and the
-    denominator of kappa), each step divides a whole coefficient of f by it;
-    otherwise each step divides one term, in the order of (t-exponent,
-    b-monomial) keys.  Both orders are monomial orders, so in the domain
-    Q[t, b] either way succeeds exactly when the division is exact, and the
-    first failing step certifies non-divisibility.  A quotient value is an
-    int wherever the leading value divides it, so integral quotients keep
-    int coefficients.  :class:`NotDivisibleError` carries its degree: the
-    lowest degree at which f minus (quotient so far) * g has a component
+    ``g`` is a series or a :class:`Divisor` prepared from one, whose leading
+    coefficient is one b-monomial.  The numerator is bucketed by t-degree
+    and grouped by t-exponent once, and each homogeneous component is
+    long-divided by the lowest component of g, leading t-exponent first in
+    lex order, one whole coefficient a step.  That is a monomial order, so
+    in the domain Q[t, b] the division succeeds exactly when it is exact,
+    and the first failing step certifies non-divisibility.  A quotient value
+    is an int wherever the leading value divides it, so integral quotients
+    keep int coefficients.  :class:`NotDivisibleError` carries its degree:
+    the lowest degree at which f minus (quotient so far) * g has a component
     that the lowest component of g does not divide.
     """
-    if f.nvars != g.nvars:
-        raise NVarsMismatchError("divide: nvars mismatch")
-    div = g if isinstance(g, Divisor) else Divisor(g)
-    m = div.order
+    div = _prepared(f, g)
     horizon = min(f.precision, div.precision)
-    out_prec = horizon - m
+    out_prec = horizon - div.order
     if out_prec < 0:
         raise PrecisionExhaustedError(
-            "no precision left to divide by an order-%d series" % m
+            "no precision left to divide by an order-%d series" % div.order
         )
     if f.is_zero():
         return GradedSeries.zero(f.nvars, out_prec)
+    lay, q_terms, _ = _divide(f, div, horizon, True)
+    return _finish(f.nvars, out_prec, lay, q_terms)
+
+
+def remainder(f: GradedSeries, g: GradedSeries | Divisor) -> GradedSeries:
+    """The remainder r of the long division of f by g (see
+    :func:`divide_exact`) through degree ``min(prec f, prec g)``, where it
+    keeps each term that the leading term of g does not divide: f - r is
+    the quotient times g through that degree, and no term of r is divisible
+    by the leading term.  When the leading coefficient of g is a number,
+    as for x_chi, whose lowest component is linear, r is the normal form of
+    f modulo g: unique, linear over the coefficient ring, and zero exactly
+    when g divides f."""
+    div = _prepared(f, g)
+    horizon = min(f.precision, div.precision)
+    if f.is_zero():
+        return GradedSeries.zero(f.nvars, horizon)
+    lay, _, r_terms = _divide(f, div, horizon, False)
+    return _finish(f.nvars, horizon, lay, r_terms)
+
+
+def _divide(f: GradedSeries, div: Divisor, horizon: int, exact: bool) -> tuple:
+    """The layout and the quotient and remainder terms of :func:`_long_divide`,
+    in a layout holding f and the divisor, redone in a wider one while a
+    partial product passes the weight bound."""
     lay = div.layout
     if f.layout is not lay:
         lay = _common(f.layout, lay)
@@ -958,17 +983,16 @@ def divide_exact(f: GradedSeries, g: GradedSeries | Divisor) -> GradedSeries:
         if div.layout is not lay:
             div = Divisor(div.series, lay)
         try:
-            terms = _long_divide(f.packed_in(lay), div, horizon)
+            return (lay, *_long_divide(f.packed_in(lay), div, horizon, exact))
         except _Overflow:
-            # a partial product passed the weight bound: widen and redo
             lay = _common(lay, lay, 1 << lay.bw)
-            continue
-        return _finish(f.nvars, out_prec, lay, terms)
 
 
-def _long_divide(terms: dict, div: Divisor, horizon: int) -> dict:
-    """The quotient terms of :func:`divide_exact`, for numerator terms in
-    the divisor's layout."""
+def _long_divide(terms: dict, div: Divisor, horizon: int, exact: bool) -> tuple:
+    """The quotient and remainder terms of the long division of ``terms``
+    (in the divisor's layout) through degree ``horizon``.  A term that the
+    leading term of the divisor does not divide goes to the remainder, or,
+    when ``exact``, raises :class:`NotDivisibleError` at its degree."""
     lay = div.layout
     m = div.order
     tshift, bmask, guard = lay.tshift, lay.bmask, lay.guard
@@ -983,16 +1007,11 @@ def _long_divide(terms: dict, div: Divisor, horizon: int) -> dict:
             if c is None:
                 c = buckets[d][e] = {}
             c[k & bmask] = v
-    for degree in range(m):
-        if buckets[degree]:
-            raise NotDivisibleError(
-                f"order of numerator {degree} below order of divisor {m}",
-                degree=degree,
-            )
     lead_t, lead_nz, tmask = div.lead_t, div.lead_nz, lay.tmask
-    rest, high, whole = div.rest, div.high, div.whole
+    rest, high = div.rest, div.high
     q_terms: dict = {}
-    for degree in range(m, horizon + 1):
+    r_terms: dict = {}
+    for degree in range(horizon + 1):
         num = buckets[degree]
         if not num:
             continue
@@ -1004,48 +1023,35 @@ def _long_divide(terms: dict, div: Divisor, horizon: int) -> dict:
         # cancelled is skipped when reached.
         pending = sorted(num)
         while pending:
-            if whole:
-                e = pending.pop()
-                c = num.pop(e, None)
-            else:
-                e = pending[-1]
-                c = num.get(e)
-                if c is None:
-                    pending.pop()
+            e = pending.pop()
+            c = num.pop(e, None)
             if c is None:
                 continue
-            for s, y in lead_nz:
-                if (e >> s) & tmask < y:
+            # below the divisor's order no t-part is divisible
+            if any((e >> s) & tmask < y for s, y in lead_nz):
+                if exact:
                     raise NotDivisibleError(
-                        f"leading term not divisible at degree {degree}",
-                        degree=degree,
+                        f"leading term not divisible at degree {degree}", degree=degree
                     )
+                base = e << tshift
+                for b, v in c.items():
+                    r_terms[base + b] = v
+                continue
             eq = e - lead_t
             base = eq << tshift
-            if whole:
-                src = {}
-                for b, v in c.items():
-                    bq = div.quotient_b(b)
-                    if bq is None:
-                        raise NotDivisibleError(
-                            f"coefficient not divisible at degree {degree}",
-                            degree=degree,
-                        )
-                    qv = div.quotient_value(v)
-                    q_terms[base + bq] = qv
-                    src[bq] = -qv
-            else:
-                b = max(c)
+            src = {}
+            for b, v in c.items():
                 bq = div.quotient_b(b)
                 if bq is None:
-                    raise NotDivisibleError(
-                        f"coefficient not divisible at degree {degree}", degree=degree
-                    )
-                qv = div.quotient_value(c[b])
+                    if exact:
+                        raise NotDivisibleError(
+                            f"coefficient not divisible at degree {degree}", degree=degree
+                        )
+                    r_terms[(e << tshift) + b] = v
+                    continue
+                qv = div.quotient_value(v)
                 q_terms[base + bq] = qv
-                src = {bq: -qv}
-                # cancels the (e, b) term; e stays pending while it has more
-                _add_product(num, e, src, div.lead_c, guard)
+                src[bq] = -qv
             for eg, cg in rest:
                 e2 = eq + eg
                 if e2 not in num:
@@ -1054,67 +1060,51 @@ def _long_divide(terms: dict, div: Divisor, horizon: int) -> dict:
             for bucket, terms in targets:
                 for eg, cg in terms:
                     _add_product(bucket, eq + eg, src, cg, guard)
-    return q_terms
+    return q_terms, r_terms
 
 
-class DividedDifference:
-    """The operator ``f -> (f - s(f)) / g`` for a substitution s of the
-    variables by series in the same variables and a divisor g, prepared as
-    a :class:`Divisor`.
+class MonomialMap:
+    """A map ``f -> op(f)`` linear over the coefficient ring, memoised on
+    t-monomials: the divided difference ``(f - s(f)) / x_chi`` and the
+    remainder modulo x_chi (see :meth:`FGLContext.divided_difference` and
+    :meth:`FGLContext.remainder_map`).
 
-    The operator is linear over the coefficient ring, and s acts only on the
-    t-variables, so the image of each t-monomial ``t^e`` is divided once,
-    at the precision of s and g, and memoised by the packed t-part, as
-    :class:`Substitution` memoises monomial images; :meth:`apply` sums the
-    coefficients of f times the images of its monomials.  Truncation
-    commutes with the long division, so one memo serves every input
-    precision, and the result is the one of
-    ``divide_exact(f - s(f), g)``.  When some monomial
-    difference is not divisible by g, as when s is not the reflection in
-    g's character, :meth:`apply` divides the whole difference instead, so a
-    :class:`NotDivisibleError` carries the degree that division reports; it
-    does the same for a series in another layout than the quotients, and
-    for a term whose b-weight would pass their layout's bound.
-    :meth:`FGLContext.divided_difference` keeps one operator per
-    substitution and character.
+    ``op`` takes a series in ``nvars`` variables to one whose precision is
+    ``drop`` below ``min(its own, precision)``; it must commute with
+    truncation and with scaling by b-monomials and numbers.  :meth:`apply`
+    computes the image of each t-monomial ``t^e`` once, at ``precision``,
+    memoises it by the packed t-part in the layout of that precision, as
+    :class:`Substitution` memoises monomial images, and sums the
+    coefficients of f times the images of its monomials; truncation
+    commutes with op, so one memo serves every input precision.  When op
+    raises :class:`NotDivisibleError` on a monomial (as for a difference
+    whose s is not the reflection in chi), and for a series in another
+    layout (other nvars among them), a term whose b-weight would pass the
+    layout's bound or no precision left, :meth:`apply` returns ``op(f)``
+    instead, so an error is the one that op raises on the whole series.
     """
 
-    def __init__(self, subst: Substitution, divisor: Divisor):
-        if not subst.nvars_in == subst.nvars_out == divisor.nvars:
-            raise NVarsMismatchError(
-                "divided difference needs a substitution and a divisor in the "
-                "same variables"
-            )
-        self.subst = subst
-        self.divisor = divisor
-        self.nvars = divisor.nvars
-        self.precision = min(subst.precision, divisor.precision)
-        # the quotients' layout; its t-parts name the memo entries
-        self._lay = _layout(self.nvars, max(0, self.precision - divisor.order))
+    def __init__(self, op, nvars: int, precision: int, drop: int):
+        self.op = op
+        self.nvars = nvars
+        self.precision = precision
+        self.drop = drop
+        # the layout of the inputs; its t-parts name the memo entries
+        self._lay = _layout(nvars, precision)
         self._memo: dict = {}
 
     def _monomial_image(self, tp: int) -> tuple:
         lay = self._lay
         t, _ = lay.unpack(tp << lay.tshift)
-        mono = GradedSeries.from_terms(self.nvars, self.precision, {t: {(): 1}})
-        q = divide_exact(mono - self.subst.apply(mono), self.divisor)
-        if q.layout is not lay:
-            raise _Overflow
-        got = self._memo[tp] = _image(q.packed, lay)
+        img = self.op(GradedSeries.from_terms(self.nvars, self.precision, {t: {(): 1}}))
+        got = self._memo[tp] = _image(img.packed_in(lay), lay)
         return got
 
     def apply(self, f: GradedSeries) -> GradedSeries:
-        if f.nvars != self.nvars:
-            raise NVarsMismatchError(
-                f"series has {f.nvars} variables, divided difference expects "
-                f"{self.nvars}"
-            )
         p = min(f.precision, self.precision)
-        top = p - self.divisor.order
-        if top < 0:
-            raise PrecisionExhaustedError("no precision left for the division")
+        top = p - self.drop
         lay = self._lay
-        if f.layout is lay:
+        if f.layout is lay and top >= 0:
             try:
                 terms = _sum_images(
                     f.packed, lay, p, self._memo, self._monomial_image, lay, top
@@ -1123,7 +1113,7 @@ class DividedDifference:
                 pass
             else:
                 return _finish(self.nvars, top, lay, terms)
-        return divide_exact(f - self.subst.apply(f), self.divisor)
+        return self.op(f)
 
 
 # -- symmetric functions -------------------------------------------------------

@@ -76,7 +76,8 @@ class WonderfulModel:
 
 
 def build_wonderful_graph(sd: SymmetricDatum, ctx) -> WonderfulModel:
-    # graphs are integral objects; only the subring solvers insist on Q
+    # the graphs are integral objects; the invariant subrings below are
+    # rational statements, solved with TupleSystem.solve(over="Q")
     return WonderfulModel(sd, ctx)
 
 

@@ -5,7 +5,10 @@ the package: dict-based multivariate polynomials, lex long division,
 permutation actions built from first principles, and dense rational row
 reduction.  The exceptions follow.  ``BasisChangeDivider``, the slow
 reference for division by a character class, is built from the package's own
-series, substitutions and basis completion.  ``formal_sum_reference`` and
+series and substitutions and from ``unimodular_with_first_column``, the
+lattice basis completion that the package no longer has;
+``BasisChangeTupleSystem`` feeds the package's solver the rows of that change
+of basis in place of the long-division remainder.  ``formal_sum_reference`` and
 ``kappa_of_character_reference`` compute x_chi and kappa(x_chi) character by
 character from the package's law and substitution.
 ``random_homogeneous_reference``, the old one-term-at-a-time sample
@@ -32,15 +35,18 @@ from operator import add, sub
 from cobcalc.errors import (
     ConstantTermError,
     IndexOutOfRangeError,
+    InternalConsistencyError,
     NotDivisibleError,
     NVarsMismatchError,
     PrecisionExhaustedError,
     PrecisionMismatchError,
 )
+from cobcalc.gkm import TupleSystem
 from cobcalc.linalg import (
+    Vec,
     canonical_sign,
     clear_denominators,
-    unimodular_with_first_column,
+    require_primitive,
 )
 from cobcalc.roots import mat_mul
 from cobcalc.sampling import random_b_monomial, random_composition
@@ -426,6 +432,53 @@ def span_equal_int_reference(vs, ws, dim: int) -> bool:
 # -- division by a character class through a change of lattice basis ----------
 
 
+def unimodular_with_first_column(alpha: Vec):
+    """An integer matrix U with det +-1 whose first column is ``alpha``, and
+    its inverse: the pair ``(U, U^-1)``.
+
+    Requires ``alpha`` primitive.  Deterministic: built from a fixed sequence
+    of extended-gcd row operations.
+    """
+    n = len(alpha)
+    require_primitive(alpha)
+    # Row-reduce alpha to e1 by unimodular row ops, tracking their product M,
+    # so M alpha = e1 and U = M^{-1} has first column alpha.  U is built
+    # alongside by the inverse column op of each row op: if M' = E M then
+    # U' = U E^{-1}.
+    a = list(alpha)
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = [row[:] for row in m]
+
+    def rowop(i, j, q):
+        # row_i -= q * row_j on a and m; col_j += q * col_i on u
+        a[i] -= q * a[j]
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        for row in u:
+            row[j] += q * row[i]
+
+    def rowswap(i, j):
+        a[i], a[j] = a[j], a[i]
+        m[i], m[j] = m[j], m[i]
+        for row in u:
+            row[i], row[j] = row[j], row[i]
+
+    pivot = 0
+    for i in range(1, n):
+        while a[i] != 0:
+            if a[pivot] == 0 or abs(a[i]) < abs(a[pivot]):
+                rowswap(pivot, i)
+                continue
+            rowop(i, pivot, a[i] // a[pivot])
+    if a[pivot] < 0:
+        a[pivot] = -a[pivot]
+        m[pivot] = [-x for x in m[pivot]]
+        for row in u:
+            row[pivot] = -row[pivot]
+    if a[pivot] != 1 or any(a[1:]):
+        raise InternalConsistencyError("primitive reduction failed")
+    return u, m
+
+
 class BasisChangeDivider:
     """Division by x_chi through a change of lattice basis, for a primitive
     character chi.
@@ -462,6 +515,37 @@ class BasisChangeDivider:
             {(e[0] - 1,) + e[1:]: c for e, c in terms.items()},
         )
         return self.back.apply(shifted)
+
+    def free_part(self, f: GradedSeries) -> GradedSeries:
+        """The terms free of t1' after the change of basis: zero exactly
+        when x_chi divides f, and unchanged by adding a multiple of x_chi."""
+        g = self.fwd.apply(f)
+        terms = {e: c for e, c in nested(g).items() if e[0] == 0}
+        return GradedSeries.from_terms(g.nvars, g.precision, terms)
+
+
+class BasisChangeTupleSystem(TupleSystem):
+    """``gkm.TupleSystem`` with each condition modulo x_chi imposed as the
+    package imposed it before the long-division remainder: exactly, on the
+    terms free of t1' after the change of basis of
+    :class:`BasisChangeDivider`."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._dividers: dict = {}
+
+    def require(self, parts, chi=None) -> None:
+        if chi is None:
+            return super().require(parts)
+        chi = tuple(chi)
+        div = self._dividers.get(chi)
+        if div is None:
+            div = self._dividers[chi] = BasisChangeDivider(self.ctx, chi)
+        free: dict = {}
+        for _, _, images in parts:
+            if id(images) not in free:
+                free[id(images)] = [div.free_part(s) for s in images]
+        super().require([(v, scale, free[id(images)]) for v, scale, images in parts])
 
 
 # -- x_chi and kappa(x_chi) character by character ----------------------------

@@ -14,7 +14,6 @@ from cobcalc.linalg import (
     rank_int,
     span_equal_int,
     span_equal_rational,
-    unimodular_with_first_column,
 )
 
 from .oracles import (
@@ -23,6 +22,7 @@ from .oracles import (
     rational_kernel,
     rref_rational,
     span_equal_int_reference,
+    unimodular_with_first_column,
 )
 
 

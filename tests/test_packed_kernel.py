@@ -23,7 +23,6 @@ from cobcalc.roots import build_root_datum
 from cobcalc.series import (
     MAX_PRECISION,
     MAX_WEIGHT,
-    DividedDifference,
     Divisor,
     GradedSeries,
     Substitution,
@@ -188,11 +187,10 @@ def test_divided_difference_matches_the_tuple_kernel(data, tag, law):
     beta = data.draw(st.sampled_from(datum.positive_roots))
     gamma = data.draw(st.sampled_from(datum.positive_roots))
     w = datum.reflection_element(gamma)
-    subst = ctx.substitution(zip(*w.matrix))
-    divisor = Divisor(ctx.formal_sum(beta))
-    op = DividedDifference(subst, divisor)
+    chars = list(zip(*w.matrix))
+    op = ctx.divided_difference(chars, beta)
     ref = TupleDividedDifference(
-        TupleSubstitution([to_tuple(img) for img in subst.images]),
+        TupleSubstitution([to_tuple(img) for img in ctx.substitution(chars).images]),
         TupleDivisor(to_tuple(ctx.formal_sum(beta))),
     )
     for _ in range(3):
@@ -206,21 +204,24 @@ def test_divided_difference_matches_the_tuple_kernel(data, tag, law):
 
 
 _MONOMIAL = st.sampled_from([{(): 1}, {(): -1}, {(): 3}, {(1,): 2}, {(0, 1): -1}])
-_POLYNOMIAL = st.sampled_from([{(1,): 1, (): 2}, {(2,): 1, (0, 1): -3}])
+
+
+def _with_lead(g: TupleSeries, lead: dict) -> TupleSeries:
+    """g with order 1 and a lowest component led by ``lead`` at t1 (the
+    lex-greatest degree-1 exponent)."""
+    nvars = g.nvars
+    terms = {t: c for t, c in g.terms.items() if sum(t) >= 1}
+    terms[(1,) + (0,) * (nvars - 1)] = dict(lead)
+    return TupleSeries(nvars, max(g.precision, 1), terms)
 
 
 @SETTINGS
-@given(_pair(max_precision=8), st.one_of(_MONOMIAL, _POLYNOMIAL), st.booleans())
+@given(_pair(max_precision=8), _MONOMIAL, st.booleans())
 def test_divide_exact_matches_the_tuple_kernel(pair, lead, exact):
     """Quotients and NotDivisibleError degrees, with a leading coefficient
-    of one b-monomial (whole-coefficient steps) or not (one term a step)."""
+    of one b-monomial; f is a multiple of g, or not."""
     f, g = pair
-    nvars = f.nvars
-    # g gets order 1 and a lowest component led by ``lead`` at t1 (the
-    # lex-greatest degree-1 exponent); f is a multiple of g, or not
-    terms = {t: c for t, c in g.terms.items() if sum(t) >= 1}
-    terms[(1,) + (0,) * (nvars - 1)] = dict(lead)
-    g = TupleSeries(nvars, max(g.precision, 1), terms)
+    g = _with_lead(g, lead)
     if exact:
         f = f * g
     pf, pg = from_tuple(f), from_tuple(g)
@@ -228,6 +229,15 @@ def test_divide_exact_matches_the_tuple_kernel(pair, lead, exact):
     assert got == _outcome(lambda: tuple_divide_exact(f, g), lambda q: q.terms)
     prepared = Divisor(pg)
     assert _outcome(lambda: divide_exact(pf, prepared), nested) == got
+
+
+@pytest.mark.parametrize("lead", [{(1,): 1, (): 2}, {(2,): 1, (0, 1): -3}])
+def test_a_leading_coefficient_of_several_b_monomials_is_refused(lead):
+    g = from_tuple(_with_lead(TupleSeries(2, 4, {(0, 2): {(): 1}}), lead))
+    with pytest.raises(ValueError, match="one b-monomial"):
+        Divisor(g)
+    with pytest.raises(ValueError, match="one b-monomial"):
+        divide_exact(g * g, g)
 
 
 # -- the bounds of the packing ----------------------------------------------------
