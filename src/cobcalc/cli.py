@@ -127,6 +127,8 @@ def _parse_word(text: str) -> tuple:
 
 
 def _config(args) -> RunConfig:
+    if args.probe_degree < -1:
+        raise ConfigError(f"--probe-degree must be at least -1, got {args.probe_degree}")
     return RunConfig(
         law=args.law,
         degree=args.degree,

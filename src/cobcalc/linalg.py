@@ -4,9 +4,14 @@
 of statement:
 
 * ``kernel_rational`` returns a certified basis of the rational solutions of
-  a sparse system.  It eliminates modulo 31-bit primes, lifts the reduced
-  echelon form by rational reconstruction (combining primes by CRT when
-  needed) and checks every lifted vector exactly over Z before returning it.
+  a sparse system.  It solves the system on its quotient by its tie rows
+  (``{a: v, b: -v}``, which force x_a = x_b): tied columns merge into one
+  and the other rows are summed over the merged columns, without zero or
+  repeated rows.  It eliminates the quotient modulo 31-bit primes, lifts the
+  reduced echelon form by rational reconstruction (combining primes by CRT
+  when needed), gives every column of a merged class its class's entry, and
+  checks every lifted vector exactly over Z on the original rows before
+  returning it.
 * ``kernel_int`` returns a basis of the full lattice of integer solutions
   (not merely a scaled rational basis), which is what integral span
   comparisons need.  It saturates ``kernel_rational``'s reduced basis: the
@@ -25,7 +30,6 @@ factor: division by a character class is defined only for primitive ones.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
 from math import gcd, isqrt, lcm
@@ -63,10 +67,6 @@ def content(a) -> int:
     return g
 
 
-def _denominator_lcm(values) -> int:
-    return lcm(*(x.denominator for x in values if isinstance(x, Fraction)))
-
-
 def _sparse(vectors) -> list[dict]:
     return [{i: v[i] for i in compress(count(), v)} for v in vectors]
 
@@ -79,7 +79,7 @@ def _dense(vector: dict, dim: int) -> Vec:
 
 
 def clear_denominators(row) -> Vec:
-    m = _denominator_lcm(row)
+    m = lcm(*(x.denominator for x in row))
     return tuple(int(x * m) for x in row)
 
 
@@ -253,32 +253,87 @@ def kernel_rational(rows: list[dict], ncols: int) -> list[Vec]:
     and 0 at the other free columns, scaled to a primitive integer vector.
     It does not depend on the row order.
 
-    Rows are eliminated modulo 31-bit primes, sparsest first.  A prime whose
-    pivot columns are not the lexicographically earliest of the largest rank
-    seen is dropped; primes with the same pivots are combined by CRT until
-    every entry has a rational reconstruction.  Every lifted vector is then
-    checked exactly over Z.  The vectors are independent and their number,
-    ncols - rank mod p, is at least the dimension of the rational kernel, so
-    if all pass they are a basis of it (and the pivots are the rational
-    ones); otherwise the next prime is taken.  No vector is returned
-    unchecked.
+    The tie rows ``{a: v, b: -v}`` (after clearing denominators) merge
+    their columns into classes, numbered by their largest column; the other
+    rows, summed over the classes and without zero or repeated rows, are
+    eliminated modulo 31-bit primes, sparsest first.  A prime whose pivot
+    classes are not the lexicographically earliest of the largest rank seen
+    is dropped; primes with the same pivots are combined by CRT until every
+    entry has a rational reconstruction.  Each lifted vector gives every
+    column of a class the class's entry, and is then checked exactly over Z
+    on the original rows.  The vectors are independent and their number,
+    the classes less the rank mod p, is at least the dimension of the
+    rational kernel, so if all pass they are a basis of it; otherwise the
+    next prime is taken.  No vector is returned unchecked.  Every solution
+    is constant on a class, so a free class's free column in the reduced
+    echelon form of the original rows is its largest, and the lifted basis
+    is the reduced one of the original rows.
     """
     _, basis = _reduced_kernel(rows, ncols)
     return [_dense(x, ncols) for x in basis]
+
+
+def _tie_quotient(rows: list[dict], ncols: int) -> tuple[list[list[int]], list[dict]]:
+    """The system on its quotient by its tie rows ``{a: v, b: -v}``.
+
+    Every solution has x_a = x_b for a tie, so it is constant on each class
+    of tied columns (union-find).  Returns the classes, each a sorted list of
+    columns, numbered in increasing order of their largest column, and the
+    other rows with each column replaced by its class and the entries of a
+    class summed, without zero or repeated rows.  The solutions of the
+    quotient are those of ``rows``, read once per class.
+    """
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    others = []
+    for row in rows:
+        if len(row) == 2:
+            (a, x), (b, y) = row.items()
+            if x == -y:
+                a, b = find(a), find(b)
+                # the root of a class is its largest column
+                parent[min(a, b)] = max(a, b)
+                continue
+        others.append(row)
+    roots = [c for c in range(ncols) if parent[c] == c]
+    number = {r: k for k, r in enumerate(roots)}
+    cls = [number[find(c)] for c in range(ncols)]
+    classes = [[] for _ in roots]
+    for c, k in enumerate(cls):
+        classes[k].append(c)
+    seen = set()
+    quotient = []
+    for row in others:
+        q: dict[int, int] = {}
+        for c, v in row.items():
+            k = cls[c]
+            q[k] = q.get(k, 0) + v
+        q = {k: v for k, v in q.items() if v}
+        key = frozenset(q.items())
+        if q and key not in seen:
+            seen.add(key)
+            quotient.append(q)
+    return classes, quotient
 
 
 def _reduced_kernel(rows: list[dict], ncols: int) -> tuple[list[int], list[dict]]:
     """``kernel_rational``'s free columns and its basis as sparse vectors."""
     int_rows = []
     for row in rows:
-        m = _denominator_lcm(row.values())
+        m = lcm(*(x.denominator for x in row.values()))
         r = {c: int(v * m) for c, v in row.items() if v}
         if r:
             int_rows.append(r)
-    int_rows.sort(key=len)
+    classes, quotient = _tie_quotient(int_rows, ncols)
+    quotient.sort(key=len)
     pivots = modulus = residues = None
     for p in _primes():
-        piv, res = _kernel_mod(int_rows, ncols, p)
+        piv, res = _kernel_mod(quotient, len(classes), p)
         if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
             pivots, modulus, residues = piv, p, res
         elif piv == pivots:
@@ -286,9 +341,15 @@ def _reduced_kernel(rows: list[dict], ncols: int) -> tuple[list[int], list[dict]
             modulus *= p
         else:
             continue  # unlucky: its pivots are not the earliest of largest rank
-        lifted = _lift(pivots, residues, modulus, ncols)
-        if lifted is not None and _annihilates(int_rows, lifted[1]):
-            return lifted
+        lifted = _lift(pivots, residues, modulus, len(classes))
+        if lifted is None:
+            continue
+        free = [classes[k][-1] for k in lifted[0]]
+        basis = [
+            {c: x for k, x in v.items() for c in classes[k]} for v in lifted[1]
+        ]
+        if _annihilates(int_rows, basis):
+            return free, basis
 
 
 def rank_int(vectors: list) -> int:

@@ -95,8 +95,10 @@ def demazure_gkm(c: GKMClass, alpha) -> GKMClass:
     """The equivariant Demazure operator on flag-graph classes.
 
     At the fixed point w the result is
-    ``kappa(x_{w alpha}) c_w - (c_w - c_{w s_alpha}) / x_{w alpha}``; it is
-    constant along every {w, w s_alpha} pair of vertices.
+    ``kappa(x_{w alpha}) c_w - (c_w - c_{w s_alpha}) / x_{w alpha}``, which
+    equals ``c_w / x_{-w alpha} + c_{w s_alpha} / x_{w alpha}`` because
+    kappa(x_chi) = 1/x_chi + 1/x_{-chi}.  That is symmetric in w and
+    w s_alpha, so it is computed once per pair and given to both vertices.
     """
     graph = c.graph
     if graph.kind != "flag":
@@ -108,14 +110,16 @@ def demazure_gkm(c: GKMClass, alpha) -> GKMClass:
     i = _simple_index(datum, alpha)
     alpha_vec = datum.simple_roots[i]
     s = datum.simple_reflections[i]
-    out = []
+    out = [None] * graph.nvertices
     for vi, w in enumerate(graph.weyl_vertices):
+        if out[vi] is not None:
+            continue
         vj = graph.act_vertex_right(vi, s)
         w_alpha = w.act(alpha_vec)
         diff = c.values[vi] - c.values[vj]
         quotient = ctx.divide_by_character(diff, w_alpha)
         kap = kappa_of_character(ctx, w_alpha)
-        out.append((kap * c.values[vi] - quotient).truncate(c.precision - 1))
+        out[vi] = out[vj] = (kap * c.values[vi] - quotient).truncate(c.precision - 1)
     return validate(GKMClass(graph, out))
 
 

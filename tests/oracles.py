@@ -12,7 +12,9 @@ of basis in place of the long-division remainder.  ``formal_sum_reference`` and
 ``kappa_of_character_reference`` compute x_chi and kappa(x_chi) character by
 character from the package's law and substitution.
 ``random_homogeneous_reference``, the old one-term-at-a-time sample
-construction, adds the package's series.
+construction, adds the package's series.  ``demazure_gkm_reference``, the
+equivariant Demazure operator computed at both vertices of every pair,
+divides with the package's law context.
 ``kernel_int_reference`` and ``span_equal_int_reference`` (the old lattice
 kernel and the old lattice comparison by membership) run the dense integer
 column echelon kept here, which the package no longer has.
@@ -41,7 +43,7 @@ from cobcalc.errors import (
     PrecisionExhaustedError,
     PrecisionMismatchError,
 )
-from cobcalc.gkm import TupleSystem
+from cobcalc.gkm import GKMClass, TupleSystem
 from cobcalc.linalg import (
     Vec,
     canonical_sign,
@@ -591,6 +593,23 @@ def random_homogeneous_reference(
         texp = random_composition(rng, degree, nvars)
         f = GradedSeries.from_terms(nvars, ctx.precision, {texp: {(): 1}})
     return f
+
+
+def demazure_gkm_reference(c, i: int):
+    """The equivariant Demazure operator of the i-th simple root as
+    ``schubert.demazure_gkm`` first computed it: the formula at every
+    vertex, both vertices of each {w, w s_alpha} pair."""
+    graph = c.graph
+    datum, ctx = graph.datum, graph.ctx
+    alpha, s = datum.simple_roots[i], datum.simple_reflections[i]
+    out = []
+    for vi, w in enumerate(graph.weyl_vertices):
+        vj = graph.act_vertex_right(vi, s)
+        w_alpha = w.act(alpha)
+        quotient = ctx.divide_by_character(c.values[vi] - c.values[vj], w_alpha)
+        kap = ctx.kappa_of_character(w_alpha)
+        out.append((kap * c.values[vi] - quotient).truncate(c.precision - 1))
+    return GKMClass(graph, out)
 
 
 # -- moment graphs as first built, one loop per kind of graph -------------------

@@ -104,6 +104,21 @@ def test_symmetric_verify(capsys):
     assert report["pass"]
 
 
+def test_esph_group_g2_additive_degree_two(capsys):
+    # 19,351 rows, 2,290 of them with Fraction values and 12,632 ties
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "esph", "--case", "group:g2", "--law", "additive", "--degree", "2",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"]
+    (subrings,) = [c for c in report["checks"] if c["name"] == "invariant_subrings_coincide"]
+    assert [(d["rank"], d["x_tuple_rank"], d["y_rank"]) for d in subrings["degrees"]] == [
+        (1, 1, 1), (2, 2, 2), (6, 6, 6)
+    ]
+
+
 def test_schubert_bott_samelson_artifact(tmp_path, capsys):
     out_path = str(tmp_path / "bs.json")
     code, out, _ = run_cli(
@@ -459,6 +474,18 @@ def test_tensor_iso_honours_probe_degree_zero(capsys):
     assert code == 0
     probe = json.loads(out)["checks"][0]
     assert [d["degree"] for d in probe["degrees"]] == [0]
+
+
+def test_probe_degree_below_minus_one_rejected(capsys, monkeypatch):
+    argv = ("verify", "gln", "--type", "gl2", "--law", "additive", "--degree", "3")
+    code, out, err = run_cli(capsys, *argv, "--probe-degree", "-2")
+    assert code == 2 and out == ""
+    assert err == "error: --probe-degree must be at least -1, got -2\n"
+    monkeypatch.setenv("COBCALC_PROBE_DEGREE", "-2")
+    assert run_cli(capsys, *argv) == (2, "", err)
+    # -1, the default, picks the per-type probe
+    code, out, _ = run_cli(capsys, *argv, "--probe-degree", "-1")
+    assert code == 0 and json.loads(out)["pass"]
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -6,6 +6,7 @@ import pytest
 
 from cobcalc.errors import NonPrimitiveCharacterError
 from cobcalc.linalg import (
+    _tie_quotient,
     canonical_sign,
     clear_denominators,
     hermite_basis,
@@ -263,6 +264,96 @@ def test_kernel_rational_survives_unlucky_primes():
     assert kernel_rational([{0: _P, 1: _P}, {0: 1, 1: 2}], 2) == []
     rows = [[3 * _P, _P, 0, _P], [_P, 0, 2 * _P, Fraction(_P, 7)], [1, 1, 1, 1]]
     assert kernel_rational(_sparse(rows), 4) == rational_kernel(rows, 4)
+
+
+# -- systems with tie rows {a: v, b: -v} ----------------------------------------
+
+
+def test_tie_classes_are_numbered_by_their_largest_column():
+    # classes {0, 4} and {1, 2} (a chain of int and Fraction ties); column 3
+    # is tied to nothing
+    rows = [
+        {4: 3, 0: -3},
+        {1: Fraction(1, 2), 2: Fraction(-1, 2)},
+        {2: -1, 1: 1},
+        {0: 1, 1: 1, 3: 3},
+        {4: 1, 2: 1, 3: 3},  # the same row on the quotient
+        {0: 1, 4: -1, 1: 2, 2: -2},  # zero on the quotient
+    ]
+    classes, quotient = _tie_quotient(rows, 5)
+    assert classes == [[1, 2], [3], [0, 4]]
+    assert quotient == [{2: 1, 0: 1, 1: 3}]
+    # the free column of a free class is its largest
+    expected = [(0, 1, 1, 0, 0), (0, 0, 0, 1, 0), (1, 0, 0, 0, 1)]
+    assert kernel_rational(rows[:3], 5) == expected
+    assert kernel_rational(rows, 5) == rational_kernel(
+        [[r.get(c, 0) for c in range(5)] for r in rows], 5
+    ) == [(0, -3, -3, 1, 0), (1, -1, -1, 0, 1)]
+
+
+def _tie_system(rng: Random):
+    """A dense system of 2-9 columns built around tie rows {a: v, b: -v}
+    with int and Fraction values: chains and cycles of ties, rows that force
+    a class to zero, rows {a: v, b: v}, repeated rows, rows that vanish on
+    the quotient by the ties, and random rows."""
+    ncols = rng.randint(2, 9)
+    rows = []
+    pairs = []
+
+    def value():
+        return rng.choice((1, 2, -3, Fraction(1, 2), Fraction(-3, 4)))
+
+    def row(entries):
+        r = [0] * ncols
+        for c, v in entries:
+            r[c] += v
+        rows.append(r)
+
+    for _ in range(rng.randint(1, 3)):
+        chain = rng.sample(range(ncols), rng.randint(2, min(4, ncols)))
+        if rng.random() < 0.3:
+            chain.append(chain[0])  # a cycle
+        for a, b in zip(chain, chain[1:]):
+            v = value()
+            row([(a, v), (b, -v)])
+            pairs.append((a, b))
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        (a, b), (c, d) = rng.choice(pairs), rng.choice(pairs)
+        v, w = value(), value()
+        if kind < 0.15:
+            row([(a, v)])  # a class forced to zero
+        elif kind < 0.3:
+            row([(a, v), (b, v)])  # not a tie; forces the class to zero
+        elif kind < 0.45:
+            row([(a, v), (b, -v), (c, w), (d, -w)])  # zero on the quotient
+        elif kind < 0.6:
+            rows.append(list(rng.choice(rows)))
+        else:
+            row([(k, value()) for k in range(ncols) if rng.random() < 0.4])
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernels_of_tie_systems_match_references(seed):
+    rng = Random(seed)
+    merged = 0
+    for _ in range(60):
+        rows, ncols = _tie_system(rng)
+        classes, _ = _tie_quotient(_sparse(clear_denominators(r) for r in rows), ncols)
+        merged += len(classes) < ncols
+        expected = rational_kernel(rows, ncols)
+        got = kernel_int(rows, ncols)
+        reference = kernel_int_reference(rows, ncols)
+        assert kernel_rational(_sparse(rows), ncols) == expected, (rows, ncols)
+        assert len(got) == len(reference), (rows, ncols)
+        assert span_equal_int(got, reference, ncols), (rows, ncols)
+        # neither depends on the row order
+        rng.shuffle(rows)
+        assert kernel_rational(_sparse(rows), ncols) == expected, (rows, ncols)
+        assert kernel_int(rows, ncols) == got, (rows, ncols)
+    assert merged > 50
 
 
 # -- integral span comparison --------------------------------------------------

@@ -6,7 +6,14 @@ import pytest
 from cobcalc import gkm
 from cobcalc.errors import PrecisionExhaustedError
 from cobcalc.fgl import build_law
-from cobcalc.gkm import constant_class, flag_gkm, membership, tensor_to_gkm, TensorClass
+from cobcalc.gkm import (
+    constant_class,
+    flag_gkm,
+    line_bundle_class,
+    membership,
+    tensor_to_gkm,
+    TensorClass,
+)
 from cobcalc.roots import build_root_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
 from cobcalc.schubert import (
@@ -23,6 +30,7 @@ from .oracles import (
     ClassicalFlagOracle,
     Poly,
     classical_divided_difference,
+    demazure_gkm_reference,
     engine_permutation,
     engine_series_to_poly,
 )
@@ -203,6 +211,26 @@ def test_demazure_gkm_additive_matches_classical_gkm():
         expected = oracle.demazure(values, i)
         for v, perm in enumerate(perm_of_vertex):
             assert engine_series_to_poly(got.values[v]) == expected[oracle.index[perm]]
+
+
+@pytest.mark.parametrize("tag", ["gl3", "gl4", "b2", "g2"])
+@pytest.mark.parametrize("law", ["additive", "multiplicative", "universal"])
+def test_demazure_gkm_matches_both_vertices_reference(tag, law):
+    # one result per {w, w s_alpha} pair equals the formula at each vertex:
+    # on a line bundle class and on Bott-Samelson classes
+    datum = build_root_datum(tag)
+    precision = len(datum.positive_roots) + 2
+    if law == "universal":
+        law = f"universal:{precision - 1}"
+    graph = flag_gkm(datum, build_law(law, precision))
+    c = line_bundle_class((1,) + (0,) * (datum.rank - 1), graph)
+    for i in range(datum.nsimple):
+        assert demazure_gkm(c, i) == demazure_gkm_reference(c, i), i
+    c = point_class(graph)
+    for i in (0, 1):
+        got = demazure_gkm(c, i)
+        assert got == demazure_gkm_reference(c, i), i
+        c = got
 
 
 def test_bott_samelson_gl3_additive_against_oracle():
