@@ -22,13 +22,8 @@ from .errors import (
     PrecisionExhaustedError,
     UnsupportedTypeError,
 )
-from .linalg import (
-    canonical_sign,
-    kernel_int,
-    kernel_rational,
-    span_equal_int,
-    span_equal_rational,
-)
+from . import linalg
+from .linalg import canonical_sign
 from .roots import RootDatum, WeylElement, mat_mul, weyl_act
 from .series import GradedSeries, elementary_symmetric
 
@@ -393,28 +388,23 @@ class TupleSystem:
         ``over="Q"``: the certified reduced basis of the rational solutions,
         one primitive integer vector per free unknown.  ``over="Z"``: the
         basis of the lattice of integer solutions that saturates it, in
-        Hermite normal form on the free unknowns (``kernel_int``); both are
-        canonical, so they do not depend on the order of the conditions."""
+        Hermite normal form on the free unknowns.  Both come from
+        ``linalg.kernel`` on the sparse rows as they are, and both are
+        canonical, so they do not depend on the order of the conditions.
+        Column v * len(monos) + k of a solution is the coefficient of
+        monomial k at vertex v."""
         nm = len(self.monos)
-        ncols = self.nvertices * nm
-        if over == "Z":
-            dense = [[row.get(c, 0) for c in range(ncols)] for row in self.rows]
-            basis = kernel_int(dense, ncols)
-        else:
-            basis = kernel_rational(self.rows, ncols)
+        basis = linalg.kernel(self.rows, self.nvertices * nm, over)
         p = self.ctx.precision
         labels = [label for m in self.monomials for label in m.coords(p)]
-        return [
-            [
-                GradedSeries.from_coords(
-                    self.nvars,
-                    p,
-                    {k: c for k, c in zip(labels, vec[v * nm:(v + 1) * nm]) if c},
-                )
-                for v in range(self.nvertices)
-            ]
-            for vec in basis
-        ]
+        out = []
+        for vec in basis:
+            coords = [{} for _ in range(self.nvertices)]
+            for col in sorted(vec):
+                v, k = divmod(col, nm)
+                coords[v][labels[k]] = vec[col]
+            out.append([GradedSeries.from_coords(self.nvars, p, c) for c in coords])
+        return out
 
 
 def subring_basis(graph: GKMGraph, d: int) -> list[GKMClass]:
@@ -532,21 +522,7 @@ def span_equal(a, b, over: str = "Q") -> bool:
             }
         return x.coords(top)
 
-    ca = [coords(x) for x in a]
-    cb = [coords(x) for x in b]
-    keys = sorted({key for c in ca + cb for key in c})
-    index = {key: i for i, key in enumerate(keys)}
-
-    def vector(c):
-        vec = [0] * len(keys)
-        for key, val in c.items():
-            vec[index[key]] = val
-        return tuple(vec)
-
-    va, vb = [vector(c) for c in ca], [vector(c) for c in cb]
-    if over == "Z":
-        return span_equal_int(va, vb, len(keys))
-    return span_equal_rational(va, vb, len(keys))
+    return linalg.span_equal([coords(x) for x in a], [coords(x) for x in b], over)
 
 
 def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:

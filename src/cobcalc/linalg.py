@@ -1,28 +1,17 @@
-"""Exact integer and rational linear algebra; no floating point.
+"""Exact integer and rational linear algebra on sparse vectors; no floating
+point.
 
-``kernel_int`` and ``kernel_rational`` are the only solvers, one per field
-of statement:
+Rows and vectors are ``{column: value}`` dicts with int or Fraction values.
+There are two entry points:
 
-* ``kernel_rational`` returns a certified basis of the rational solutions of
-  a sparse system.  It solves the system on its quotient by its tie rows
-  (``{a: v, b: -v}``, which force x_a = x_b): tied columns merge into one
-  and the other rows are summed over the merged columns, without zero or
-  repeated rows.  It eliminates the quotient modulo 31-bit primes, lifts the
-  reduced echelon form by rational reconstruction (combining primes by CRT
-  when needed), gives every column of a merged class its class's entry, and
-  checks every lifted vector exactly over Z on the original rows before
-  returning it.
-* ``kernel_int`` returns a basis of the full lattice of integer solutions
-  (not merely a scaled rational basis), which is what integral span
-  comparisons need.  It saturates ``kernel_rational``'s reduced basis: the
-  integer solutions are the combinations whose pivot coordinates are
-  integral, a set of congruences modulo the common denominator D, solved by
-  a Hermite normal form computed modulo D.
-
-``hermite_basis`` is the canonical column Hermite normal form of an integer
-span, built by inserting sparse generators one at a time into a reduced
-echelon form; ``span_equal_int`` compares two integer spans by it, and
-``span_equal_rational`` compares rational spans by rank.
+* ``kernel(rows, ncols, over)`` solves ``A x = 0``: over Q it returns the
+  certified reduced basis of the rational solutions, found by modular
+  elimination on the system's quotient by its tie rows; over Z it returns
+  the basis of the lattice of integer solutions that saturates it.
+* ``span_equal(vs, ws, over)`` compares two spans of sparse vectors keyed by
+  any sortable labels: over Q by rank, over Z by the canonical column
+  Hermite normal form, built by inserting sparse generators one at a time
+  into a reduced echelon form.
 
 ``require_primitive`` refuses a character whose entries have a common
 factor: division by a character class is defined only for primitive ones.
@@ -31,8 +20,7 @@ factor: division by a character class is defined only for primitive ones.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import InternalConsistencyError, NonPrimitiveCharacterError
 
@@ -65,22 +53,6 @@ def content(a) -> int:
     for x in a:
         g = gcd(g, abs(x))
     return g
-
-
-def _sparse(vectors) -> list[dict]:
-    return [{i: v[i] for i in compress(count(), v)} for v in vectors]
-
-
-def _dense(vector: dict, dim: int) -> Vec:
-    out = [0] * dim
-    for i, x in vector.items():
-        out[i] = x
-    return tuple(out)
-
-
-def clear_denominators(row) -> Vec:
-    m = lcm(*(x.denominator for x in row))
-    return tuple(int(x * m) for x in row)
 
 
 # -- certified rational kernel by modular elimination --------------------------
@@ -244,14 +216,16 @@ def _annihilates(rows: list[dict], basis: list[dict]) -> bool:
     return True
 
 
-def kernel_rational(rows: list[dict], ncols: int) -> list[Vec]:
-    """Certified basis of the rational solutions of ``A x = 0``.
+def kernel(rows: list[dict], ncols: int, over: str = "Q") -> list[dict]:
+    """Basis of the solutions of ``A x = 0`` as sparse ``{column: value}``
+    vectors; ``rows`` are sparse too, with int or Fraction values, and are
+    left unchanged.  Both bases are canonical, so they do not depend on the
+    row order.
 
-    ``rows`` are sparse ``{column: value}`` dicts with int or Fraction
-    values.  The basis is the reduced one: one vector per free column of the
-    rational reduced row echelon form, in increasing order, equal to 1 there
-    and 0 at the other free columns, scaled to a primitive integer vector.
-    It does not depend on the row order.
+    ``over="Q"``: the certified reduced basis of the rational solutions, one
+    vector per free column of the rational reduced row echelon form, in
+    increasing order, equal to 1 there and 0 at the other free columns,
+    scaled to a primitive integer vector.
 
     The tie rows ``{a: v, b: -v}`` (after clearing denominators) merge
     their columns into classes, numbered by their largest column; the other
@@ -268,9 +242,37 @@ def kernel_rational(rows: list[dict], ncols: int) -> list[Vec]:
     is constant on a class, so a free class's free column in the reduced
     echelon form of the original rows is its largest, and the lifted basis
     is the reduced one of the original rows.
+
+    The primes are bounded by Hadamard's bound H on the minors of the
+    quotient rows (the product of its ``min(rows, classes)`` largest row
+    norms).  Every unlucky prime divides one nonzero minor, and every entry
+    of the reduced basis is a ratio of two minors, which a modulus above
+    2 H^2 reconstructs.  So once the unlucky primes multiply past H, or the
+    modulus passes 2 H^2 and the lift still fails or is refused, the system
+    is not what the quotient says, and ``InternalConsistencyError`` is
+    raised, naming the shapes of the system and of its quotient.
+
+    ``over="Z"``: the basis of the lattice of integer solutions (not merely
+    a scaled rational basis), which is what integral span comparisons need.
+    It is the saturation of the reduced basis: v_f for each free column f,
+    with l_f = v_f[f] > 0.  A rational solution x = sum_f c_f v_f / l_f has
+    x_f = c_f, so it is integral exactly when c is integral and, for each
+    pivot column p, sum_f c_f (D / l_f) v_f[p] = 0 mod D, where
+    D = lcm(l_f).  For D = 1 there are no conditions and the reduced basis
+    is the answer.  Otherwise the c that meet them are read off a Hermite
+    normal form kept modulo D, with one coordinate per condition ahead of
+    the coordinates of c, so no entry grows past D.  The free coordinates
+    of this basis are in column Hermite normal form (for D = 1, the unit
+    vectors): one vector per free column in increasing order, positive
+    there and zero at the earlier free columns.
     """
-    _, basis = _reduced_kernel(rows, ncols)
-    return [_dense(x, ncols) for x in basis]
+    free, basis = _reduced_kernel(rows, ncols)
+    if over == "Z":
+        scale = [v[f] for f, v in zip(free, basis)]
+        modulus = lcm(*scale)
+        if modulus > 1:
+            basis = _saturate(basis, free, scale, modulus)
+    return basis
 
 
 def _tie_quotient(rows: list[dict], ncols: int) -> tuple[list[list[int]], list[dict]]:
@@ -322,7 +324,7 @@ def _tie_quotient(rows: list[dict], ncols: int) -> tuple[list[list[int]], list[d
 
 
 def _reduced_kernel(rows: list[dict], ncols: int) -> tuple[list[int], list[dict]]:
-    """``kernel_rational``'s free columns and its basis as sparse vectors."""
+    """The free columns of ``kernel``'s reduced basis over Q, and the basis."""
     int_rows = []
     for row in rows:
         m = lcm(*(x.denominator for x in row.values()))
@@ -331,38 +333,46 @@ def _reduced_kernel(rows: list[dict], ncols: int) -> tuple[list[int], list[dict]
             int_rows.append(r)
     classes, quotient = _tie_quotient(int_rows, ncols)
     quotient.sort(key=len)
-    pivots = modulus = residues = None
+    # H^2, with H Hadamard's bound on the minors of the quotient
+    norms = sorted((sum(v * v for v in r.values()) for r in quotient), reverse=True)
+    bound = prod(norms[:len(classes)])
+    pivots, modulus, residues, unlucky = None, 1, None, 1
     for p in _primes():
         piv, res = _kernel_mod(quotient, len(classes), p)
-        if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
-            pivots, modulus, residues = piv, p, res
-        elif piv == pivots:
+        if piv == pivots:
             residues = _crt(residues, modulus, res, p)
             modulus *= p
+        elif pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
+            unlucky *= modulus  # the primes combined so far were unlucky
+            pivots, modulus, residues = piv, p, res
         else:
-            continue  # unlucky: its pivots are not the earliest of largest rank
-        lifted = _lift(pivots, residues, modulus, len(classes))
-        if lifted is None:
-            continue
-        free = [classes[k][-1] for k in lifted[0]]
-        basis = [
-            {c: x for k, x in v.items() for c in classes[k]} for v in lifted[1]
-        ]
-        if _annihilates(int_rows, basis):
-            return free, basis
+            unlucky *= p  # its pivots are not the earliest of largest rank
+        lifted = _lift(pivots, residues, modulus, len(classes)) if piv == pivots else None
+        if lifted is not None:
+            free = [classes[k][-1] for k in lifted[0]]
+            basis = [
+                {c: x for k, x in v.items() for c in classes[k]} for v in lifted[1]
+            ]
+            if _annihilates(int_rows, basis):
+                return free, basis
+        if unlucky * unlucky > bound or modulus > 2 * bound:
+            raise InternalConsistencyError(
+                f"no certified kernel of the {len(int_rows)}x{ncols} system "
+                f"(quotient by its ties {len(quotient)}x{len(classes)}) within "
+                "its Hadamard bound"
+            )
 
 
-def rank_int(vectors: list) -> int:
-    """Rank over Q of vectors with int or Fraction entries: the number of
-    nonzero vectors less the dimension of the certified space of linear
-    relations among them."""
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return 0
-    relations = [
-        {j: v[i] for j, v in enumerate(vecs) if v[i]} for i in range(len(vecs[0]))
-    ]
-    return len(vecs) - len(kernel_rational(relations, len(vecs)))
+def _rank(vectors: list[dict]) -> int:
+    """Rank over Q of sparse vectors: the number of nonzero vectors less the
+    dimension of the certified space of linear relations among them."""
+    vecs = [v for v in vectors if any(v.values())]
+    relations: dict = {}
+    for j, v in enumerate(vecs):
+        for i, x in v.items():
+            if x:
+                relations.setdefault(i, {})[j] = x
+    return len(vecs) - len(_reduced_kernel(list(relations.values()), len(vecs))[1])
 
 
 # -- integer lattices: sparse Hermite normal form and the Z-kernel -------------
@@ -489,50 +499,9 @@ def _reduce_at(col: dict, cols: dict[int, dict], rows: list[int]) -> None:
                     heappush(rows, j)
 
 
-def hermite_basis(vectors: list[Vec], dim: int) -> list[Vec]:
-    """The canonical column Hermite normal form of the integer span of
-    ``vectors`` in Z^dim: its columns in increasing order of pivot row, each
-    zero above its pivot, the pivot positive, and every earlier column's
-    entry in that row reduced into ``[0, pivot)``.  Two families span the
-    same lattice exactly when these lists are equal; the rank is the length.
-    """
-    return [_dense(col, dim) for col in _hermite(_sparse(vectors), dim)]
-
-
-def span_equal_int(vs: list[Vec], ws: list[Vec], dim: int) -> bool:
-    return _hermite(_sparse(vs), dim) == _hermite(_sparse(ws), dim)
-
-
-def kernel_int(rows: list, ncols: int) -> list[Vec]:
-    """Basis of the lattice of integer solutions of ``A x = 0``.
-
-    ``rows`` are dense, with int or Fraction entries.  The lattice is the
-    saturation of ``kernel_rational``'s reduced basis: v_f for each free
-    column f, with l_f = v_f[f] > 0.  A rational solution
-    x = sum_f c_f v_f / l_f has x_f = c_f, so it is integral exactly when c
-    is integral and, for each pivot column p,
-    sum_f c_f (D / l_f) v_f[p] = 0 mod D, where D = lcm(l_f).  For D = 1
-    there are no conditions and the reduced basis is the answer.  Otherwise
-    the c that meet them are read off a Hermite normal form kept modulo D,
-    with one coordinate per condition ahead of the coordinates of c, so no
-    entry grows past D.
-
-    The free coordinates of the basis are in column Hermite normal form
-    (for D = 1, the unit vectors), so the basis is canonical: one vector per
-    free column in increasing order, positive there and zero at the earlier
-    free columns.  It does not depend on the row order.
-    """
-    free, basis = _reduced_kernel(_sparse(rows), ncols)
-    scale = [v[f] for f, v in zip(free, basis)]
-    modulus = lcm(*scale)
-    if modulus > 1:
-        basis = _saturate(basis, free, scale, modulus)
-    return [_dense(v, ncols) for v in basis]
-
-
 def _saturate(basis: list[dict], free: list[int], scale: list[int], modulus: int):
     """The lattice basis of the integer vectors in the rational span of the
-    reduced ``basis`` (see ``kernel_int``), as sparse vectors: the Hermite
+    reduced ``basis`` (see ``kernel``), as sparse vectors: the Hermite
     columns of the conditions' solutions c, lifted to sum_f c_f v_f / l_f."""
     conditions: dict[int, dict[int, int]] = {}
     for j, (f, v) in enumerate(zip(free, basis)):
@@ -563,15 +532,34 @@ def _saturate(basis: list[dict], free: list[int], scale: list[int], modulus: int
     return out
 
 
-# -- span comparison -----------------------------------------------------------
+# -- span comparison over Q and Z ---------------------------------------------
 
 
-def span_equal_rational(vs: list, ws: list, dim: int) -> bool:
-    rv = rank_int(vs)
-    rw = rank_int(ws)
-    if rv != rw:
-        return False
-    return rank_int(list(vs) + list(ws)) == rv
+def span_equal(vs: list[dict], ws: list[dict], over: str = "Q") -> bool:
+    """Whether two families of sparse vectors, keyed by any sortable labels,
+    have the same span: the same Q-vector space (``over="Q"``, compared by
+    rank) or the same lattice (``over="Z"``).  The vectors are left
+    unchanged.
+
+    Over Z the spans are compared by their canonical column Hermite normal
+    forms (see ``_hermite``), with the labels numbered in sorted order: the
+    columns in increasing order of pivot row, each zero above its pivot, the
+    pivot positive, and every earlier column's entry in that row reduced
+    into ``[0, pivot)``.  Two families span the same lattice exactly when
+    these forms are equal; the rank is the number of columns.
+    """
+    if over == "Z":
+        labels = sorted({k for v in vs + ws for k in v})
+        index = {k: i for i, k in enumerate(labels)}
+
+        def hnf(family):
+            # copies, as _hermite consumes its vectors
+            vectors = [{index[k]: x for k, x in v.items() if x} for v in family]
+            return _hermite(vectors, len(labels))
+
+        return hnf(vs) == hnf(ws)
+    rank = _rank(vs)
+    return rank == _rank(ws) and _rank(vs + ws) == rank
 
 
 # -- primitive characters ------------------------------------------------------

@@ -145,9 +145,6 @@ class RootDatum:
         v = self.coroot_of[tuple(beta)]
         return sum(a * b for a, b in zip(v, chi))
 
-    def reflect(self, beta, chi) -> Vec:
-        return vsub(tuple(chi), tuple(c * self.pairing(chi, beta) for c in beta))
-
     def reflection_element(self, beta) -> WeylElement:
         """The reflection s_beta as a Weyl element, with its least reduced word."""
         return self.element(self.reflection(beta))
@@ -180,13 +177,6 @@ class RootDatum:
 
     def order(self) -> int:
         return len(self.weyl())
-
-    def matrix_length(self, w: WeylElement) -> int:
-        """#{positive roots sent to negative ones} (the geometric length)."""
-        return sum(
-            all(c <= 0 for c in self.simple_coordinates[w.act(beta)])
-            for beta in self.positive_roots
-        )
 
 
 def weyl_act(w: WeylElement, f: GradedSeries, ctx, datum: RootDatum) -> GradedSeries:

@@ -467,12 +467,6 @@ class GradedSeries:
             return degs.pop()
         return None
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        d = self.homogeneous_degree()
-        if d is None:
-            return False
-        return degree is None or not self.packed or d == degree
-
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -1140,11 +1134,11 @@ def complete_homogeneous(k: int, vars: list[GradedSeries]) -> GradedSeries:
     """The sum of all degree-k monomials in the given series (h_k)."""
     if k < 0:
         raise IndexOutOfRangeError("complete homogeneous index must be >= 0")
+    if not vars:
+        raise IndexOutOfRangeError("complete homogeneous function of no series")
     nv, p = vars[0].nvars, min(v.precision for v in vars)
     if k == 0:
         return GradedSeries.constant(1, nv, p)
-    if not vars:
-        return GradedSeries.zero(nv, p)
     # h_k(v1..vm) = sum_j v1^j h_{k-j}(v2..vm)
     out = GradedSeries.zero(nv, p)
     head, tail = vars[0], vars[1:]

@@ -18,6 +18,10 @@ divides with the package's law context.
 ``kernel_int_reference`` and ``span_equal_int_reference`` (the old lattice
 kernel and the old lattice comparison by membership) run the dense integer
 column echelon kept here, which the package no longer has.
+``clear_denominators``, ``is_homogeneous``, ``matrix_length`` and
+``reflect`` are small helpers that only the tests call, kept here as the
+package had them (``is_homogeneous`` asks ``is_zero`` where the method read
+the packed keys).
 ``flag_graph_reference`` and ``wonderful_graphs_reference``, the separate
 flag and wonderful graph constructions that ``gkm.coset_graph`` replaced,
 read the package's Weyl groups, reflections and symmetric data.
@@ -31,7 +35,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 from operator import add, sub
 
 from cobcalc.errors import (
@@ -47,8 +51,8 @@ from cobcalc.gkm import GKMClass, TupleSystem
 from cobcalc.linalg import (
     Vec,
     canonical_sign,
-    clear_denominators,
     require_primitive,
+    vsub,
 )
 from cobcalc.roots import mat_mul
 from cobcalc.sampling import random_b_monomial, random_composition
@@ -262,6 +266,33 @@ def engine_permutation(weyl_element, n: int):
         assert sorted(col) == [0] * (n - 1) + [1]
         perm.append(col.index(1))
     return tuple(perm)
+
+
+# -- small helpers that only the tests call -----------------------------------------
+
+
+def clear_denominators(row) -> Vec:
+    m = lcm(*(x.denominator for x in row))
+    return tuple(int(x * m) for x in row)
+
+
+def is_homogeneous(f: GradedSeries, degree: int | None = None) -> bool:
+    d = f.homogeneous_degree()
+    if d is None:
+        return False
+    return degree is None or f.is_zero() or d == degree
+
+
+def matrix_length(datum, w) -> int:
+    """#{positive roots sent to negative ones} (the geometric length)."""
+    return sum(
+        all(c <= 0 for c in datum.simple_coordinates[w.act(beta)])
+        for beta in datum.positive_roots
+    )
+
+
+def reflect(datum, beta, chi) -> Vec:
+    return vsub(tuple(chi), tuple(c * datum.pairing(chi, beta) for c in beta))
 
 
 # -- rational linear algebra ---------------------------------------------------------

@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 import cobcalc
+import cobcalc.linalg
 from cobcalc.cli import main
 from cobcalc.errors import ConfigError
 from cobcalc.fgl import LawSpec, build_law
 from cobcalc.gkm import flag_gkm, line_bundle_class
-from cobcalc.linalg import kernel_int, kernel_rational
 from cobcalc.roots import build_root_datum
 
 from .oracles import is_saturated
@@ -172,27 +172,28 @@ def test_compute_invariants_a2_universal_degree_zero(capsys, monkeypatch):
     # an 81x82 system whose integer kernel once took minutes of entry growth
     systems = []
 
-    def recording(rows, ncols):
-        basis = kernel_int(rows, ncols)
-        systems.append((rows, ncols, basis))
+    kernel = cobcalc.linalg.kernel
+
+    def recording(rows, ncols, over="Q"):
+        basis = kernel(rows, ncols, over)
+        systems.append((rows, ncols, over, basis))
         return basis
 
-    monkeypatch.setattr(cobcalc.gkm, "kernel_int", recording)
+    monkeypatch.setattr(cobcalc.linalg, "kernel", recording)
     code, out, _ = run_cli(
         capsys,
         "compute", "invariants", "--type", "a2", "--law", "universal:4",
         "--degree", "0",
     )
     assert code == 0
-    [(rows, ncols, basis)] = systems
-    assert (len(rows), ncols) == (81, 82)
+    [(rows, ncols, over, basis)] = systems
+    assert (len(rows), ncols, over) == (81, 82, "Z")
     assert json.loads(out)["rank"] == len(basis)
     for v in basis:
         for r in rows:
-            assert sum(a * x for a, x in zip(r, v)) == 0
-    sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
-    assert len(basis) == len(kernel_rational(sparse, ncols))
-    assert is_saturated(basis, ncols)
+            assert sum(a * v.get(c, 0) for c, a in r.items()) == 0
+    assert len(basis) == len(kernel(rows, ncols))
+    assert is_saturated([[v.get(c, 0) for c in range(ncols)] for v in basis], ncols)
 
 
 def test_gkm_verify_self_checks(capsys):
@@ -576,6 +577,22 @@ def test_no_private_attribute_access_across_objects():
         and node.attr.startswith("_")
         and not (node.attr.startswith("__") and node.attr.endswith("__"))
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert found == []
+
+
+def test_no_private_names_imported_across_modules():
+    # a module imports only public names from the others: from .x import _y
+    # is flagged; dunder names are exempt
+    found = [
+        f"{path.name}:{node.lineno}:{alias.name}"
+        for path in sorted(Path(cobcalc.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "cobcalc")
+        for alias in node.names
+        if alias.name.startswith("_")
+        and not (alias.name.startswith("__") and alias.name.endswith("__"))
     ]
     assert found == []
 

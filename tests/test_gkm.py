@@ -333,15 +333,15 @@ def _classical_tuple_rank(oracle: ClassicalFlagOracle, d: int) -> int:
                 for key, val in _restrict_to_hyperplane(mono, w_beta).items():
                     coords.setdefault(key, {})[k] = val
             for key in sorted(coords):
-                eq = [0] * ncols
+                eq = {}
                 for k, val in coords[key].items():
-                    eq[vi * len(monos) + k] += val
-                    eq[vj * len(monos) + k] -= val
-                if any(eq):
+                    eq[vi * len(monos) + k] = val
+                    eq[vj * len(monos) + k] = -val
+                if eq:
                     eqs.append(eq)
-    from cobcalc.linalg import kernel_int
+    from cobcalc.linalg import kernel
 
-    return len(kernel_int(eqs, ncols))
+    return len(kernel(eqs, ncols, over="Z"))
 
 
 # -- tensor model -------------------------------------------------------------------

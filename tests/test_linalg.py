@@ -1,23 +1,27 @@
+import os
+import subprocess
+import sys
+from copy import deepcopy
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import cobcalc
 from cobcalc.errors import NonPrimitiveCharacterError
 from cobcalc.linalg import (
+    _hermite,
+    _rank,
     _tie_quotient,
     canonical_sign,
-    clear_denominators,
-    hermite_basis,
-    kernel_int,
-    kernel_rational,
-    rank_int,
-    span_equal_int,
-    span_equal_rational,
+    kernel,
+    span_equal,
 )
 
 from .oracles import (
+    clear_denominators,
     is_saturated,
     kernel_int_reference,
     rational_kernel,
@@ -25,6 +29,29 @@ from .oracles import (
     span_equal_int_reference,
     unimodular_with_first_column,
 )
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
+def _dense(vectors, dim: int):
+    return [tuple(v.get(c, 0) for c in range(dim)) for v in vectors]
+
+
+def _kernel(rows, ncols: int, over: str):
+    """``kernel`` of the dense ``rows``, passed sparse, as dense vectors to
+    compare with the dense oracles."""
+    return _dense(kernel(_sparse(rows), ncols, over), ncols)
+
+
+def _hnf(vectors, dim: int):
+    """The column Hermite normal form of the dense ``vectors``, dense."""
+    return _dense(_hermite(_sparse(vectors), dim), dim)
+
+
+def _span_equal_int(vs, ws) -> bool:
+    return span_equal(_sparse(vs), _sparse(ws), over="Z")
 
 
 def test_canonical_sign():
@@ -40,44 +67,44 @@ def test_clear_denominators():
 
 def test_kernel_is_saturated():
     # 2x - 2y = 0 has primitive kernel generator (1, 1), not (2, 2)
-    basis = kernel_int([[2, -2]], 2)
-    assert basis == [(1, 1)]
+    basis = kernel([{0: 2, 1: -2}], 2, over="Z")
+    assert basis == [{0: 1, 1: 1}]
     # x + y + z = 0, x - z = 0
-    basis = kernel_int([[1, 1, 1], [1, 0, -1]], 3)
+    basis = _kernel([[1, 1, 1], [1, 0, -1]], 3, "Z")
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == v[2] and v[1] == -2 * v[0] and abs(v[0]) == 1
 
 
 def test_kernel_empty_system():
-    basis = kernel_int([], 2)
-    assert sorted(basis) == [(0, 1), (1, 0)]
+    basis = kernel([], 2, over="Z")
+    assert sorted(_dense(basis, 2)) == [(0, 1), (1, 0)]
 
 
 def test_kernel_int_is_hermite_in_the_free_columns():
     # 2x + y + z = 0: the reduced rational basis (-1, 2, 0), (-1, 0, 2) spans
     # only the solutions with y + z even; the lattice basis has free
     # coordinates (1, 1) and (0, 2), the Hermite form of that condition
-    assert kernel_int([[2, 1, 1]], 3) == [(-1, 1, 1), (-1, 0, 2)]
-    assert kernel_int([[2, 3]], 2) == [(-3, 2)]
-    assert kernel_int([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(-2, 3)]
-    assert kernel_int([[1, 2], [3, 4]], 2) == []
+    assert _kernel([[2, 1, 1]], 3, "Z") == [(-1, 1, 1), (-1, 0, 2)]
+    assert _kernel([[2, 3]], 2, "Z") == [(-3, 2)]
+    assert _kernel([[Fraction(1, 2), Fraction(1, 3)]], 2, "Z") == [(-2, 3)]
+    assert _kernel([[1, 2], [3, 4]], 2, "Z") == []
 
 
 def test_rank():
-    assert rank_int([(1, 2), (2, 4)]) == 1
-    assert rank_int([(1, 0), (0, 1), (1, 1)]) == 2
-    assert rank_int([]) == 0
-    assert rank_int([(0, 0)]) == 0
+    assert _rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+    assert _rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
+    assert _rank([]) == 0
+    assert _rank([{}, {0: 0}]) == 0
 
 
 def test_lattice_membership():
     # v lies in the lattice exactly when adding it leaves the HNF unchanged
     gens = [(2, 0), (0, 1)]
-    hnf = hermite_basis(gens, 2)
+    hnf = _hnf(gens, 2)
 
     def contains(v):
-        return hermite_basis(gens + [v], 2) == hnf
+        return _hnf(gens + [v], 2) == hnf
 
     assert contains((2, 5))
     assert not contains((1, 0))
@@ -98,17 +125,50 @@ def test_lattice_membership():
     ],
 )
 def test_hermite_basis_pinned(vectors, dim, expected):
-    assert hermite_basis(vectors, dim) == expected
+    assert _hnf(vectors, dim) == expected
 
 
 def test_span_equal_int_detects_index():
-    assert not span_equal_int([(2, 0), (0, 1)], [(1, 0), (0, 1)], 2)
-    assert span_equal_int([(1, 1), (0, 1)], [(1, 0), (0, 1)], 2)
+    assert not span_equal([{0: 2}, {1: 1}], [{0: 1}, {1: 1}], over="Z")
+    assert span_equal([{0: 1, 1: 1}, {1: 1}], [{0: 1}, {1: 1}], over="Z")
 
 
 def test_span_equal_rational():
-    assert span_equal_rational([(2, 0), (0, 3)], [(1, 0), (0, 1)], 2)
-    assert not span_equal_rational([(1, 0)], [(0, 1)], 2)
+    assert span_equal([{0: 2}, {1: 3}], [{0: 1}, {1: 1}])
+    assert not span_equal([{0: 1}], [{1: 1}], over="Q")
+
+
+def test_span_equal_takes_vertex_label_keys():
+    # labels are (vertex, label) pairs, as on a moment graph, absent from
+    # some vectors; the verdicts are those on the labels numbered in sorted
+    # order
+    a = [{(0, 5): 2, (1, 3): 2}, {(1, 3): 1, (2, 0): -1}]
+    mixed = [a[0], {(0, 5): 2, (1, 3): 3, (2, 0): -1}]
+    doubled = [{(0, 5): 4, (1, 3): 4}, a[1]]
+    labels = [(0, 5), (1, 3), (2, 0)]
+
+    def dense(family):
+        return [tuple(v.get(k, 0) for k in labels) for v in family]
+
+    for other, over_q, over_z in [
+        (mixed, True, True), (doubled, True, False), (a[:1], False, False)
+    ]:
+        assert span_equal(a, other, over="Q") == over_q
+        assert span_equal(a, other, over="Z") == over_z
+        assert span_equal_int_reference(dense(a), dense(other), 3) == over_z
+
+
+def test_kernel_and_span_equal_leave_their_input_unchanged():
+    # a tie, a Fraction row and a system that needs saturating over Z
+    rows = [{0: 1, 3: -1}, {1: Fraction(1, 2), 2: Fraction(1, 3)}, {0: 2, 1: 1, 2: 1}]
+    vs = [{"a": 2, "b": 0}, {"b": 3, "c": 1}]
+    ws = [{"a": 1}, {"b": 1, "c": 1}]
+    before = deepcopy((rows, vs, ws))
+    for over in ("Q", "Z"):
+        kernel(rows, 4, over)
+        span_equal(vs, ws, over)
+        span_equal(vs, vs, over)
+        assert (rows, vs, ws) == before
 
 
 def test_rref_canonical():
@@ -143,10 +203,6 @@ def test_unimodular_requires_primitive():
 # -- certified rational kernel ---------------------------------------------------
 
 
-def _sparse(rows):
-    return [{c: x for c, x in enumerate(r) if x} for r in rows]
-
-
 def _random_system(rng: Random):
     """A sparse system, often rank-deficient: some rows are combinations of
     others, some are zero, and some entries are Fractions."""
@@ -176,24 +232,24 @@ def test_kernel_rational_matches_reference(seed):
     for _ in range(40):
         rows, ncols = _random_system(rng)
         expected = rational_kernel(rows, ncols)
-        assert kernel_rational(_sparse(rows), ncols) == expected, (rows, ncols)
-        assert rank_int(rows) == len(rref_rational(rows)), rows
+        assert _kernel(rows, ncols, "Q") == expected, (rows, ncols)
+        assert _rank(_sparse(rows)) == len(rref_rational(rows)), rows
         # the reduced basis does not depend on the row order
         rng.shuffle(rows)
-        assert kernel_rational(_sparse(rows), ncols) == expected, (rows, ncols)
+        assert _kernel(rows, ncols, "Q") == expected, (rows, ncols)
 
 
 def test_kernel_rational_edge_cases():
     # no rows, and only zero rows: the unit vectors
-    assert kernel_rational([], 2) == [(1, 0), (0, 1)]
-    assert kernel_rational([{}, {0: 0}], 2) == [(1, 0), (0, 1)]
+    assert kernel([], 2) == [{0: 1}, {1: 1}]
+    assert kernel([{}, {0: 0}], 2) == [{0: 1}, {1: 1}]
     # full rank: nothing
-    assert kernel_rational([{0: 1, 1: 2}, {0: 3, 1: 4}], 2) == []
+    assert kernel([{0: 1, 1: 2}, {0: 3, 1: 4}], 2) == []
     # Fraction entries are cleared; the vector is primitive, positive at its
     # free column
-    assert kernel_rational([{0: Fraction(1, 2), 1: Fraction(-1, 3)}], 2) == [(2, 3)]
-    assert kernel_rational([{0: 2, 1: -2}], 2) == [(1, 1)]
-    assert kernel_rational([{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}], 3) == [(1, -2, 1)]
+    assert kernel([{0: Fraction(1, 2), 1: Fraction(-1, 3)}], 2) == [{0: 2, 1: 3}]
+    assert kernel([{0: 2, 1: -2}], 2) == [{0: 1, 1: 1}]
+    assert kernel([{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}], 3) == [{0: 1, 1: -2, 2: 1}]
 
 
 def _random_integer_system(rng: Random):
@@ -226,16 +282,16 @@ def test_kernel_int_matches_reference():
     saturated = 0
     for _ in range(1500):
         rows, ncols = _random_integer_system(rng)
-        got = kernel_int(rows, ncols)
+        got = _kernel(rows, ncols, "Z")
         expected = kernel_int_reference(rows, ncols)
         assert len(got) == len(expected), (rows, ncols)
-        assert span_equal_int(got, expected, ncols), (rows, ncols)
+        assert _span_equal_int(got, expected), (rows, ncols)
         for v in got:
             for r in rows:
                 assert sum(a * x for a, x in zip(r, v)) == 0, (rows, v)
         # the reduced rational basis ends at its free column; a scale above
-        # 1 there means kernel_int had to saturate it
-        scales = [next(x for x in reversed(v) if x) for v in kernel_rational(_sparse(rows), ncols)]
+        # 1 there means the kernel over Z had to saturate it
+        scales = [v[max(v)] for v in kernel(_sparse(rows), ncols)]
         if lcm(*scales) > 1:
             saturated += 1
     assert saturated > 100
@@ -249,21 +305,85 @@ def test_is_saturated_oracle():
     assert is_saturated([], 3)
 
 
-# the two largest primes below 2**31, the first moduli kernel_rational tries
+# the two largest primes below 2**31, the first moduli the kernel tries
 _P, _Q = 2**31 - 1, 2**31 - 19
 
 
 def test_kernel_rational_survives_unlucky_primes():
     # modulo _P the pivot moves to column 1, and the kernel vector lifts only
     # from several further primes combined (its entry _P is too large for one)
-    assert kernel_rational([{0: _P, 1: 1}], 2) == [(-1, _P)]
-    assert kernel_rational([{0: 1, 1: _P}], 2) == [(-_P, 1)]
+    assert kernel([{0: _P, 1: 1}], 2) == [{0: -1, 1: _P}]
+    assert kernel([{0: 1, 1: _P}], 2) == [{0: -_P, 1: 1}]
     # _Q is unlucky while lucky primes are being combined: it must be dropped
-    assert kernel_rational([{0: _Q, 1: 1}], 2) == [(-1, _Q)]
+    assert kernel([{0: _Q, 1: 1}], 2) == [{0: -1, 1: _Q}]
     # modulo _P the rank drops: the extra kernel vector fails the exact check
-    assert kernel_rational([{0: _P, 1: _P}, {0: 1, 1: 2}], 2) == []
+    assert kernel([{0: _P, 1: _P}, {0: 1, 1: 2}], 2) == []
     rows = [[3 * _P, _P, 0, _P], [_P, 0, 2 * _P, Fraction(_P, 7)], [1, 1, 1, 1]]
-    assert kernel_rational(_sparse(rows), 4) == rational_kernel(rows, 4)
+    assert _kernel(rows, 4, "Q") == rational_kernel(rows, 4)
+
+
+# Mutations of the solver that no prime can certify: a tie quotient that also
+# merges {a: v, b: v} (x_a = x_b where x_a = -x_b holds), and an elimination
+# that loses the rank modulo every prime after the first.  Run in a child
+# process, so that a solver that loops forever fails this test by its timeout
+# instead of hanging the suite.
+_MUTANTS = """
+import cobcalc.linalg as linalg
+from cobcalc.errors import InternalConsistencyError
+
+tie_quotient, kernel_mod = linalg._tie_quotient, linalg._kernel_mod
+
+
+def also_merging(rows, ncols):
+    flipped = []
+    for r in rows:
+        if len(r) == 2:
+            (a, x), (b, y) = r.items()
+            if x == y:
+                r = {a: x, b: -y}
+        flipped.append(r)
+    return tie_quotient(flipped, ncols)
+
+
+def rank_lost(rows, ncols, p):
+    return kernel_mod(rows, ncols, p) if p == 2**31 - 1 else ([], {})
+
+
+def attempt(rows, ncols):
+    for over in ("Q", "Z"):
+        try:
+            print(linalg.kernel(rows, ncols, over))
+        except InternalConsistencyError as e:
+            print(e)
+
+
+linalg._tie_quotient = also_merging
+attempt([{0: 1, 1: 1}], 2)
+attempt([{0: 2, 1: 2}, {1: 1, 2: 1, 3: -2}, {2: 1, 3: -1}], 4)
+linalg._tie_quotient = tie_quotient
+linalg._kernel_mod = rank_lost
+attempt([{0: 2**31 - 1, 1: 1}], 2)
+"""
+
+
+def test_uncertifiable_systems_raise_instead_of_hanging():
+    src = str(Path(cobcalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _MUTANTS],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("the prime loop did not stop on an uncertifiable system")
+    assert done.returncode == 0, done.stderr
+    shapes = ["1x2 system (quotient by its ties 0x1)"] * 2
+    shapes += ["3x4 system (quotient by its ties 1x2)"] * 2
+    shapes += ["1x2 system (quotient by its ties 1x2)"] * 2
+    assert done.stdout.splitlines() == [
+        f"no certified kernel of the {shape} within its Hadamard bound"
+        for shape in shapes
+    ]
 
 
 # -- systems with tie rows {a: v, b: -v} ----------------------------------------
@@ -285,8 +405,8 @@ def test_tie_classes_are_numbered_by_their_largest_column():
     assert quotient == [{2: 1, 0: 1, 1: 3}]
     # the free column of a free class is its largest
     expected = [(0, 1, 1, 0, 0), (0, 0, 0, 1, 0), (1, 0, 0, 0, 1)]
-    assert kernel_rational(rows[:3], 5) == expected
-    assert kernel_rational(rows, 5) == rational_kernel(
+    assert _dense(kernel(rows[:3], 5), 5) == expected
+    assert _dense(kernel(rows, 5), 5) == rational_kernel(
         [[r.get(c, 0) for c in range(5)] for r in rows], 5
     ) == [(0, -3, -3, 1, 0), (1, -1, -1, 0, 1)]
 
@@ -344,15 +464,15 @@ def test_kernels_of_tie_systems_match_references(seed):
         classes, _ = _tie_quotient(_sparse(clear_denominators(r) for r in rows), ncols)
         merged += len(classes) < ncols
         expected = rational_kernel(rows, ncols)
-        got = kernel_int(rows, ncols)
+        got = _kernel(rows, ncols, "Z")
         reference = kernel_int_reference(rows, ncols)
-        assert kernel_rational(_sparse(rows), ncols) == expected, (rows, ncols)
+        assert _kernel(rows, ncols, "Q") == expected, (rows, ncols)
         assert len(got) == len(reference), (rows, ncols)
-        assert span_equal_int(got, reference, ncols), (rows, ncols)
+        assert _span_equal_int(got, reference), (rows, ncols)
         # neither depends on the row order
         rng.shuffle(rows)
-        assert kernel_rational(_sparse(rows), ncols) == expected, (rows, ncols)
-        assert kernel_int(rows, ncols) == got, (rows, ncols)
+        assert _kernel(rows, ncols, "Q") == expected, (rows, ncols)
+        assert _kernel(rows, ncols, "Z") == got, (rows, ncols)
     assert merged > 50
 
 
@@ -385,11 +505,11 @@ def test_span_equal_int_matches_reference(seed):
     verdicts = set()
     for _ in range(40):
         gens, dim = _random_family(rng)
-        hnf = hermite_basis(gens, dim)
-        assert len(hnf) == rank_int(gens), gens
+        hnf = _hnf(gens, dim)
+        assert len(hnf) == _rank(_sparse(gens)), gens
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        assert hermite_basis(shuffled, dim) == hnf, gens
+        assert _hnf(shuffled, dim) == hnf, gens
         variants = [shuffled]
         if gens:
             # one generator doubled: the same lattice or one of index 2
@@ -401,11 +521,11 @@ def test_span_equal_int_matches_reference(seed):
             m = rng.choice([-3, -2, -1, 1, 2, 3])
             mixed = gens[:]
             mixed[i] = tuple(x + m * y for x, y in zip(gens[i], gens[j]))
-            assert hermite_basis(mixed, dim) == hnf, (gens, mixed)
+            assert _hnf(mixed, dim) == hnf, (gens, mixed)
             variants.append(mixed)
         for other in variants:
             expected = span_equal_int_reference(gens, other, dim)
-            assert span_equal_int(gens, other, dim) == expected, (gens, other)
-            assert span_equal_int(other, gens, dim) == expected, (gens, other)
+            assert _span_equal_int(gens, other) == expected, (gens, other)
+            assert _span_equal_int(other, gens) == expected, (gens, other)
             verdicts.add(expected)
     assert verdicts == {True, False}

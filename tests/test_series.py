@@ -23,7 +23,7 @@ from cobcalc.series import (
     elementary_symmetric,
 )
 
-from .oracles import nested
+from .oracles import is_homogeneous, nested
 
 
 def var(i, n=2, p=5):
@@ -71,10 +71,10 @@ def test_equality_requires_matching_precision():
 def test_homogeneity():
     ctx = build_law("universal:3", 4)
     x = ctx.formal_sum((1, 1))
-    assert x.is_homogeneous(1)
+    assert is_homogeneous(x, 1)
     t1, t2 = var(0, 2, 4), var(1, 2, 4)
-    assert not (t1 + t1 * t2).is_homogeneous()
-    assert GradedSeries.zero(2, 4).is_homogeneous()
+    assert not is_homogeneous(t1 + t1 * t2)
+    assert is_homogeneous(GradedSeries.zero(2, 4))
 
 
 def test_homogeneity_preserved_by_ring_ops():
@@ -85,9 +85,9 @@ def test_homogeneity_preserved_by_ring_ops():
         q = rng.randint(1, 2)
         f = random_homogeneous(rng, ctx, 2, p)
         g = random_homogeneous(rng, ctx, 2, q)
-        assert (f * g).is_homogeneous(p + q) or (f * g).is_zero()
+        assert is_homogeneous(f * g, p + q) or (f * g).is_zero()
         h = random_homogeneous(rng, ctx, 2, p)
-        assert (f + h).is_homogeneous(p) or (f + h).is_zero()
+        assert is_homogeneous(f + h, p) or (f + h).is_zero()
 
 
 def test_substitute_swap_symmetric():
@@ -183,6 +183,14 @@ def test_complete_homogeneous():
     t = GradedSeries.variable(0, 1, 6)
     assert complete_homogeneous(4, [t]) == t ** 4
     assert complete_homogeneous(0, [t1, t2]) == GradedSeries.constant(1, 2, 5)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_complete_homogeneous_of_no_series(k):
+    # like elementary_symmetric on an empty list: a typed error, not an
+    # IndexError from reading the first series
+    with pytest.raises(IndexOutOfRangeError):
+        complete_homogeneous(k, [])
 
 
 def test_formal_sum_basics():
