@@ -310,7 +310,7 @@ class FGLContext:
             subst, div = self.substitution(chars), self._divisor(chi)
             got = self._dd_cache[key] = MonomialMap(
                 lambda f: divide_exact(f - subst.apply(f), div),
-                len(chi), min(subst.precision, div.precision), div.order,
+                len(chi), len(chi), min(subst.precision, div.precision), div.order,
             )
         return got
 
@@ -323,7 +323,9 @@ class FGLContext:
         got = self._remainder_cache.get(chi)
         if got is None:
             div = self._divisor(chi)
-            got = MonomialMap(lambda f: remainder(f, div), len(chi), div.precision, 0)
+            got = MonomialMap(
+                lambda f: remainder(f, div), len(chi), len(chi), div.precision, 0
+            )
             self._remainder_cache[chi] = got
         return got
 

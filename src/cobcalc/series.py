@@ -9,14 +9,17 @@ A :class:`GradedSeries` is a finite sum of terms ``c * b^k * t^e`` with
 Each series stores its terms as one flat dict ``{packed key: value}``.  A key
 packs the exponents of its monomial into one int (Kronecker substitution), in
 bit fields from high to low: the t-degree, the t-exponents t1..tn, the
-b-weight under a guard bit, and the b-exponents b1..bB.  The field widths
-are a function of nvars, the precision and the largest b-weight of the
-series (:class:`_Layout`): a t-exponent field holds every degree through
-the precision, the weight field holds a bound B, at least precision + 1 and
-at least the largest weight, and the field of b_i holds ``B // i``.  So the
-key of a product of two monomials is the sum of their keys, a term lies
+b-weight under a guard bit, and the b-exponents b1..bB.  The field widths make
+a :class:`_Layout`: a t-exponent field holds every degree through the
+precision or beyond, the weight field holds a bound B, at least precision + 1
+and at least the largest weight, and the field of b_i holds ``B // i``.  So
+the key of a product of two monomials is the sum of their keys, a term lies
 within precision p exactly when its key is below ``(p + 1) << dshift``, and
-keys sort by (t-degree, t-exponents, weight, b-exponents).  A product whose
+keys sort by (t-degree, t-exponents, weight, b-exponents).  A constructor
+packs a series in the narrowest layout for nvars, its precision and its
+largest b-weight; every operation returns its result in the layout it computed
+in, one that holds the keys of its inputs, so a chain of operations that each
+lose a degree never moves its terms to another layout.  A product whose
 b-weight would pass B sets the guard bit instead of carrying into the
 t-exponents; the operation is then redone in a layout with a wider weight
 field, and a weight above :data:`MAX_WEIGHT` raises
@@ -40,8 +43,8 @@ divided difference  min(prec f, prec images) - 1
 ==================  ======================================
 
 The divided difference is ``(f - s(f)) / x_chi``, with x_chi (of order 1)
-at the precision of the images of s; it and the remainder modulo x_chi are
-memoised per t-monomial by :class:`MonomialMap`.
+at the precision of the images of s; it, the remainder modulo x_chi and the
+substitution are memoised per t-monomial by :class:`MonomialMap`.
 
 Comparing two series of different precision raises
 :class:`PrecisionMismatchError`; truncate explicitly first.  This is what
@@ -88,29 +91,20 @@ class _Overflow(Exception):
 
 class _Layout:
     """The bit fields of a packed key in ``nvars`` variables: t-exponent
-    fields of width ``tw``, which hold every degree through ``hi``, and a
-    weight field of width ``bw`` under a guard bit, which holds every
-    b-weight through ``bound``; the field of b_i holds ``bound // i``.  The
-    layout of a series is the narrowest one for its precision (``lo..hi``)
-    and its largest b-weight; ``wide`` marks one whose weights need more
-    than the precision's own width."""
+    fields of width ``tw``, which hold every degree through ``2^tw - 2``, and
+    a weight field of width ``bw`` under a guard bit, which holds every
+    b-weight through ``bound``; the field of b_i holds ``bound // i``."""
 
     __slots__ = (
-        "nvars", "tw", "bw", "lo", "hi", "bound", "wide", "own", "tmask", "bfields",
-        "blast", "bexps", "wshift", "wfield", "wlimit", "guard", "tshift", "bmask",
-        "tfields", "dshift", "tunits", "bunits",
+        "nvars", "tw", "bw", "bound", "tmask", "bfields", "blast", "bexps",
+        "wshift", "wfield", "wlimit", "guard", "tshift", "bmask", "tfields",
+        "dshift", "tunits", "bunits",
     )
 
     def __init__(self, nvars: int, tw: int, bw: int):
         self.nvars = nvars
         self.tw = tw
         self.bw = bw
-        self.lo = 0 if tw == _MIN_WIDTH else (1 << (tw - 1)) - 1
-        self.hi = (1 << tw) - 2
-        self.wide = bw > tw
-        # a result of precision p computed here is in its own layout when
-        # p >= own
-        self.own = MAX_PRECISION + 1 if self.wide else self.lo
         self.tmask = (1 << tw) - 1
         bound = self.bound = (1 << bw) - 1
         # b_bound in the lowest bits, b_1 just below the weight
@@ -138,7 +132,7 @@ class _Layout:
         self.bunits = [(i << shift) | (1 << s) for i, (s, _) in enumerate(fields, 1)]
 
     def pack(self, t, b) -> int:
-        """The key of ``b^b * t^t``; ``t`` must have degree at most ``hi``.
+        """The key of ``b^b * t^t``; ``t`` must have degree at most ``2^tw - 2``.
         Raises :class:`_Overflow` when the b-weight passes the bound."""
         return sum(map(mul, t, self.tunits)) + (self.pack_b(b) if b else 0)
 
@@ -180,7 +174,7 @@ _NARROWEST: dict = {}  # (nvars, precision) -> the layout of b-weight 0
 
 
 def _layout(nvars: int, precision: int, weight: int = 0) -> _Layout:
-    """The layout of series of this precision and largest b-weight."""
+    """The narrowest layout of series of this precision and largest b-weight."""
     lay = _NARROWEST.get((nvars, precision))
     if lay is not None and weight <= lay.bound:
         return lay
@@ -215,15 +209,6 @@ def _repack(terms: dict, src: _Layout, dst: _Layout) -> dict:
     for k, v in terms.items():
         out[dst.pack(*src.unpack(k))] = v
     return out
-
-
-def _finish(nvars: int, p: int, lay: _Layout, terms: dict) -> "GradedSeries":
-    """The series of ``terms``, computed in ``lay`` and truncated at p, in
-    its own layout."""
-    if p >= lay.own:
-        return GradedSeries(nvars, p, lay, terms)
-    out = _layout(nvars, p, lay.weight(terms))
-    return GradedSeries(nvars, p, out, _repack(terms, lay, out))
 
 
 def _pair(a: "GradedSeries", b: "GradedSeries") -> tuple:
@@ -331,9 +316,11 @@ class GradedSeries:
     __slots__ = ("nvars", "precision", "layout", "packed", "_sort")
 
     def __init__(self, nvars: int, precision: int, lay: _Layout, terms: dict):
-        # Trusts canonical input: keys in ``lay``, the layout of nvars, the
-        # precision and the largest b-weight, no zero values, t-degrees <=
-        # precision.  Outside this module build series with from_terms.
+        # Trusts canonical input: keys in ``lay``, a layout of nvars whose
+        # fields hold the precision and the largest b-weight, no zero values,
+        # t-degrees <= precision.  Constructors take the narrowest such
+        # layout; an operation keeps the one it computed in.  Outside this
+        # module build series with from_terms.
         self.nvars = nvars
         self.precision = precision
         self.layout = lay
@@ -395,8 +382,7 @@ class GradedSeries:
             weight = max(_weight(b) for c in terms.values() for b, v in c.items() if v)
             lay = _layout(nvars, precision, weight)
             packed = _pack_terms(terms, nvars, precision, lay)
-        # equal monomials may have cancelled the heaviest one
-        return _finish(nvars, precision, lay, packed)
+        return GradedSeries(nvars, precision, lay, packed)
 
     # -- tuple view ---------------------------------------------------------
 
@@ -408,15 +394,12 @@ class GradedSeries:
             t, b = unpack(k)
             yield t, b, v
 
-    def coords(self, precision: int | None = None) -> dict:
+    def coords(self, precision: int) -> dict:
         """The terms as sparse coordinates ``{label: value}``.  A label is
         an opaque int naming the monomial; labels sort, and they agree
-        between series of one nvars taken at one ``precision`` (by default
-        the series' own; at least it), as long as their b-weights are at
-        most precision + 1."""
-        lay = self.layout
-        if precision is not None and (precision != self.precision or lay.wide):
-            lay = _layout(self.nvars, precision)
+        between series of one nvars taken at one ``precision`` (at least the
+        series' own), as long as their b-weights are at most precision + 1."""
+        lay = _layout(self.nvars, precision)
         try:
             return dict(self.packed_in(lay))
         except _Overflow:
@@ -451,7 +434,7 @@ class GradedSeries:
         d = self.layout.dshift
         low, high = k << d, (k + 1) << d
         terms = {e: v for e, v in self.packed.items() if low <= e < high}
-        return _finish(self.nvars, self.precision, self.layout, terms)
+        return GradedSeries(self.nvars, self.precision, self.layout, terms)
 
     def homogeneous_degree(self) -> int | None:
         """The common cohomological degree of all terms, or None if mixed.
@@ -481,8 +464,6 @@ class GradedSeries:
                 f"comparison at mismatched precision {self.precision} != "
                 f"{other.precision}; truncate explicitly first"
             )
-        if self.layout is other.layout:
-            return self.packed == other.packed
         _, a, b = _pair(self, other)
         return a == b
 
@@ -502,7 +483,7 @@ class GradedSeries:
             return self
         lim = (d + 1) << self.layout.dshift
         terms = {k: v for k, v in self.packed.items() if k < lim}
-        return _finish(self.nvars, d, self.layout, terms)
+        return GradedSeries(self.nvars, d, self.layout, terms)
 
     def __add__(self, other: "GradedSeries", negate: bool = False) -> "GradedSeries":
         if self.nvars != other.nvars:
@@ -519,9 +500,7 @@ class GradedSeries:
                     out[k] = s
                 else:
                     del out[k]
-        if p >= lay.own:
-            return GradedSeries(self.nvars, p, lay, out)
-        return _finish(self.nvars, p, lay, out)
+        return GradedSeries(self.nvars, p, lay, out)
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self.__add__(other, True)
@@ -551,9 +530,7 @@ class GradedSeries:
             except _Overflow:
                 pass
             else:
-                if p >= lay.own:
-                    return GradedSeries(self.nvars, p, lay, terms)
-                return _finish(self.nvars, p, lay, terms)
+                return GradedSeries(self.nvars, p, lay, terms)
         # another layout, or a product past the weight bound: work in a
         # layout that holds every product of the two
         weight = a.layout.weight(a.packed) + b.layout.weight(b.packed)
@@ -563,7 +540,7 @@ class GradedSeries:
             a.packed_in(lay).items(), sorted(inner.items()), _wmax(inner, lay),
             (p + 1) << lay.dshift, lay,
         )
-        return _finish(self.nvars, p, lay, terms)
+        return GradedSeries(self.nvars, p, lay, terms)
 
     def scale(self, c) -> "GradedSeries":
         """Multiply by a coefficient: a number, or a ``{b-exponent: value}``
@@ -589,7 +566,7 @@ class GradedSeries:
         """Set every coefficient generator to zero (additive specialization)."""
         m = self.layout.bmask
         terms = {k: v for k, v in self.packed.items() if not k & m}
-        return _finish(self.nvars, self.precision, self.layout, terms)
+        return GradedSeries(self.nvars, self.precision, self.layout, terms)
 
     def rename(self, src) -> "GradedSeries":
         """The series with ``t_{src[j]+1}`` renamed ``t_{j+1}``: the
@@ -733,18 +710,82 @@ def _sum_images(
     return acc
 
 
-class Substitution:
-    """Simultaneous substitution ``t_i -> images[i]``.
+class MonomialMap:
+    """A map ``f -> op(f)`` from series in ``nvars_in`` variables to series
+    in ``nvars_out``, linear over the coefficient ring and memoised on
+    t-monomials: the substitution (:class:`Substitution`), the divided
+    difference ``(f - s(f)) / x_chi`` and the remainder modulo x_chi (see
+    :meth:`FGLContext.divided_difference` and :meth:`FGLContext.remainder_map`).
+
+    ``op`` takes a series to one whose precision is ``drop`` below
+    ``min(its own, precision)``; it must commute with truncation and with
+    scaling by b-monomials and numbers.  :meth:`apply` computes the image of
+    each t-monomial ``t^e`` once, at ``precision``, and memoises it by the
+    packed t-part in the input layout of that precision, as a key-sorted
+    list in the output layout of that precision.  It sums the coefficients
+    of f times the images of its monomials, each sum stopping at its first
+    key past the output precision, and returns the result in that output
+    layout.  Truncation commutes with op, so one memo serves every input
+    precision: an input in another layout is truncated and repacked into the
+    memo's.  When op raises :class:`NotDivisibleError` on a monomial (as for
+    a difference whose s is not the reflection in chi), and for an input in
+    other variables, a term whose b-weight would pass the layout's bound or
+    no precision left, :meth:`apply` returns ``op(f)`` instead, so an error
+    is the one that op raises on the whole series.
+    """
+
+    def __init__(
+        self, op, nvars_in: int, nvars_out: int, precision: int, drop: int
+    ):
+        self.op = op
+        self.nvars_in = nvars_in
+        self.nvars_out = nvars_out
+        self.precision = precision
+        self.drop = drop
+        # the t-parts of input keys in _lay_in name the memo entries; the
+        # images are in _lay, which has the same b-fields
+        self._lay_in = _layout(nvars_in, precision)
+        self._lay = _layout(nvars_out, precision)
+        self._memo: dict = {}
+
+    def _monomial_image(self, tp: int) -> tuple:
+        lay_in, lay = self._lay_in, self._lay
+        t, _ = lay_in.unpack(tp << lay_in.tshift)
+        mono = GradedSeries.from_terms(self.nvars_in, self.precision, {t: {(): 1}})
+        img = self.op(mono)
+        got = self._memo[tp] = _image(img.packed_in(lay), lay)
+        return got
+
+    def apply(self, f: GradedSeries) -> GradedSeries:
+        p = min(f.precision, self.precision)
+        top = p - self.drop
+        lay_in = self._lay_in
+        if f.nvars == self.nvars_in and top >= 0:
+            try:
+                terms = f.packed
+                if f.layout is not lay_in:
+                    terms = f.truncate(p).packed_in(lay_in)
+                terms = _sum_images(
+                    terms, lay_in, p, self._memo, self._monomial_image, self._lay, top
+                )
+            except (NotDivisibleError, _Overflow):
+                pass
+            else:
+                return GradedSeries(self.nvars_out, top, self._lay, terms)
+        return self.op(f)
+
+
+class Substitution(MonomialMap):
+    """Simultaneous substitution ``t_i -> images[i]``: a :class:`MonomialMap`
+    whose op is the slow road of series products, term by term.
 
     Every image must have positive order so that degree-``d`` output terms
-    only depend on degree-``<= d`` input terms.  Monomial images are memoised
-    as key-sorted lists, so reusing one Substitution across many series
-    amortises the series products, and a sum over an image stops at its
-    first key past the output precision; :meth:`FGLContext.substitution`
-    keeps one per tuple of characters for that reason.  A series or an
-    image whose b-weights need a wide layout, or a term whose product with
-    an image would pass the bound, takes the slow road of series products
-    instead.
+    only depend on degree-``<= d`` input terms.  The image of a monomial is
+    that of a memoised monomial of one degree less times one image, so
+    reusing one Substitution across many series amortises the series
+    products; :meth:`FGLContext.substitution` keeps one per tuple of
+    characters for that reason.  An image whose b-weights do not fit the
+    memo's layout sends every call to the slow road.
     """
 
     def __init__(self, images: list[GradedSeries]):
@@ -757,26 +798,33 @@ class Substitution:
             if img.order() == 0:
                 raise ConstantTermError("substitution image has a constant term")
         self.images = list(images)
-        self.nvars_in = len(images)
-        self.nvars_out = m
-        self.precision = p = min(img.precision for img in images)
-        # the t-parts of input keys in _lay_in name the memo entries; the
-        # images are in _lay, which has the same b-fields
-        self._lay = _layout(m, p)
-        self._lay_in = _layout(self.nvars_in, p)
-        self._factors = [img.truncate(p) for img in images]
-        self._fast = all(f.layout is self._lay for f in self._factors)
-        self._memo: dict = {0: (0, [0], [1])}
+        p = min(img.precision for img in images)
+        super().__init__(self._products, len(images), m, p, 0)
+        lay = self._lay
+        try:
+            self._factors = [
+                GradedSeries(m, p, lay, img.truncate(p).packed_in(lay))
+                for img in images
+            ]
+        except _Overflow:
+            self._factors = None
+        else:
+            self._memo[0] = (0, [0], [1])
+
+    # perfbench/spans.py wraps the methods in a class's own __dict__; naming
+    # apply here keeps a span on substitutions apart from the other maps
+    apply = MonomialMap.apply
 
     def _monomial_image(self, tp: int) -> tuple:
-        lay_in = self._lay_in
+        if self._factors is None:
+            raise _Overflow
+        lay_in, lay = self._lay_in, self._lay
         shift, m = lay_in.tshift, lay_in.tmask
         i = next(j for j, s in enumerate(lay_in.tfields) if (tp >> (s - shift)) & m)
         prev = tp - (lay_in.tunits[i] >> shift)
         got = self._memo.get(prev)
         if got is None:
             got = self._monomial_image(prev)
-        lay = self._lay
         img = GradedSeries(
             self.nvars_out, self.precision, lay, dict(zip(got[1], got[2]))
         ) * self._factors[i]
@@ -785,32 +833,12 @@ class Substitution:
         got = self._memo[tp] = _image(img.packed, lay)
         return got
 
-    def apply(self, f: GradedSeries) -> GradedSeries:
+    def _products(self, f: GradedSeries) -> GradedSeries:
         if f.nvars != self.nvars_in:
             raise NVarsMismatchError(
                 f"series has {f.nvars} variables, substitution expects {self.nvars_in}"
             )
         p = min(f.precision, self.precision)
-        lay, lay_in = self._lay, self._lay_in
-        if f.layout is lay_in:
-            terms = f.packed
-        else:
-            # a series of a precision in another layout is repacked: the
-            # t-fields of lay_in hold its degrees, and unless its layout is
-            # wide, its b-weights are at most its own precision's bound
-            g = f.truncate(p)
-            terms = None if g.layout.wide else g.packed_in(lay_in)
-        if self._fast and terms is not None:
-            try:
-                terms = _sum_images(
-                    terms, lay_in, p, self._memo, self._monomial_image, lay, p
-                )
-            except _Overflow:
-                pass
-            else:
-                if p >= lay.own:
-                    return GradedSeries(self.nvars_out, p, lay, terms)
-                return _finish(self.nvars_out, p, lay, terms)
         out = GradedSeries.zero(self.nvars_out, p)
         one = (0,) * self.nvars_out
         for t, b, v in f.truncate(p).items():
@@ -946,7 +974,7 @@ def divide_exact(f: GradedSeries, g: GradedSeries | Divisor) -> GradedSeries:
     if f.is_zero():
         return GradedSeries.zero(f.nvars, out_prec)
     lay, q_terms, _ = _divide(f, div, horizon, True)
-    return _finish(f.nvars, out_prec, lay, q_terms)
+    return GradedSeries(f.nvars, out_prec, lay, q_terms)
 
 
 def remainder(f: GradedSeries, g: GradedSeries | Divisor) -> GradedSeries:
@@ -963,7 +991,7 @@ def remainder(f: GradedSeries, g: GradedSeries | Divisor) -> GradedSeries:
     if f.is_zero():
         return GradedSeries.zero(f.nvars, horizon)
     lay, _, r_terms = _divide(f, div, horizon, False)
-    return _finish(f.nvars, horizon, lay, r_terms)
+    return GradedSeries(f.nvars, horizon, lay, r_terms)
 
 
 def _divide(f: GradedSeries, div: Divisor, horizon: int, exact: bool) -> tuple:
@@ -1055,59 +1083,6 @@ def _long_divide(terms: dict, div: Divisor, horizon: int, exact: bool) -> tuple:
                 for eg, cg in terms:
                     _add_product(bucket, eq + eg, src, cg, guard)
     return q_terms, r_terms
-
-
-class MonomialMap:
-    """A map ``f -> op(f)`` linear over the coefficient ring, memoised on
-    t-monomials: the divided difference ``(f - s(f)) / x_chi`` and the
-    remainder modulo x_chi (see :meth:`FGLContext.divided_difference` and
-    :meth:`FGLContext.remainder_map`).
-
-    ``op`` takes a series in ``nvars`` variables to one whose precision is
-    ``drop`` below ``min(its own, precision)``; it must commute with
-    truncation and with scaling by b-monomials and numbers.  :meth:`apply`
-    computes the image of each t-monomial ``t^e`` once, at ``precision``,
-    memoises it by the packed t-part in the layout of that precision, as
-    :class:`Substitution` memoises monomial images, and sums the
-    coefficients of f times the images of its monomials; truncation
-    commutes with op, so one memo serves every input precision.  When op
-    raises :class:`NotDivisibleError` on a monomial (as for a difference
-    whose s is not the reflection in chi), and for a series in another
-    layout (other nvars among them), a term whose b-weight would pass the
-    layout's bound or no precision left, :meth:`apply` returns ``op(f)``
-    instead, so an error is the one that op raises on the whole series.
-    """
-
-    def __init__(self, op, nvars: int, precision: int, drop: int):
-        self.op = op
-        self.nvars = nvars
-        self.precision = precision
-        self.drop = drop
-        # the layout of the inputs; its t-parts name the memo entries
-        self._lay = _layout(nvars, precision)
-        self._memo: dict = {}
-
-    def _monomial_image(self, tp: int) -> tuple:
-        lay = self._lay
-        t, _ = lay.unpack(tp << lay.tshift)
-        img = self.op(GradedSeries.from_terms(self.nvars, self.precision, {t: {(): 1}}))
-        got = self._memo[tp] = _image(img.packed_in(lay), lay)
-        return got
-
-    def apply(self, f: GradedSeries) -> GradedSeries:
-        p = min(f.precision, self.precision)
-        top = p - self.drop
-        lay = self._lay
-        if f.layout is lay and top >= 0:
-            try:
-                terms = _sum_images(
-                    f.packed, lay, p, self._memo, self._monomial_image, lay, top
-                )
-            except (NotDivisibleError, _Overflow):
-                pass
-            else:
-                return _finish(self.nvars, top, lay, terms)
-        return self.op(f)
 
 
 # -- symmetric functions -------------------------------------------------------

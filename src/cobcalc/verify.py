@@ -43,9 +43,6 @@ from .wonderful import (
     verify_esph,
 )
 
-SUITES = ("lemma-div", "demazure", "gln", "tensor-iso", "bott-samelson", "esph")
-
-
 @dataclass
 class RunConfig:
     law: str = "universal:4"
@@ -452,6 +449,7 @@ _SUITE_FUNCS = {
     "bott-samelson": suite_bott_samelson,
     "esph": suite_esph,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict:

@@ -256,19 +256,29 @@ def test_zero_edge_character_rejected():
 
 
 def test_subring_ranks_match_classical_oracle():
-    """Additive ranks agree with a brute-force classical computation and with
-    the closed-form cell count sum_w dim Sym^(d - length(w))."""
+    """Additive ranks agree with the closed-form cell count
+    sum_w dim Sym^(d - length(w)) on gl2, gl3, b2 and g2, and on gl2 and gl3
+    with a brute-force classical computation.  The b2 and g2 remainder rows
+    carry Fractions (leading values 2 and 3); the basis is still integral."""
     expected = {("gl2", 0): 1, ("gl2", 1): 3, ("gl2", 2): 5,
-                ("gl3", 0): 1, ("gl3", 1): 5, ("gl3", 2): 14}
+                ("gl3", 0): 1, ("gl3", 1): 5, ("gl3", 2): 14,
+                ("b2", 0): 1, ("b2", 1): 4, ("b2", 2): 9, ("b2", 3): 16,
+                ("g2", 0): 1, ("g2", 1): 4, ("g2", 2): 9, ("g2", 3): 16}
     ctx = build_law("additive", 5)
-    for tag, n in (("gl2", 2), ("gl3", 3)):
+    for tag, top in (("gl2", 2), ("gl3", 2), ("b2", 3), ("g2", 3)):
         datum = build_root_datum(tag)
+        n = datum.rank
         g = flag_gkm(datum, ctx)
-        oracle = ClassicalFlagOracle(n)
-        for d in (0, 1, 2):
-            got = len(subring_basis(g, d))
+        oracle = ClassicalFlagOracle(n) if tag.startswith("gl") else None
+        for d in range(top + 1):
+            basis = subring_basis(g, d)
+            assert all(
+                type(v) is int for c in basis for s in c.values for _, _, v in s.items()
+            )
+            got = len(basis)
             assert got == expected[(tag, d)]
-            assert got == _classical_tuple_rank(oracle, d)
+            if oracle is not None:
+                assert got == _classical_tuple_rank(oracle, d)
             lengths = [len(w.word) for w in datum.weyl()]
             closed_form = sum(
                 _dim_forms(n, d - l) for l in lengths if l <= d

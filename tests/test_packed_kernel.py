@@ -2,9 +2,11 @@
 (``oracles.TupleSeries``): products, sums, negation, truncation, equality,
 substitution, the divided difference and exact division, compared after
 unpacking, on seeded random series with int and Fraction values, the
-b-exponents of laws with 0, 1, 4 and 9 generators, and precisions up to 12.
+b-exponents of laws with 0, 1, 4 and 9 generators, and precisions up to 12,
+or 16 for one law, across the layout boundary between precisions 14 and 15.
 Then the bounds of the packing: weights past a layout's bound widen it, and
-a weight past the supported one is refused."""
+a weight past the supported one is refused; and results keep the layout they
+were computed in, so chained steps repack nothing."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -13,13 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cobcalc import series
 from cobcalc.errors import (
     InternalConsistencyError,
     NotDivisibleError,
     PrecisionExhaustedError,
 )
 from cobcalc.fgl import build_law
-from cobcalc.roots import build_root_datum
+from cobcalc.roots import build_root_datum, divided_difference
+from cobcalc.schubert import demazure
 from cobcalc.series import (
     MAX_PRECISION,
     MAX_WEIGHT,
@@ -122,8 +126,13 @@ def _law(law: str, precision: int):
     return build_law(law, precision)
 
 
+# multiplicative at 16 draws inputs on both sides of the layout boundary
+# between precisions 14 and 15
 _LAWS = st.sampled_from(
-    [("additive", 12), ("multiplicative", 12), ("universal:4", 5), ("universal:9", 10)]
+    [
+        ("additive", 12), ("multiplicative", 12), ("universal:4", 5),
+        ("universal:9", 10), ("multiplicative", 16),
+    ]
 )
 
 
@@ -182,7 +191,7 @@ def test_divided_difference_matches_the_tuple_kernel(data, tag, law):
     reflection, which takes the fallback to one long division."""
     name, top = law
     datum = build_root_datum(tag)
-    ctx = _law(name, min(top, 6))
+    ctx = _law(name, top if top == 16 else min(top, 6))
     n = datum.rank
     beta = data.draw(st.sampled_from(datum.positive_roots))
     gamma = data.draw(st.sampled_from(datum.positive_roots))
@@ -245,8 +254,8 @@ def test_a_leading_coefficient_of_several_b_monomials_is_refused(lead):
 
 def test_weights_past_the_layout_bound_widen_it():
     # b-weights through 15 fit the layout of precision 4; b1^12 * b1^12 does
-    # not, so the product is redone in a wider one, and truncating the heavy
-    # terms away narrows the result again
+    # not, so the product is redone in a wider one, which the result keeps
+    # when truncation or specialization drops the heavy terms
     t = (1, 0)
     f = GradedSeries.from_terms(2, 4, {t: {(12,): 1, (): 2}})
     g = GradedSeries.from_terms(2, 4, {t: {(12,): 1, (0, 1): 1}, (0, 3): {(): 1}})
@@ -289,6 +298,67 @@ def test_precisions_in_different_layouts_meet():
         assert _same(subst.apply(h), ref.apply(to_tuple(h)))
     q = divide_exact(x * g, x)
     assert _same(q, tuple_divide_exact(to_tuple(x * g), to_tuple(x)))
+
+
+# -- results keep the layout they were computed in --------------------------------
+
+
+@settings(SETTINGS, max_examples=10)
+@given(st.data(), _ROOT_DATA)
+def test_a_chain_of_divided_differences_matches_the_tuple_kernel(data, tag):
+    """Three divided differences from precision 16 down to 13, across the
+    layout boundary between precisions 14 and 15."""
+    datum = build_root_datum(tag)
+    ctx = _law("multiplicative", 16)
+    n = datum.rank
+    fractions = data.draw(st.booleans())
+    f = TupleSeries(n, 16, data.draw(_terms(n, 16, ctx.ngens, fractions)))
+    got, ref = from_tuple(f), f
+    for _ in range(3):
+        beta = data.draw(st.sampled_from(datum.positive_roots))
+        chars = list(zip(*datum.reflection_element(beta).matrix))
+        got = ctx.divided_difference(chars, beta).apply(got)
+        ref = TupleDividedDifference(
+            TupleSubstitution([to_tuple(img) for img in ctx.substitution(chars).images]),
+            TupleDivisor(to_tuple(ctx.formal_sum(beta))),
+        ).apply(ref)
+        assert _same(got, ref)
+    assert got.precision == 13
+
+
+@pytest.mark.parametrize("precision", [15, 16])
+@pytest.mark.parametrize("step", ["divided difference", "Demazure"])
+def test_steps_across_the_layout_boundary_repack_nothing(monkeypatch, step, precision):
+    """Once the memos are warm, two steps from precision 15 or 16 move no
+    term to another layout: each result keeps the layout it was computed in,
+    and the next step reads it there."""
+    datum = build_root_datum("gl3")
+    ctx = _law("multiplicative", 16)
+    f = GradedSeries.from_terms(
+        3, precision, {(2, 1, 0): {(): 1}, (0, 3, 1): {(1,): -2}, (1, 0, 5): {(): 3}}
+    )
+
+    def steps():
+        g = f
+        for i, s in enumerate(datum.simple_reflections):
+            if step == "Demazure":
+                g = demazure(g, i, ctx, datum)
+            else:
+                g = divided_difference(s, datum.simple_roots[i], g, ctx, datum)
+        return g
+
+    warm = steps()
+    moved = []
+    repack = series._repack
+
+    def counting(terms, src, dst):
+        if src is not dst:
+            moved.append(len(terms))
+        return repack(terms, src, dst)
+
+    monkeypatch.setattr(series, "_repack", counting)
+    assert steps() == warm
+    assert sum(moved) == 0
 
 
 # -- renaming the variables ----------------------------------------------------
