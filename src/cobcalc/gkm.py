@@ -348,6 +348,9 @@ class TupleSystem:
             for t, b in self.monos
         ]
         self.rows: list[dict] = []
+        # (id(images), chi) -> (images, its coordinate dicts); holding the
+        # list keeps its id from being reused while the entry lives
+        self._reduced: dict = {}
 
     def require(self, parts, chi=None) -> None:
         """Impose one linear condition on the unknown tuple f.
@@ -356,23 +359,29 @@ class TupleSystem:
         linear map T given on monomials by ``images[k] = T(monomials[k])``.
         The parts must sum to zero, exactly or, given ``chi``, modulo x_chi.
         Adds one row per touched coordinate (of the remainder, modulo x_chi)
-        in sorted order and drops zero rows; each distinct images list is
-        reduced once.
+        in sorted order and drops zero rows.
+
+        The coordinates of each images list, reduced modulo x_chi, are
+        memoised for the lifetime of the system, keyed by the list's id and
+        ``chi``: a list passed again, in this call or a later one, is not
+        reduced again.  The memo holds the list itself, so its id cannot
+        name another list while the entry lives; the lists must not change
+        once passed.
         """
-        reduce = None if chi is None else self.ctx.remainder_map(chi).apply
+        chi = None if chi is None else tuple(chi)
         p = self.ctx.precision
         nm = len(self.monos)
         coords: dict = {}
-        reduced: dict = {}
         for v, scale, images in parts:
-            red = reduced.get(id(images))
-            if red is None:
+            memo = self._reduced.get((id(images), chi))
+            if memo is None:
                 # modulo x_chi: the remainder of the long division by x_chi,
                 # which is zero exactly when x_chi divides
-                red = reduced[id(images)] = [
+                reduce = None if chi is None else self.ctx.remainder_map(chi).apply
+                memo = self._reduced[id(images), chi] = (images, [
                     (s if reduce is None else reduce(s)).coords(p) for s in images
-                ]
-            for k, img in enumerate(red):
+                ])
+            for k, img in enumerate(memo[1]):
                 col = v * nm + k
                 for key, val in img.items():
                     entry = coords.setdefault(key, {})
@@ -541,15 +550,22 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
             "the additive law"
         )
     n = graph.nvars
+    ctx, datum, prec = graph.ctx, graph.datum, graph.precision
     report = {"degrees": [], "pass": True, "over": over}
     for delta in range(0, d + 1):
+        # the image of a (x) b is tensor_to_gkm's: w(a) * b at vertex w,
+        # with the w(a) of each first factor a computed once
         images = []
         for p in range(0, delta + 1):
+            seconds = [
+                GradedSeries.from_terms(n, prec, {eb: {(): 1}})
+                for eb in t_monomials(n, delta - p)
+            ]
             for ea in t_monomials(n, p):
-                for eb in t_monomials(n, delta - p):
-                    a = GradedSeries.from_terms(n, graph.precision, {ea: {(): 1}})
-                    b = GradedSeries.from_terms(n, graph.precision, {eb: {(): 1}})
-                    images.append(tensor_to_gkm(TensorClass.of(a, b), graph))
+                a = GradedSeries.from_terms(n, prec, {ea: {(): 1}})
+                wa = [weyl_act(w, a, ctx, datum) for w in graph.weyl_vertices]
+                for b in seconds:
+                    images.append(validate(GKMClass(graph, [x * b for x in wa])))
         basis = subring_basis(graph, delta)
         same = span_equal(images, basis, over)
         report["degrees"].append(

@@ -227,10 +227,12 @@ def kernel(rows: list[dict], ncols: int, over: str = "Q") -> list[dict]:
     increasing order, equal to 1 there and 0 at the other free columns,
     scaled to a primitive integer vector.
 
-    The tie rows ``{a: v, b: -v}`` (after clearing denominators) merge
-    their columns into classes, numbered by their largest column; the other
-    rows, summed over the classes and without zero or repeated rows, are
-    eliminated modulo 31-bit primes, sparsest first.  A prime whose pivot
+    A row whose values are all nonzero ints is used as it is; any other row
+    is scaled to clear its denominators and stripped of zero entries, so
+    that ``{a: 0, b: 0}`` is no tie.  The tie rows ``{a: v, b: -v}`` then
+    merge their columns into classes, numbered by their largest column; the
+    other rows, summed over the classes and without zero or repeated rows,
+    are eliminated modulo 31-bit primes, sparsest first.  A prime whose pivot
     classes are not the lexicographically earliest of the largest rank seen
     is dropped; primes with the same pivots are combined by CRT until every
     entry has a rational reconstruction.  Each lifted vector gives every
@@ -327,8 +329,11 @@ def _reduced_kernel(rows: list[dict], ncols: int) -> tuple[list[int], list[dict]
     """The free columns of ``kernel``'s reduced basis over Q, and the basis."""
     int_rows = []
     for row in rows:
-        m = lcm(*(x.denominator for x in row.values()))
-        r = {c: int(v * m) for c, v in row.items() if v}
+        if all(type(v) is int and v for v in row.values()):
+            r = row  # already integral and without zeros: not copied
+        else:
+            m = lcm(*(x.denominator for x in row.values()))
+            r = {c: int(v * m) for c, v in row.items() if v}
         if r:
             int_rows.append(r)
     classes, quotient = _tie_quotient(int_rows, ncols)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import (
+    InternalConsistencyError,
     PrecisionExhaustedError,
     RepeatedWeightError,
     UnsupportedTypeError,
@@ -129,7 +130,17 @@ def invariant_tuple_basis(
 ) -> list[GKMClass]:
     """Rational basis of degree-``degree`` classes on the graph invariant
     under the group generated by ``generators`` acting by
-    (w f)_v = w(f at w^{-1} v)."""
+    (w f)_v = w(f at w^{-1} v).
+
+    Invariance under g is the condition g(f at u) = f at g u for every
+    vertex u.  For an involution g the conditions at u and at g u are
+    equivalent (apply g to one to get the other), so one per 2-cycle of g
+    on the vertices is imposed, at the lesser vertex, and a fixed vertex
+    keeps its own.  That g is an involution is read off its matrix and then
+    checked on the series: g must send each image g(m) back to the monomial
+    m, or ``InternalConsistencyError`` is raised.  Every other generator
+    keeps all its conditions.  The solution space, and so the basis, is the
+    same either way."""
     ctx = graph.ctx
     datum = graph.datum
     system = TupleSystem(
@@ -143,9 +154,28 @@ def invariant_tuple_basis(
     # invariance: g(f at u) = f at g u
     for g in generators:
         images = [weyl_act(g, f, ctx, datum) for f in monos]
+        involution = _is_involution(g, monos, images, ctx, datum)
         for u in range(graph.nvertices):
-            system.require([(u, 1, images), (graph.act_vertex(g, u), -1, monos)])
+            gu = graph.act_vertex(g, u)
+            if involution and gu < u:
+                continue  # imposed at gu
+            system.require([(u, 1, images), (gu, -1, monos)])
     return [GKMClass(graph, values) for values in system.solve(over="Q")]
+
+
+def _is_involution(g: WeylElement, monos, images, ctx, datum) -> bool:
+    """Whether g squares to the identity matrix; if it does, g must also
+    send every image ``images[k] = g(monos[k])`` back to ``monos[k]``."""
+    square = g.compose(g).matrix
+    if any(x != (i == j) for i, row in enumerate(square) for j, x in enumerate(row)):
+        return False
+    for k, (f, image) in enumerate(zip(monos, images)):
+        if weyl_act(g, image, ctx, datum) != f:
+            raise InternalConsistencyError(
+                f"Weyl element {g.id_string()} squares to the identity but "
+                f"does not undo its action on monomial {k}"
+            )
+    return True
 
 
 def _w_theta_generators(sd: SymmetricDatum) -> list[WeylElement]:

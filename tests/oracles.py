@@ -25,6 +25,10 @@ the packed keys).
 ``flag_graph_reference`` and ``wonderful_graphs_reference``, the separate
 flag and wonderful graph constructions that ``gkm.coset_graph`` replaced,
 read the package's Weyl groups, reflections and symmetric data.
+``invariant_tuple_basis_reference`` imposes, with the package's
+``TupleSystem`` and Weyl action, every invariance condition that
+``wonderful.invariant_tuple_basis`` imposed before it took one per 2-cycle of
+an involution.
 ``TupleSeries`` and its substitution, divisor and divided difference are the
 tuple-keyed series kernel that the packed one in ``cobcalc.series``
 replaced; they share no code with it.
@@ -47,14 +51,14 @@ from cobcalc.errors import (
     PrecisionExhaustedError,
     PrecisionMismatchError,
 )
-from cobcalc.gkm import GKMClass, TupleSystem
+from cobcalc.gkm import GKMClass, TupleSystem, ambient_monomials
 from cobcalc.linalg import (
     Vec,
     canonical_sign,
     require_primitive,
     vsub,
 )
-from cobcalc.roots import mat_mul
+from cobcalc.roots import mat_mul, weyl_act
 from cobcalc.sampling import random_b_monomial, random_composition
 from cobcalc.series import GradedSeries, Substitution
 
@@ -579,6 +583,25 @@ class BasisChangeTupleSystem(TupleSystem):
             if id(images) not in free:
                 free[id(images)] = [div.free_part(s) for s in images]
         super().require([(v, scale, free[id(images)]) for v, scale, images in parts])
+
+
+def invariant_tuple_basis_reference(graph, generators, degree: int) -> list[GKMClass]:
+    """``wonderful.invariant_tuple_basis`` with every invariance condition
+    g(f at u) = f at g u imposed, for every generator g and vertex u."""
+    ctx, datum = graph.ctx, graph.datum
+    system = TupleSystem(
+        ctx, graph.nvars, graph.nvertices, ambient_monomials(ctx, graph.nvars, degree)
+    )
+    monos = system.monomials
+    if not monos:
+        return []
+    for (i, j, chi) in graph.edges:
+        system.require([(i, 1, monos), (j, -1, monos)], chi)
+    for g in generators:
+        images = [weyl_act(g, f, ctx, datum) for f in monos]
+        for u in range(graph.nvertices):
+            system.require([(u, 1, images), (graph.act_vertex(g, u), -1, monos)])
+    return [GKMClass(graph, values) for values in system.solve(over="Q")]
 
 
 # -- x_chi and kappa(x_chi) character by character ----------------------------

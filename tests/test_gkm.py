@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from cobcalc import gkm
 from cobcalc.errors import (
     InternalConsistencyError,
     PrecisionExhaustedError,
@@ -12,6 +13,7 @@ from cobcalc.gkm import (
     GKMClass,
     GKMGraph,
     TensorClass,
+    TupleSystem,
     constant_class,
     coset_graph,
     flag_gkm,
@@ -25,7 +27,7 @@ from cobcalc.gkm import (
     t_monomials,
     tensor_to_gkm,
 )
-from cobcalc.roots import build_root_datum, build_symmetric_datum
+from cobcalc.roots import build_root_datum, build_symmetric_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
 from cobcalc.wonderful import build_wonderful_graph
@@ -438,12 +440,74 @@ def test_surjectivity_probe_additive_root_data(tag, degree, over_z):
     assert not report["pass"]
 
 
+@pytest.mark.parametrize(
+    "tag, law", [("gl2", "universal:4"), ("gl3", "multiplicative"), ("gl3", "additive")]
+)
+def test_surjectivity_probe_images_are_the_comparison_map(monkeypatch, tag, law):
+    ctx = build_law(law, 4)
+    g = flag_gkm(build_root_datum(tag), ctx)
+    n = g.nvars
+    seen = []
+
+    def recording(images, basis, over):
+        seen.append(images)
+        return span_equal(images, basis, over)
+
+    monkeypatch.setattr(gkm, "span_equal", recording)
+    surjectivity_probe(g, 3)
+    assert len(seen) == 4
+    for delta, images in enumerate(seen):
+        expected = [
+            tensor_to_gkm(
+                TensorClass.of(
+                    GradedSeries.from_terms(n, 4, {ea: {(): 1}}),
+                    GradedSeries.from_terms(n, 4, {eb: {(): 1}}),
+                ),
+                g,
+            )
+            for p in range(delta + 1)
+            for ea in t_monomials(n, p)
+            for eb in t_monomials(n, delta - p)
+        ]
+        assert images == expected
+
+
 def test_surjectivity_probe_rejects_non_gl():
     # off gl_n only the additive law makes the Weyl images forms
     for law in ("multiplicative", "universal:4"):
         g = flag_gkm(build_root_datum("a2"), build_law(law, 5))
         with pytest.raises(UnsupportedTypeError):
             surjectivity_probe(g, 1)
+
+
+# -- the tuple system's memo of reduced images ----------------------------------------
+
+
+def test_tuple_system_memo_survives_fresh_image_lists():
+    # one system gets a fresh images list on every call, dropped right after,
+    # so that a later list may be given the id of an earlier one with other
+    # entries; the other shares one list per map
+    ctx = build_law("universal:3", 3)
+    datum = build_root_datum("gl3")
+    g = flag_gkm(datum, ctx)
+    monos = [(m, ()) for m in t_monomials(3, 2)]
+    fresh = TupleSystem(ctx, 3, g.nvertices, monos)
+    shared = TupleSystem(ctx, 3, g.nvertices, monos)
+    maps = [None] + list(datum.simple_reflections)
+
+    def images(w):
+        return [
+            f if w is None else weyl_act(w, f, ctx, datum) for f in shared.monomials
+        ]
+
+    lists = [images(w) for w in maps]
+    for k, (i, j, chi) in enumerate(g.edges * 2):
+        a, b = k % len(maps), (k + 1) % len(maps)
+        for c in (chi, None):
+            fresh.require([(i, 1, images(maps[a])), (j, -1, images(maps[b]))], c)
+            shared.require([(i, 1, lists[a]), (j, -1, lists[b])], c)
+    assert fresh.rows == shared.rows
+    assert len(shared.rows) > 0
 
 
 # -- invariants ---------------------------------------------------------------------

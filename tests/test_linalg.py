@@ -252,6 +252,16 @@ def test_kernel_rational_edge_cases():
     assert kernel([{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}], 3) == [{0: 1, 1: -2, 2: 1}]
 
 
+@pytest.mark.parametrize("value", [int, Fraction], ids=["int", "Fraction"])
+def test_kernel_drops_explicit_zeros_before_looking_for_ties(value):
+    # {0: 0, 1: 0} has the shape of a tie {a: v, b: -v} but is the zero row:
+    # only rows with every value a nonzero int reach the tie quotient as
+    # they are
+    for over in ("Q", "Z"):
+        assert kernel([{0: value(0), 1: value(0)}], 2, over) == [{0: 1}, {1: 1}]
+        assert kernel([{0: value(0), 1: value(3)}], 2, over) == [{0: 1}]
+
+
 def _random_integer_system(rng: Random):
     """1-7 columns: no rows, a full-rank triangle, or up to 7 random rows
     with entries in [-6, 6], about two thirds of them zero; a fifth of the

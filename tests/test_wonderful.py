@@ -1,15 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import cobcalc
+from cobcalc import linalg, wonderful
+from cobcalc.cli import main
 from cobcalc.errors import RepeatedWeightError
 from cobcalc.fgl import build_law
-from cobcalc.gkm import membership, span_equal
+from cobcalc.gkm import TupleSystem, membership, span_equal
 from cobcalc.linalg import canonical_sign
 from cobcalc.roots import build_symmetric_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
 from cobcalc.wonderful import (
+    _w_theta_generators,
     build_wonderful_graph,
     group_psl2_projective_model,
     invariant_subring_X,
@@ -18,6 +26,8 @@ from cobcalc.wonderful import (
     projective_space_model,
     verify_esph,
 )
+
+from .oracles import invariant_tuple_basis_reference
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +256,163 @@ def test_linear_symplectic_esph_universal(linear_symplectic):
     model = build_wonderful_graph(linear_symplectic, ctx)
     report = verify_esph(model, 2)
     assert report["pass"], report
+
+
+# -- invariance: one condition per 2-cycle of an involution ----------------------------
+
+
+def _model(case, law, precision):
+    ctx = build_law(law, precision)
+    return build_wonderful_graph(build_symmetric_datum(case), ctx)
+
+
+def _check_both_graphs(model, degrees):
+    sd = model.sd
+    routes = [
+        (model.x_graph, sd.datum.simple_reflections),
+        (model.y_graph, _w_theta_generators(sd)),
+    ]
+    for graph, gens in routes:
+        for d in degrees:
+            got = invariant_tuple_basis(graph, gens, d)
+            assert got == invariant_tuple_basis_reference(graph, gens, d), (graph.kind, d)
+
+
+@pytest.mark.parametrize(
+    "case,law,top",
+    [
+        ("group:psl2", "additive", 3),
+        ("group:psl3", "additive", 3),
+        ("group:b2", "additive", 3),
+        ("group:g2", "additive", 3),
+        ("group:psl3", "universal:3", 2),
+    ],
+)
+def test_invariant_tuples_match_all_conditions(case, law, top):
+    _check_both_graphs(_model(case, law, 3), range(top + 1))
+
+
+def test_invariant_tuples_match_all_conditions_linear_symplectic(linear_symplectic):
+    _check_both_graphs(
+        build_wonderful_graph(linear_symplectic, build_law("additive", 3)), range(4)
+    )
+
+
+class _CountingSystem(TupleSystem):
+    """Counts the exact conditions, which are the invariance ones here."""
+
+    exact = 0
+
+    def require(self, parts, chi=None):
+        if chi is None:
+            _CountingSystem.exact += 1
+        super().require(parts, chi)
+
+
+def _exact_conditions(monkeypatch, graph, gens, degree):
+    monkeypatch.setattr(wonderful, "TupleSystem", _CountingSystem)
+    _CountingSystem.exact = 0
+    basis = invariant_tuple_basis(graph, gens, degree)
+    assert basis == invariant_tuple_basis_reference(graph, gens, degree)
+    return _CountingSystem.exact
+
+
+def test_involutions_impose_one_condition_per_orbit(monkeypatch):
+    graph = _model("group:psl3", "additive", 2).x_graph
+    s1 = graph.datum.simple_reflections[0]
+    orbits = {
+        frozenset((u, graph.act_vertex(s1, u))) for u in range(graph.nvertices)
+    }
+    assert len(orbits) == graph.nvertices // 2  # s1 fixes no coset here
+    assert _exact_conditions(monkeypatch, graph, [s1], 2) == len(orbits)
+
+
+def test_a_generator_of_order_three_keeps_every_condition(monkeypatch):
+    graph = _model("group:psl3", "additive", 2).x_graph
+    s1, s2 = graph.datum.simple_reflections[:2]
+    g = s1.compose(s2)
+    identity = s1.compose(s1).matrix
+    assert g.compose(g).matrix != identity
+    assert g.compose(g).compose(g).matrix == identity
+    for d in range(3):
+        assert _exact_conditions(monkeypatch, graph, [g], d) == graph.nvertices
+
+
+_NOT_UNDONE = """
+import cobcalc.wonderful as wonderful
+from cobcalc.errors import InternalConsistencyError
+from cobcalc.fgl import build_law
+from cobcalc.roots import build_symmetric_datum
+from cobcalc.series import GradedSeries
+
+real = wonderful.weyl_act
+
+
+def doubled_once(w, f, ctx, datum):
+    # g(t1) comes out doubled, so g(g(t1)) = 2 t1
+    out = real(w, f, ctx, datum)
+    return out + out if f == t1 else out
+
+
+model = wonderful.build_wonderful_graph(
+    build_symmetric_datum("group:psl2"), build_law("additive", 2)
+)
+t1 = GradedSeries.from_terms(2, 2, {(1, 0): {(): 1}})
+wonderful.weyl_act = doubled_once
+try:
+    wonderful.invariant_tuple_basis(model.x_graph, model.sd.datum.simple_reflections, 1)
+except InternalConsistencyError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_an_involution_that_does_not_undo_itself_raises(flags):
+    src = str(Path(cobcalc.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _NOT_UNDONE],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "Weyl element 1 squares to the identity but does not undo its action "
+        "on monomial 1\n"  # t1, after t2 in deglex order
+    )
+
+
+# -- pinned work and ranks -----------------------------------------------------------
+
+
+def test_esph_psl3_additive_linear_systems_pinned(monkeypatch, capsys):
+    # deterministic work counters: a lost reduction shows up here first
+    counts = [0, 0, 0]
+    tie_quotient = linalg._tie_quotient
+
+    def counted(rows, ncols):
+        classes, quotient = tie_quotient(rows, ncols)
+        counts[0] += 1
+        counts[1] += len(rows)
+        counts[2] += len(quotient)
+        return classes, quotient
+
+    monkeypatch.setattr(linalg, "_tie_quotient", counted)
+    argv = ["verify", "esph", "--case", "group:psl3", "--law", "additive", "--degree", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == [52, 6085, 1349]
+
+
+@pytest.mark.parametrize(
+    "case,law,ranks",
+    [
+        ("group:psl3", "universal:3", [54, 34, 19, 13]),
+        ("group:b2", "additive", [1, 2, 6, 12]),
+    ],
+)
+def test_esph_ranks_pinned(case, law, ranks):
+    report = verify_esph(_model(case, law, 3), 3)
+    assert report["pass"], report
+    assert [(d["rank"], d["x_tuple_rank"], d["y_rank"]) for d in report["degrees"]] == [
+        (r, r, r) for r in ranks
+    ]
