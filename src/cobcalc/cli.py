@@ -253,7 +253,7 @@ def _cmd_gkm(args, cfg: RunConfig) -> dict:
             member, _ = membership(line_bundle_class(chi, graph), graph)
             ok = ok and member
         checks.append({"name": "line_bundle_congruences", "pass": ok})
-        if datum.label.startswith("gl"):
+        if datum.is_gln():
             rel = gln_relations(datum.rank, graph)
             checks.append({"name": "symmetric_relations", "pass": rel["pass"]})
     return {

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linalg import require_primitive
 from .series import (
+    MAX_WEIGHT,
     Divisor,
     GradedSeries,
     MonomialMap,
@@ -46,6 +47,12 @@ class LawSpec:
             raise ConfigError(
                 "multiplicative law needs a nonzero scale; multiplicative:0 "
                 "is the additive law"
+            )
+        if self.kind == "universal" and self.ngens > MAX_WEIGHT:
+            # a packed series key has no field for b_i with i > MAX_WEIGHT
+            raise ConfigError(
+                f"universal law with {self.ngens} generators is above the "
+                f"supported {MAX_WEIGHT}"
             )
 
     @staticmethod
@@ -145,8 +152,9 @@ class FGLContext:
         elif law.kind == "multiplicative":
             f_int = x + y - (x * y).scale({(1,): law.scale})
         else:
+            # b_i u^(i+1) vanishes at precision p once i >= p
             b = _uvar(p)
-            for i in range(1, law.ngens + 1):
+            for i in range(1, min(law.ngens, p - 1) + 1):
                 b = b + (_uvar(p) ** (i + 1)).scale({(0,) * (i - 1) + (1,): 1})
             binv = _solve_fixed_point(
                 lambda s: b.substitute([s]) - _uvar(p), _uvar(p), p

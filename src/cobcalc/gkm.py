@@ -260,7 +260,7 @@ def class_elementary_symmetric(i: int, classes: list[GKMClass]) -> GKMClass:
 
 def gln_relations(n: int, graph: GKMGraph) -> dict:
     """Check that e_i(line bundles) - e_i(t) restricts to zero everywhere."""
-    if graph.datum is None or not graph.datum.label.startswith("gl"):
+    if graph.datum is None or not graph.datum.is_gln():
         raise UnsupportedTypeError("relations check needs a gl_n flag graph")
     if graph.datum.rank != n:
         raise NVarsMismatchError("rank mismatch")
@@ -543,7 +543,7 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
     the additive law, where Weyl elements act linearly on the t-variables.
     """
     if graph.datum is None or not (
-        graph.datum.label.startswith("gl") or graph.ctx.law.kind == "additive"
+        graph.datum.is_gln() or graph.ctx.law.kind == "additive"
     ):
         raise UnsupportedTypeError(
             "surjectivity probe supports gl_n graphs, or any root datum under "

@@ -140,6 +140,11 @@ class RootDatum:
                     f"root {beta} pairs to {pairing} with its coroot, not 2"
                 )
 
+    def is_gln(self) -> bool:
+        """Whether this is the datum of gl_n: rank n, with the simple roots
+        and coroots ``e_i - e_(i+1)`` for i < n.  No product is one."""
+        return self.simple_roots == self.simple_coroots == _gl_simples(self.rank)
+
     def pairing(self, chi, beta) -> int:
         """<chi, beta^vee> for a root beta."""
         v = self.coroot_of[tuple(beta)]
@@ -218,11 +223,15 @@ def _a_cartan(n: int) -> list[list[int]]:
     ]
 
 
-def _gl_datum(n: int) -> RootDatum:
-    simples = [
+def _gl_simples(n: int) -> tuple:
+    return tuple(
         tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(n))
         for i in range(n - 1)
-    ]
+    )
+
+
+def _gl_datum(n: int) -> RootDatum:
+    simples = _gl_simples(n)
     return RootDatum(f"gl{n}", n, simples, simples, adjoint=False)
 
 

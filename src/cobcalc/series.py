@@ -234,25 +234,25 @@ def _check_weights(k1: int, keys, lim: int, lay: _Layout) -> None:
             raise _Overflow
 
 
-def _product(a, b: list, bw: int, lim: int, lay: _Layout) -> dict:
+def _product(a, b: tuple, lim: int, lay: _Layout) -> dict:
     """The terms below key ``lim`` of the product of the (key, value) pairs
-    ``a`` and the key-sorted list of pairs ``b``, whose largest weight field
-    is ``bw``.  Raises :class:`_Overflow` before a kept product passes the
-    weight bound."""
+    ``a`` and the sorted view ``b`` of :func:`_image`.  Raises
+    :class:`_Overflow` before a kept product passes the weight bound."""
     out: dict = {}
-    if not b:
+    bw, keys, values = b
+    if not keys:
         return out
     get = out.get
     wfield = lay.wfield
     room = wfield - bw
-    low = b[0][0]
+    low = keys[0]
     for k1, v1 in a:
         lim1 = lim - k1
         if low >= lim1:
             continue
         if k1 & wfield > room:
-            _check_weights(k1, (k for k, _ in b), lim1, lay)
-        for k2, v2 in b:
+            _check_weights(k1, keys, lim1, lay)
+        for k2, v2 in zip(keys, values):
             if k2 >= lim1:
                 break
             k = k1 + k2
@@ -262,6 +262,14 @@ def _product(a, b: list, bw: int, lim: int, lay: _Layout) -> dict:
             else:
                 del out[k]
     return out
+
+
+def _image(terms: dict, lay: _Layout) -> tuple:
+    """The sorted view of ``terms``: their largest weight field, their keys
+    in ascending order and their values, in two lists (16 bytes a term,
+    where a list of pairs takes 64)."""
+    keys = sorted(terms)
+    return _wmax(keys, lay), keys, [terms[k] for k in keys]
 
 
 def _coeff_str(c: dict) -> str:
@@ -331,20 +339,19 @@ class GradedSeries:
         return _repack(self.packed, self.layout, lay)
 
     def packed_sorted(self) -> tuple:
-        """The largest weight field and the key-sorted (key, value) pairs.
-        A series of at most ``_KEEP_SORTED`` terms keeps them from the
-        second call on, for one that multiplies many others, like a
-        character class; for a larger one the product's own work dwarfs
-        the sort, and the copy would cost 64 bytes a term."""
+        """The sorted view of the terms (see :func:`_image`).  A series of
+        at most ``_KEEP_SORTED`` terms keeps it from the second call on, for
+        one that multiplies many others, like a character class; for a
+        larger one the product's own work dwarfs the sort."""
         got = self._sort
         if got:
             return got
-        pair = (_wmax(self.packed, self.layout), sorted(self.packed.items()))
+        view = _image(self.packed, self.layout)
         if got is None:
             self._sort = False
-        elif len(pair[1]) <= _KEEP_SORTED:
-            self._sort = pair
-        return pair
+        elif len(view[1]) <= _KEEP_SORTED:
+            self._sort = view
+        return view
 
     # -- constructors -----------------------------------------------------
 
@@ -524,9 +531,10 @@ class GradedSeries:
             return GradedSeries.zero(self.nvars, p)
         lay = b.layout
         if a.layout is lay:
-            bw, pairs = b.packed_sorted()
             try:
-                terms = _product(a.packed.items(), pairs, bw, (p + 1) << lay.dshift, lay)
+                terms = _product(
+                    a.packed.items(), b.packed_sorted(), (p + 1) << lay.dshift, lay
+                )
             except _Overflow:
                 pass
             else:
@@ -535,9 +543,8 @@ class GradedSeries:
         # layout that holds every product of the two
         weight = a.layout.weight(a.packed) + b.layout.weight(b.packed)
         lay = _common(a.layout, b.layout, weight)
-        inner = b.packed_in(lay)
         terms = _product(
-            a.packed_in(lay).items(), sorted(inner.items()), _wmax(inner, lay),
+            a.packed_in(lay).items(), _image(b.packed_in(lay), lay),
             (p + 1) << lay.dshift, lay,
         )
         return GradedSeries(self.nvars, p, lay, terms)
@@ -660,14 +667,6 @@ class GradedSeries:
             cs = c if "+" not in c else f"({c})"
             bits.append(cs if not mono else f"{cs}*{mono}" if c != "1" else mono)
         return f"<{' + '.join(bits)} + O(deg {self.precision + 1})>"
-
-
-def _image(terms: dict, lay: _Layout) -> tuple:
-    """A memoised monomial image: its largest weight field, its keys in
-    ascending order and their values, in two lists (16 bytes a term, where
-    a list of pairs takes 64)."""
-    keys = sorted(terms)
-    return _wmax(keys, lay), keys, [terms[k] for k in keys]
 
 
 def _sum_images(
@@ -855,92 +854,46 @@ class Substitution(MonomialMap):
 
 class Divisor:
     """A nonzero series g prepared for use as the divisor of
-    :func:`divide_exact` and :func:`remainder`: its order, the leading term
-    of its lowest component (greatest t-exponent in lex order), the other
-    terms of that component, and the higher terms grouped by t-degree, each
-    as ``(t-part, {b-part: value})`` pairs of packed keys in ``layout``.
+    :func:`divide_exact` and :func:`remainder`, with keys in ``layout``: its
+    order, its leading key (the greatest of its lowest component: the
+    greatest t-exponent in lex order) and that key's value, the fields that
+    a key must reach for the leading term to divide it (``tneed`` for the
+    t-exponents, ``bneed`` for the b-exponents, as (shift, mask, exponent)
+    triples), and its other terms as one sorted view (see :func:`_image`).
     The leading coefficient must be one b-monomial, as for every character
     class x_chi and the denominator of kappa; any other raises
     ``ValueError``.  Preparing once pays off when one series divides many
     numerators, as each character class x_chi does."""
 
     __slots__ = (
-        "series", "layout", "nvars", "precision", "order", "lead_t", "lead_nz",
-        "lead_b", "lead_bnz", "lead_v", "rest", "high",
+        "series", "layout", "nvars", "precision", "order", "lead", "lead_v",
+        "tneed", "bneed", "others",
     )
 
     def __init__(self, g: GradedSeries, lay: _Layout | None = None):
         if g.is_zero():
             raise ZeroDivisionError("division by the zero series")
         lay = lay or g.layout
-        tshift, bmask = lay.tshift, lay.bmask
-        dshift = lay.dshift - tshift
-        groups: dict = {}
-        for k, v in g.packed_in(lay).items():
-            groups.setdefault(k >> tshift, {})[k & bmask] = v
-        m = min(groups) >> dshift
-        low = {e: c for e, c in groups.items() if e >> dshift == m}
+        terms = dict(g.packed_in(lay))
+        m = min(terms) >> lay.dshift
+        lead = max(k for k in terms if k >> lay.dshift == m)
+        tshift = lay.tshift
+        if sum(k >> tshift == lead >> tshift for k in terms) != 1:
+            raise ValueError(
+                "a divisor's leading coefficient must be one b-monomial times a number"
+            )
         self.series = g
         self.layout = lay
         self.nvars = g.nvars
         self.precision = g.precision
         self.order = m
-        self.lead_t = max(low)
-        self.lead_nz = [
-            (s - tshift, y)
-            for s in lay.tfields
-            if (y := (self.lead_t >> (s - tshift)) & lay.tmask)
+        self.lead = lead
+        self.lead_v = terms.pop(lead)
+        self.tneed = [
+            (s, lay.tmask, y) for s in lay.tfields if (y := (lead >> s) & lay.tmask)
         ]
-        lead_c = low[self.lead_t]
-        if len(lead_c) != 1:
-            raise ValueError(
-                "a divisor's leading coefficient must be one b-monomial times a number"
-            )
-        ((self.lead_b, self.lead_v),) = lead_c.items()
-        self.lead_bnz = [
-            (s, mask, y) for s, mask in lay.bfields if (y := (self.lead_b >> s) & mask)
-        ]
-        self.rest = [(e, c) for e, c in low.items() if e != self.lead_t]
-        by_degree: dict = {}
-        for e, c in groups.items():
-            if e >> dshift > m:
-                by_degree.setdefault(e >> dshift, []).append((e, c))
-        self.high = sorted(by_degree.items())
-
-    def quotient_b(self, b: int) -> int | None:
-        """``b - lead_b`` for packed b-parts, or None when the leading
-        b-monomial does not divide ``b``."""
-        for s, mask, y in self.lead_bnz:
-            if (b >> s) & mask < y:
-                return None
-        return b - self.lead_b
-
-    def quotient_value(self, v):
-        """``v / lead_v``: an int when it is one, else a Fraction."""
-        q, r = divmod(v, self.lead_v)
-        return Fraction(v, self.lead_v) if r else q
-
-
-def _add_product(group: dict, e: int, c1: dict, c2: dict, guard: int) -> None:
-    """``group[e] += c1 * c2`` for coefficients ``{b-part: value}``,
-    dropping zero values and an emptied coefficient.  Raises
-    :class:`_Overflow` when a product passes the weight bound."""
-    acc = group.get(e)
-    if acc is None:
-        acc = group[e] = {}
-    get = acc.get
-    for k1, v1 in c1.items():
-        for k2, v2 in c2.items():
-            k = k1 + k2
-            if k & guard:
-                raise _Overflow
-            s = get(k, 0) + v1 * v2
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-    if not acc:
-        del group[e]
+        self.bneed = [(s, f, y) for s, f in lay.bfields if (y := (lead >> s) & f)]
+        self.others = _image(terms, lay)
 
 
 def _prepared(f: GradedSeries, g: GradedSeries | Divisor) -> Divisor:
@@ -953,16 +906,16 @@ def divide_exact(f: GradedSeries, g: GradedSeries | Divisor) -> GradedSeries:
     """Return q with ``q * g == f`` through degree ``min(prec f, prec g) - order(g)``.
 
     ``g`` is a series or a :class:`Divisor` prepared from one, whose leading
-    coefficient is one b-monomial.  The numerator is bucketed by t-degree
-    and grouped by t-exponent once, and each homogeneous component is
-    long-divided by the lowest component of g, leading t-exponent first in
-    lex order, one whole coefficient a step.  That is a monomial order, so
-    in the domain Q[t, b] the division succeeds exactly when it is exact,
-    and the first failing step certifies non-divisibility.  A quotient value
-    is an int wherever the leading value divides it, so integral quotients
-    keep int coefficients.  :class:`NotDivisibleError` carries its degree:
-    the lowest degree at which f minus (quotient so far) * g has a component
-    that the lowest component of g does not divide.
+    coefficient is one b-monomial.  The long division works on the packed
+    keys, one degree at a time, greatest key first: a key is divided by the
+    leading key of g, and the quotient term times the other terms of g is
+    subtracted.  Keys sort by t-exponent before b-exponent, so this is a
+    monomial order, and in the domain Q[t, b] the division succeeds exactly
+    when it is exact; the first failing step certifies non-divisibility.  A
+    quotient value is an int wherever the leading value divides it, so
+    integral quotients keep int coefficients.  :class:`NotDivisibleError`
+    carries its degree: the lowest degree at which f minus (quotient so
+    far) * g has a term that the leading term of g does not divide.
     """
     div = _prepared(f, g)
     horizon = min(f.precision, div.precision)
@@ -1016,72 +969,70 @@ def _long_divide(terms: dict, div: Divisor, horizon: int, exact: bool) -> tuple:
     leading term of the divisor does not divide goes to the remainder, or,
     when ``exact``, raises :class:`NotDivisibleError` at its degree."""
     lay = div.layout
-    m = div.order
-    tshift, bmask, guard = lay.tshift, lay.bmask, lay.guard
-    dshift = lay.dshift - tshift
-    # buckets[d] maps each t-part of degree d to its coefficient {b-part: value}
-    buckets: list[dict] = [{} for _ in range(horizon + 1)]
+    dshift, wfield = lay.dshift, lay.wfield
+    lim = (horizon + 1) << dshift
+    # the terms still to divide, and the keys of each degree
+    work: dict = {}
+    todo: list[list] = [[] for _ in range(horizon + 1)]
     for k, v in terms.items():
-        e = k >> tshift
-        d = e >> dshift
-        if d <= horizon:
-            c = buckets[d].get(e)
-            if c is None:
-                c = buckets[d][e] = {}
-            c[k & bmask] = v
-    lead_t, lead_nz, tmask = div.lead_t, div.lead_nz, lay.tmask
-    rest, high = div.rest, div.high
+        if k < lim:
+            work[k] = v
+            todo[k >> dshift].append(k)
+    get = work.get
+    lead, lead_v, tneed, bneed = div.lead, div.lead_v, div.tneed, div.bneed
+    bw, others, values = div.others
+    room = wfield - bw
     q_terms: dict = {}
     r_terms: dict = {}
-    for degree in range(horizon + 1):
-        num = buckets[degree]
-        if not num:
+    for degree, pending in enumerate(todo):
+        if not pending:
             continue
-        dq = degree - m
-        targets = [(buckets[dq + d], terms) for d, terms in high if dq + d <= horizon]
-        # t-parts still to divide, ascending: subtracting a quotient term
-        # times g adds only t-parts below the current one, so a divided
-        # t-part is never touched again.  A t-part whose coefficient
-        # cancelled is skipped when reached.
-        pending = sorted(num)
+        # keys still to divide, ascending: subtracting a quotient term times
+        # the other terms of g adds only keys below the current one, so a
+        # divided key is never touched again.  A key that cancelled is
+        # skipped when reached.
+        pending.sort()
+        top = (degree + 1) << dshift
         while pending:
-            e = pending.pop()
-            c = num.pop(e, None)
-            if c is None:
+            k = pending.pop()
+            v = work.pop(k, None)
+            if v is None:
                 continue
             # below the divisor's order no t-part is divisible
-            if any((e >> s) & tmask < y for s, y in lead_nz):
+            short = (
+                "leading term" if any((k >> s) & f < y for s, f, y in tneed)
+                else "coefficient" if any((k >> s) & f < y for s, f, y in bneed)
+                else None
+            )
+            if short:
                 if exact:
                     raise NotDivisibleError(
-                        f"leading term not divisible at degree {degree}", degree=degree
+                        f"{short} not divisible at degree {degree}", degree=degree
                     )
-                base = e << tshift
-                for b, v in c.items():
-                    r_terms[base + b] = v
+                r_terms[k] = v
                 continue
-            eq = e - lead_t
-            base = eq << tshift
-            src = {}
-            for b, v in c.items():
-                bq = div.quotient_b(b)
-                if bq is None:
-                    if exact:
-                        raise NotDivisibleError(
-                            f"coefficient not divisible at degree {degree}", degree=degree
-                        )
-                    r_terms[(e << tshift) + b] = v
-                    continue
-                qv = div.quotient_value(v)
-                q_terms[base + bq] = qv
-                src[bq] = -qv
-            for eg, cg in rest:
-                e2 = eq + eg
-                if e2 not in num:
-                    insort(pending, e2)
-                _add_product(num, e2, src, cg, guard)
-            for bucket, terms in targets:
-                for eg, cg in terms:
-                    _add_product(bucket, eq + eg, src, cg, guard)
+            kq = k - lead
+            q, r = divmod(v, lead_v)
+            q = q_terms[kq] = Fraction(v, lead_v) if r else q
+            q = -q
+            lim1 = lim - kq
+            if kq & wfield > room:
+                _check_weights(kq, others, lim1, lay)
+            for k2, v2 in zip(others, values):
+                if k2 >= lim1:
+                    break
+                key = kq + k2
+                s = get(key)
+                if s is None:
+                    work[key] = q * v2
+                    if key < top:
+                        insort(pending, key)
+                    else:
+                        todo[key >> dshift].append(key)
+                elif s := s + q * v2:
+                    work[key] = s
+                else:
+                    del work[key]
     return q_terms, r_terms
 
 

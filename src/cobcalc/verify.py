@@ -236,7 +236,7 @@ def suite_demazure(cfg: RunConfig) -> dict:
 
 def suite_gln(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
-    if not datum.label.startswith("gl"):
+    if not datum.is_gln():
         raise UnsupportedTypeError("the relations suite needs a gl_n type")
     n = datum.rank
     probe_degree = cfg.probe_degree if cfg.probe_degree is not None else (
@@ -262,7 +262,7 @@ def suite_gln(cfg: RunConfig) -> dict:
 
 def suite_tensor_iso(cfg: RunConfig) -> dict:
     datum = build_root_datum(cfg.type_tag)
-    if not datum.label.startswith("gl"):
+    if not datum.is_gln():
         raise UnsupportedTypeError("the tensor suite needs a gl_n type")
     probe_degree = 2 if cfg.probe_degree is None else cfg.probe_degree
     _require_degree(cfg, 2, "the tensor-iso suite")

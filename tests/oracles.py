@@ -1153,11 +1153,11 @@ def tuple_divide_exact(f: TupleSeries, g: TupleSeries | TupleDivisor) -> TupleSe
         d = sum(e)
         if d <= horizon:
             buckets[d][e] = c
+    # below the divisor's order the leading term divides no term
     for degree in range(m):
         if buckets[degree]:
             raise NotDivisibleError(
-                f"order of numerator {degree} below order of divisor {m}",
-                degree=degree,
+                f"leading term not divisible at degree {degree}", degree=degree
             )
     lead_t, lead_nz = div.lead_t, div.lead_nz
     rest, high, whole = div.rest, div.high, div.whole

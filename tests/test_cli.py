@@ -55,6 +55,32 @@ def test_unsupported_combination_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("law", ["universal:1024", "universal:99999999999999999999"])
+def test_universal_law_past_the_packed_generators_exit_code(capsys, law):
+    code, out, err = run_cli(
+        capsys, "verify", "lemma-div", "--type", "gl2", "--law", law,
+        "--degree", "3", "--count", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: universal law with {law[10:]} generators is above the "
+        "supported 1023\n"
+    )
+
+
+def test_a_product_with_a_gl_factor_is_not_gl_n(capsys):
+    # gl_n is decided by the root datum, not by the prefix of its label
+    argv = ["--type", "product:gl2,a1", "--law", "additive", "--degree", "3"]
+    code, out, _ = run_cli(capsys, "gkm", "verify", *argv)
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "symmetric_relations" not in names
+    for suite, what in (("gln", "relations"), ("tensor-iso", "tensor")):
+        code, out, err = run_cli(capsys, "verify", suite, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: the {what} suite needs a gl_n type\n"
+
+
 def test_usage_error(capsys):
     assert main(["verify", "nonexistent-suite"]) == 2
 

@@ -7,6 +7,7 @@ import sympy
 
 from cobcalc.errors import (
     CobcalcError,
+    ConfigError,
     InsufficientGeneratorsError,
     NonPrimitiveCharacterError,
     NotDivisibleError,
@@ -19,7 +20,7 @@ from cobcalc.fgl import (
 )
 from cobcalc.roots import build_root_datum
 from cobcalc.sampling import random_homogeneous
-from cobcalc.series import Divisor, GradedSeries, Substitution, divide_exact
+from cobcalc.series import MAX_WEIGHT, Divisor, GradedSeries, Substitution, divide_exact
 
 from .oracles import (
     BasisChangeDivider,
@@ -112,6 +113,29 @@ def test_universal_law_against_sympy_reversion(ngens, degree):
             padded = tuple(bexp) + (0,) * (ngens - len(bexp))
             got[(e, padded)] = val
     assert got == _sympy_universal_law(ngens, degree)
+
+
+def test_universal_law_builds_only_its_live_generators(monkeypatch):
+    # b_i u^(i+1) vanishes at the internal precision 4 once i >= 4, so 50
+    # generators need only three powers of u; the law is the one of 3
+    powers = []
+    pow_ = GradedSeries.__pow__
+
+    def counted(self, n):
+        powers.append(n)
+        return pow_(self, n)
+
+    monkeypatch.setattr(GradedSeries, "__pow__", counted)
+    ctx = build_law("universal:50", 3)
+    assert powers == [2, 3, 4]
+    assert ctx.group_law == build_law("universal:3", 3).group_law
+
+
+@pytest.mark.parametrize("ngens", [MAX_WEIGHT + 1, 10**20])
+def test_universal_law_past_the_packed_generators_is_refused(ngens):
+    with pytest.raises(ConfigError, match=f"{ngens} generators is above the supported"):
+        LawSpec.parse(f"universal:{ngens}")
+    assert LawSpec.parse(f"universal:{MAX_WEIGHT}").ngens == MAX_WEIGHT
 
 
 def test_universal_2_frozen_values():

@@ -31,6 +31,7 @@ from cobcalc.series import (
     GradedSeries,
     Substitution,
     divide_exact,
+    remainder,
 )
 
 from .oracles import (
@@ -175,7 +176,8 @@ def _outcome(thunk, unpack):
     try:
         q = thunk()
     except NotDivisibleError as exc:
-        return ("NotDivisibleError", exc.degree)
+        # the message names the failing step: "leading term" or "coefficient"
+        return ("NotDivisibleError", exc.degree, str(exc))
     except PrecisionExhaustedError:
         return ("PrecisionExhaustedError",)
     return ("quotient", q.precision, unpack(q))
@@ -247,6 +249,95 @@ def test_a_leading_coefficient_of_several_b_monomials_is_refused(lead):
         Divisor(g)
     with pytest.raises(ValueError, match="one b-monomial"):
         divide_exact(g * g, g)
+
+
+# (f, g) pairs whose long division subtracts a partial product past the
+# weight bound 15 of precision 4, though f and g fit it: the division is
+# redone in a wider layout, once or more
+_WIDENING = {
+    # quotient b1^8 - b1^16 t1 + b1^24 t1^2 - b1^32 t1^3: widens twice
+    "exact": (
+        TupleSeries(1, 4, {(1,): {(8,): 1}}),
+        TupleSeries(1, 4, {(1,): {(): 1}, (2,): {(8,): 1}}),
+    ),
+    # b1^22 t1^3 passes the bound; then b2 t1^3 is not divisible by b1 t1
+    "coefficient": (
+        TupleSeries(1, 4, {(1,): {(8,): 1}, (3,): {(0, 1): 1}}),
+        TupleSeries(1, 4, {(1,): {(1,): 1}, (2,): {(8,): 1}}),
+    ),
+    # Fraction quotient values, and a remainder in t2
+    "remainder": (
+        TupleSeries(
+            2, 4, {(1, 0): {(8,): 3}, (0, 2): {(): 1}, (1, 1): {(3,): Fraction(1, 2)}}
+        ),
+        TupleSeries(2, 4, {(1, 0): {(): 2}, (0, 1): {(): 1}, (2, 0): {(8,): 1}}),
+    ),
+}
+
+# (f, g) pairs in which a key cancels and is created again before its degree
+# is divided: t2*t3 in degree 2 (from the quotient terms t2 and t3), and
+# b1*t2^2 from degree 1 into degree 2
+_RECREATED = {
+    "same degree": (
+        TupleSeries(3, 3, {(1, 1, 0): {(): 1}, (1, 0, 1): {(): 1}, (0, 1, 1): {(): 1}}),
+        TupleSeries(3, 3, {(1, 0, 0): {(): 1}, (0, 1, 0): {(): 1}, (0, 0, 1): {(): 1}}),
+    ),
+    "higher degree": (
+        TupleSeries(2, 3, {(1, 0): {(): 1, (1,): 1}, (0, 2): {(1,): 1}}),
+        TupleSeries(2, 3, {(1, 0): {(): 1}, (0, 2): {(): 1, (1,): 1}}),
+    ),
+}
+
+
+def _lead_divides(div: TupleDivisor, t: tuple, b: tuple) -> bool:
+    lead_b = div.lead_b + (0,) * max(0, len(b) - len(div.lead_b))
+    b = b + (0,) * (len(lead_b) - len(b))
+    return all(map(int.__ge__, t, div.lead_t)) and all(map(int.__ge__, b, lead_b))
+
+
+def _check_division(f: TupleSeries, g: TupleSeries) -> None:
+    """divide_exact and remainder of f by g against the tuple kernel: the
+    same quotient or NotDivisibleError (degree and message); a remainder r
+    with no term that the leading term of g divides, and f - r a multiple
+    of g, with the quotient of the tuple kernel."""
+    pf, pg = from_tuple(f), from_tuple(g)
+    got = _outcome(lambda: divide_exact(pf, pg), nested)
+    assert got == _outcome(lambda: tuple_divide_exact(f, g), lambda q: q.terms)
+    r = remainder(pf, pg)
+    assert r.precision == min(f.precision, g.precision)
+    div = TupleDivisor(g)
+    assert not any(_lead_divides(div, t, b) for t, b, _ in r.items())
+    fr = f.truncate(r.precision) - to_tuple(r)
+    assert _same(divide_exact(pf - r, pg), tuple_divide_exact(fr, g))
+    if got[0] == "quotient":
+        assert r.is_zero()
+
+
+@pytest.mark.parametrize("case", sorted(_WIDENING))
+def test_division_past_the_weight_bound_widens_the_layout(monkeypatch, case):
+    f, g = _WIDENING[case]
+    calls = []
+    long_divide = series._long_divide
+
+    def counted(*args):
+        calls.append(args)
+        return long_divide(*args)
+
+    monkeypatch.setattr(series, "_long_divide", counted)
+    for divide in (divide_exact, remainder):
+        calls.clear()
+        try:
+            divide(from_tuple(f), from_tuple(g))
+        except NotDivisibleError:
+            pass
+        assert len(calls) >= 2  # redone at least once
+    _check_division(f, g)
+
+
+@pytest.mark.parametrize("case", sorted(_RECREATED))
+def test_division_with_a_key_cancelled_and_created_again(case):
+    f, g = _RECREATED[case]
+    _check_division(f, g)
 
 
 # -- the bounds of the packing ----------------------------------------------------

@@ -40,6 +40,18 @@ def test_type_facts(tag, order, npos):
     assert len(datum.positive_roots) == npos
 
 
+@pytest.mark.parametrize(
+    "tag,gln",
+    [
+        ("gl2", True), ("gl4", True), ("a1", False), ("psl3", False),
+        ("product:gl2,a1", False), ("product:gl2,gl2", False),
+        ("product:a1,gl2", False), ("psl2xpsl2", False),
+    ],
+)
+def test_gl_n_is_decided_by_the_roots_not_the_label(tag, gln):
+    assert build_root_datum(tag).is_gln() is gln
+
+
 def test_unknown_type():
     with pytest.raises(UnsupportedTypeError):
         build_root_datum("e8")
