@@ -428,8 +428,8 @@ def suite_esph(cfg: RunConfig) -> dict:
         detail = []
         for m in range(0, min(cfg.degree, ctx.precision) + 1):
             via_p = [
-                c.values[0]
-                for c in invariant_tuple_basis(graph, datum.simple_reflections, m)
+                values[0]
+                for values in invariant_tuple_basis(graph, datum.simple_reflections, m)
             ]
             via_x = invariant_subring_X(model, m)
             same = span_equal(via_p, via_x)

@@ -125,57 +125,140 @@ def invariant_subring_X(
     return [values[0] for values in system.solve(over="Q")]
 
 
+class VertexOrbits:
+    """The orbits of the group generated by ``generators`` on the vertices of
+    a Weyl-labelled graph, read off the graph.
+
+    Orbits are found by breadth-first search over the generators from each
+    unvisited vertex in increasing order, so vertex 0 is the root of orbit
+    0.  ``roots[k]`` is the root of orbit k, ``root_of[u]`` the orbit of
+    vertex u and ``transversal[u]`` a Weyl element t_u with t_u(root) = u,
+    where t_{g u} = g t_u along the search tree.
+
+    ``stabilizer`` lists the triples (k, a, b) with a = g t_u and b = t_{g u}
+    distinct matrices, for a vertex u of orbit k and a generator g; b^{-1} a
+    is a Schreier generator of the stabilizer of the root, so an invariant
+    tuple has a(f_k) = b(f_k).  Each (k, a, b) is listed once.  ``edges``
+    holds one edge (i, j, chi) per orbit of edges, the first in graph order
+    that touches an orbit root.  Each generator must map every edge to an
+    edge with the translated character, or ``InternalConsistencyError`` is
+    raised: one edge then stands for its whole orbit.
+    """
+
+    def __init__(self, graph: GKMGraph, generators: Sequence[WeylElement]):
+        n = graph.nvertices
+        perms = [[graph.act_vertex(g, u) for u in range(n)] for g in generators]
+        rank = graph.datum.rank
+        self.identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        self.roots: list[int] = []
+        self.root_of: list = [None] * n
+        self.transversal: list = [None] * n
+        for start in range(n):
+            if self.root_of[start] is not None:
+                continue
+            k = len(self.roots)
+            self.roots.append(start)
+            self.root_of[start] = k
+            self.transversal[start] = WeylElement(self.identity, ())
+            queue = [start]
+            for u in queue:
+                for g, perm in zip(generators, perms):
+                    gu = perm[u]
+                    if self.root_of[gu] is None:
+                        self.root_of[gu] = k
+                        self.transversal[gu] = g.compose(self.transversal[u])
+                        queue.append(gu)
+        stabilizer = {}
+        for u in range(n):
+            for g, perm in zip(generators, perms):
+                a = g.compose(self.transversal[u])
+                b = self.transversal[perm[u]]
+                if a.matrix != b.matrix:
+                    k = self.root_of[u]
+                    stabilizer.setdefault((k, a.matrix, b.matrix), (k, a, b))
+        self.stabilizer = list(stabilizer.values())
+        self.edges = self._edge_orbit_representatives(graph, generators, perms)
+
+    def _edge_orbit_representatives(self, graph, generators, perms) -> list:
+        edges = graph.edges
+        index = {(i, j): e for e, (i, j, _) in enumerate(edges)}
+        is_root = set(self.roots)
+        seen = [False] * len(edges)
+        out = []
+        for e, (i, j, _) in enumerate(edges):
+            if seen[e] or (i not in is_root and j not in is_root):
+                continue
+            out.append(edges[e])
+            seen[e] = True
+            queue = [e]
+            for f in queue:
+                i, j, chi = edges[f]
+                for g, perm in zip(generators, perms):
+                    image = index.get((min(perm[i], perm[j]), max(perm[i], perm[j])))
+                    if image is None or edges[image][2] != canonical_sign(g.act(chi)):
+                        raise InternalConsistencyError(
+                            f"Weyl element {g.id_string()} does not map the edge "
+                            f"{graph.ids[i]}-{graph.ids[j]} to an edge of the graph"
+                        )
+                    if not seen[image]:
+                        seen[image] = True
+                        queue.append(image)
+        return out
+
+
+def vertex_orbits(graph: GKMGraph, generators: Sequence[WeylElement]) -> VertexOrbits:
+    """The :class:`VertexOrbits` of ``generators`` on ``graph``, computed on
+    first use and kept on the graph, keyed by the generators' matrices."""
+    memo = vars(graph).setdefault("vertex_orbits", {})
+    key = tuple(g.matrix for g in generators)
+    orbits = memo.get(key)
+    if orbits is None:
+        orbits = memo[key] = VertexOrbits(graph, generators)
+    return orbits
+
+
 def invariant_tuple_basis(
     graph: GKMGraph, generators: Sequence[WeylElement], degree: int
-) -> list[GKMClass]:
+) -> list[list[GradedSeries]]:
     """Rational basis of degree-``degree`` classes on the graph invariant
     under the group generated by ``generators`` acting by
-    (w f)_v = w(f at w^{-1} v).
+    (w f)_v = w(f at w^{-1} v), each given by its values at the orbit roots
+    of :func:`vertex_orbits`: entry k is the value at ``roots[k]``, so entry
+    0 is the value at vertex 0.
 
-    Invariance under g is the condition g(f at u) = f at g u for every
-    vertex u.  For an involution g the conditions at u and at g u are
-    equivalent (apply g to one to get the other), so one per 2-cycle of g
-    on the vertices is imposed, at the lesser vertex, and a fixed vertex
-    keeps its own.  That g is an involution is read off its matrix and then
-    checked on the series: g must send each image g(m) back to the monomial
-    m, or ``InternalConsistencyError`` is raised.  Every other generator
-    keeps all its conditions.  The solution space, and so the basis, is the
-    same either way."""
+    An invariant class is fixed by these values (Goresky, Kottwitz and
+    MacPherson): f at u is t_u(f at its root).  Such a tuple is invariant
+    exactly when a(f_k) = b(f_k) for each stabilizer condition (k, a, b), and
+    it is a class exactly when it meets the congruence of one edge per edge
+    orbit; so restriction to the roots is a bijection from the invariant
+    classes onto the solutions of these conditions."""
     ctx = graph.ctx
     datum = graph.datum
+    orbits = vertex_orbits(graph, generators)
     system = TupleSystem(
-        ctx, graph.nvars, graph.nvertices, ambient_monomials(ctx, graph.nvars, degree)
+        ctx, graph.nvars, len(orbits.roots), ambient_monomials(ctx, graph.nvars, degree)
     )
     monos = system.monomials
     if not monos:
         return []
-    for (i, j, chi) in graph.edges:
-        system.require([(i, 1, monos), (j, -1, monos)], chi)
-    # invariance: g(f at u) = f at g u
-    for g in generators:
-        images = [weyl_act(g, f, ctx, datum) for f in monos]
-        involution = _is_involution(g, monos, images, ctx, datum)
-        for u in range(graph.nvertices):
-            gu = graph.act_vertex(g, u)
-            if involution and gu < u:
-                continue  # imposed at gu
-            system.require([(u, 1, images), (gu, -1, monos)])
-    return [GKMClass(graph, values) for values in system.solve(over="Q")]
+    # one images list per Weyl matrix, so the system reduces each once
+    images = {orbits.identity: monos}
 
+    def image(w: WeylElement):
+        out = images.get(w.matrix)
+        if out is None:
+            out = images[w.matrix] = [weyl_act(w, f, ctx, datum) for f in monos]
+        return out
 
-def _is_involution(g: WeylElement, monos, images, ctx, datum) -> bool:
-    """Whether g squares to the identity matrix; if it does, g must also
-    send every image ``images[k] = g(monos[k])`` back to ``monos[k]``."""
-    square = g.compose(g).matrix
-    if any(x != (i == j) for i, row in enumerate(square) for j, x in enumerate(row)):
-        return False
-    for k, (f, image) in enumerate(zip(monos, images)):
-        if weyl_act(g, image, ctx, datum) != f:
-            raise InternalConsistencyError(
-                f"Weyl element {g.id_string()} squares to the identity but "
-                f"does not undo its action on monomial {k}"
-            )
-    return True
+    for k, a, b in orbits.stabilizer:
+        system.require([(k, 1, image(a)), (k, -1, image(b))])
+    root_of, transversal = orbits.root_of, orbits.transversal
+    for (i, j, chi) in orbits.edges:
+        system.require(
+            [(root_of[i], 1, image(transversal[i])), (root_of[j], -1, image(transversal[j]))],
+            chi,
+        )
+    return system.solve(over="Q")
 
 
 def _w_theta_generators(sd: SymmetricDatum) -> list[WeylElement]:
@@ -192,7 +275,7 @@ def invariant_subring_Y(model: WonderfulModel, degree: int) -> list[GradedSeries
     basis = invariant_tuple_basis(
         model.y_graph, _w_theta_generators(model.sd), degree
     )
-    return [c.values[0] for c in basis]
+    return [values[0] for values in basis]
 
 
 def verify_esph(model: WonderfulModel, degree: int) -> dict:
@@ -209,7 +292,7 @@ def verify_esph(model: WonderfulModel, degree: int) -> dict:
         reduced = invariant_subring_X(model, m)
         with_root_edges = invariant_subring_X(model, m, impose_root_edges=True)
         x_tuples = invariant_tuple_basis(model.x_graph, datum.simple_reflections, m)
-        x_restricted = [c.values[0] for c in x_tuples]
+        x_restricted = [values[0] for values in x_tuples]
         y_restricted = invariant_subring_Y(model, m)
         agree_root = span_equal(reduced, with_root_edges)
         agree_x = span_equal(reduced, x_restricted)

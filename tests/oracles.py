@@ -25,10 +25,11 @@ the packed keys).
 ``flag_graph_reference`` and ``wonderful_graphs_reference``, the separate
 flag and wonderful graph constructions that ``gkm.coset_graph`` replaced,
 read the package's Weyl groups, reflections and symmetric data.
-``invariant_tuple_basis_reference`` imposes, with the package's
-``TupleSystem`` and Weyl action, every invariance condition that
-``wonderful.invariant_tuple_basis`` imposed before it took one per 2-cycle of
-an involution.
+``invariant_tuple_basis_reference`` solves, with the package's
+``TupleSystem`` and Weyl action, for one block of unknowns per vertex under
+every edge congruence and every invariance condition, as
+``wonderful.invariant_tuple_basis`` did before it solved for one block per
+orbit root.
 ``TupleSeries`` and its substitution, divisor and divided difference are the
 tuple-keyed series kernel that the packed one in ``cobcalc.series``
 replaced; they share no code with it.
@@ -586,8 +587,9 @@ class BasisChangeTupleSystem(TupleSystem):
 
 
 def invariant_tuple_basis_reference(graph, generators, degree: int) -> list[GKMClass]:
-    """``wonderful.invariant_tuple_basis`` with every invariance condition
-    g(f at u) = f at g u imposed, for every generator g and vertex u."""
+    """The invariant classes as whole tuples, one unknown block per vertex:
+    every edge congruence, and g(f at u) = f at g u for every generator g
+    and vertex u."""
     ctx, datum = graph.ctx, graph.datum
     system = TupleSystem(
         ctx, graph.nvars, graph.nvertices, ambient_monomials(ctx, graph.nvars, degree)

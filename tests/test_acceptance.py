@@ -235,8 +235,8 @@ def test_criterion_07_esph():
         w_gens = datum.simple_reflections
         for m in range(0, 4):
             via_projective = [
-                c.values[0]
-                for c in invariant_tuple_basis(graph, w_gens, m)
+                values[0]
+                for values in invariant_tuple_basis(graph, w_gens, m)
             ]
             assert span_equal(
                 via_projective, invariant_subring_X(model, m)

@@ -145,6 +145,15 @@ def test_esph_group_g2_additive_degree_two(capsys):
     ]
 
 
+def test_esph_group_g2_universal_degree_three(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "esph", "--case", "group:g2", "--law", "universal:3", "--degree", "3",
+    )
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_schubert_bott_samelson_artifact(tmp_path, capsys):
     out_path = str(tmp_path / "bs.json")
     code, out, _ = run_cli(

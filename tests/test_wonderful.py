@@ -1,17 +1,12 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
 from random import Random
 
 import pytest
 
-import cobcalc
-from cobcalc import linalg, wonderful
+from cobcalc import linalg
 from cobcalc.cli import main
-from cobcalc.errors import RepeatedWeightError
+from cobcalc.errors import InternalConsistencyError, RepeatedWeightError
 from cobcalc.fgl import build_law
-from cobcalc.gkm import TupleSystem, membership, span_equal
+from cobcalc.gkm import GKMClass, GKMGraph, membership, span_equal
 from cobcalc.linalg import canonical_sign
 from cobcalc.roots import build_symmetric_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
@@ -25,6 +20,7 @@ from cobcalc.wonderful import (
     invariant_tuple_basis,
     projective_space_model,
     verify_esph,
+    vertex_orbits,
 )
 
 from .oracles import invariant_tuple_basis_reference
@@ -150,7 +146,7 @@ def test_invariant_tuples_pass_membership(psl2):
     model = build_wonderful_graph(psl2, ctx)
     datum = psl2.datum
     gens = datum.simple_reflections
-    for cls in invariant_tuple_basis(model.x_graph, gens, 2):
+    for cls in _expand(model.x_graph, gens, invariant_tuple_basis(model.x_graph, gens, 2)):
         ok, witness = membership(cls, model.x_graph)
         assert ok, witness
 
@@ -192,7 +188,7 @@ def test_projective_route_matches_reduced_subring(psl2):
     w_gens = datum.simple_reflections
     for m in range(0, 4):
         via_projective = [
-            c.values[0] for c in invariant_tuple_basis(graph, w_gens, m)
+            values[0] for values in invariant_tuple_basis(graph, w_gens, m)
         ]
         via_reduced = invariant_subring_X(model, m)
         assert span_equal(via_projective, via_reduced)
@@ -258,7 +254,7 @@ def test_linear_symplectic_esph_universal(linear_symplectic):
     assert report["pass"], report
 
 
-# -- invariance: one condition per 2-cycle of an involution ----------------------------
+# -- orbit coordinates against the per-vertex oracle ----------------------------------
 
 
 def _model(case, law, precision):
@@ -266,16 +262,31 @@ def _model(case, law, precision):
     return build_wonderful_graph(build_symmetric_datum(case), ctx)
 
 
+def _expand(graph, gens, basis):
+    """Whole tuples from values at the orbit roots: f at u is t_u(f at its root)."""
+    orbits = vertex_orbits(graph, gens)
+    ctx, datum = graph.ctx, graph.datum
+    return [
+        GKMClass(graph, [
+            weyl_act(orbits.transversal[u], values[orbits.root_of[u]], ctx, datum)
+            for u in range(graph.nvertices)
+        ])
+        for values in basis
+    ]
+
+
+def _check_against_reference(graph, gens, degrees):
+    for d in degrees:
+        got = _expand(graph, gens, invariant_tuple_basis(graph, gens, d))
+        reference = invariant_tuple_basis_reference(graph, gens, d)
+        assert len(got) == len(reference), (graph.kind, d)
+        assert span_equal(got, reference), (graph.kind, d)
+
+
 def _check_both_graphs(model, degrees):
     sd = model.sd
-    routes = [
-        (model.x_graph, sd.datum.simple_reflections),
-        (model.y_graph, _w_theta_generators(sd)),
-    ]
-    for graph, gens in routes:
-        for d in degrees:
-            got = invariant_tuple_basis(graph, gens, d)
-            assert got == invariant_tuple_basis_reference(graph, gens, d), (graph.kind, d)
+    _check_against_reference(model.x_graph, sd.datum.simple_reflections, degrees)
+    _check_against_reference(model.y_graph, _w_theta_generators(sd), degrees)
 
 
 @pytest.mark.parametrize(
@@ -293,92 +304,59 @@ def test_invariant_tuples_match_all_conditions(case, law, top):
 
 
 def test_invariant_tuples_match_all_conditions_linear_symplectic(linear_symplectic):
-    _check_both_graphs(
-        build_wonderful_graph(linear_symplectic, build_law("additive", 3)), range(4)
-    )
+    model = build_wonderful_graph(linear_symplectic, build_law("additive", 3))
+    # one orbit on each graph, its root's stabilizer of order 4 (24/6 on the
+    # X-graph, 8/2 on the Y-graph), so the stabilizer conditions are not empty
+    x_orbits = vertex_orbits(model.x_graph, linear_symplectic.datum.simple_reflections)
+    y_orbits = vertex_orbits(model.y_graph, _w_theta_generators(linear_symplectic))
+    assert (len(x_orbits.roots), len(x_orbits.stabilizer)) == (1, 6)
+    assert (len(y_orbits.roots), len(y_orbits.stabilizer)) == (1, 4)
+    _check_both_graphs(model, range(4))
 
 
-class _CountingSystem(TupleSystem):
-    """Counts the exact conditions, which are the invariance ones here."""
-
-    exact = 0
-
-    def require(self, parts, chi=None):
-        if chi is None:
-            _CountingSystem.exact += 1
-        super().require(parts, chi)
-
-
-def _exact_conditions(monkeypatch, graph, gens, degree):
-    monkeypatch.setattr(wonderful, "TupleSystem", _CountingSystem)
-    _CountingSystem.exact = 0
-    basis = invariant_tuple_basis(graph, gens, degree)
-    assert basis == invariant_tuple_basis_reference(graph, gens, degree)
-    return _CountingSystem.exact
-
-
-def test_involutions_impose_one_condition_per_orbit(monkeypatch):
-    graph = _model("group:psl3", "additive", 2).x_graph
-    s1 = graph.datum.simple_reflections[0]
-    orbits = {
-        frozenset((u, graph.act_vertex(s1, u))) for u in range(graph.nvertices)
-    }
-    assert len(orbits) == graph.nvertices // 2  # s1 fixes no coset here
-    assert _exact_conditions(monkeypatch, graph, [s1], 2) == len(orbits)
-
-
-def test_a_generator_of_order_three_keeps_every_condition(monkeypatch):
-    graph = _model("group:psl3", "additive", 2).x_graph
-    s1, s2 = graph.datum.simple_reflections[:2]
-    g = s1.compose(s2)
-    identity = s1.compose(s1).matrix
-    assert g.compose(g).matrix != identity
-    assert g.compose(g).compose(g).matrix == identity
-    for d in range(3):
-        assert _exact_conditions(monkeypatch, graph, [g], d) == graph.nvertices
-
-
-_NOT_UNDONE = """
-import cobcalc.wonderful as wonderful
-from cobcalc.errors import InternalConsistencyError
-from cobcalc.fgl import build_law
-from cobcalc.roots import build_symmetric_datum
-from cobcalc.series import GradedSeries
-
-real = wonderful.weyl_act
-
-
-def doubled_once(w, f, ctx, datum):
-    # g(t1) comes out doubled, so g(g(t1)) = 2 t1
-    out = real(w, f, ctx, datum)
-    return out + out if f == t1 else out
-
-
-model = wonderful.build_wonderful_graph(
-    build_symmetric_datum("group:psl2"), build_law("additive", 2)
+@pytest.mark.parametrize(
+    "case,orbits,ranks",
+    [("group:psl2", 2, [1, 1, 4, 4]), ("group:psl3", 6, [1, 2, 7, 17])],
 )
-t1 = GradedSeries.from_terms(2, 2, {(1, 0): {(): 1}})
-wonderful.weyl_act = doubled_once
-try:
-    wonderful.invariant_tuple_basis(model.x_graph, model.sd.datum.simple_reflections, 1)
-except InternalConsistencyError as e:
-    print(e)
-"""
+def test_invariant_tuples_on_several_orbits(case, orbits, ranks):
+    # W_theta acting on the X-graph: one orbit per coset of W_theta in W
+    model = _model(case, "additive", 3)
+    graph, gens = model.x_graph, _w_theta_generators(model.sd)
+    data = vertex_orbits(graph, gens)
+    assert len(data.roots) == orbits and data.roots[0] == 0
+    assert [len(invariant_tuple_basis(graph, gens, d)) for d in range(4)] == ranks
+    _check_against_reference(graph, gens, range(4))
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
-def test_an_involution_that_does_not_undo_itself_raises(flags):
-    src = str(Path(cobcalc.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", _NOT_UNDONE],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=60,
+def test_orbits_are_kept_on_the_graph():
+    model = _model("group:psl3", "additive", 1)
+    gens = model.sd.datum.simple_reflections
+    orbits = vertex_orbits(model.x_graph, gens)
+    assert vertex_orbits(model.x_graph, list(gens)) is orbits
+    assert vertex_orbits(model.x_graph, _w_theta_generators(model.sd)) is not orbits
+    for u in range(model.x_graph.nvertices):
+        root = orbits.roots[orbits.root_of[u]]
+        assert model.x_graph.act_vertex(orbits.transversal[u], root) == u
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # the last edge dropped: a generator maps a kept edge onto the gap
+        lambda edges: edges[:-1],
+        # the last edge relabelled: its translates no longer match
+        lambda edges: edges[:-1] + ((*edges[-1][:2], (1, 2)),),
+    ],
+    ids=["missing", "relabelled"],
+)
+def test_a_generator_that_breaks_an_edge_raises(edges):
+    x = _model("group:psl2", "additive", 1).x_graph
+    broken = GKMGraph(
+        x.ctx, x.ids, edges(x.edges), datum=x.datum, weyl_vertices=x.weyl_vertices,
+        element_to_vertex=x.element_to_vertex, kind=x.kind,
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
-        "Weyl element 1 squares to the identity but does not undo its action "
-        "on monomial 1\n"  # t1, after t2 in deglex order
-    )
+    with pytest.raises(InternalConsistencyError, match="does not map the edge"):
+        invariant_tuple_basis(broken, x.datum.simple_reflections, 1)
 
 
 # -- pinned work and ranks -----------------------------------------------------------
@@ -400,7 +378,7 @@ def test_esph_psl3_additive_linear_systems_pinned(monkeypatch, capsys):
     argv = ["verify", "esph", "--case", "group:psl3", "--law", "additive", "--degree", "3"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert counts == [52, 6085, 1349]
+    assert counts == [52, 395, 395]
 
 
 @pytest.mark.parametrize(
@@ -408,10 +386,12 @@ def test_esph_psl3_additive_linear_systems_pinned(monkeypatch, capsys):
     [
         ("group:psl3", "universal:3", [54, 34, 19, 13]),
         ("group:b2", "additive", [1, 2, 6, 12]),
+        ("group:b2", "universal:3", [147, 104, 66, 36, 24]),
     ],
 )
 def test_esph_ranks_pinned(case, law, ranks):
-    report = verify_esph(_model(case, law, 3), 3)
+    top = len(ranks) - 1
+    report = verify_esph(_model(case, law, top), top)
     assert report["pass"], report
     assert [(d["rank"], d["x_tuple_rank"], d["y_rank"]) for d in report["degrees"]] == [
         (r, r, r) for r in ranks
