@@ -191,8 +191,7 @@ class FGLContext:
             raise InternalConsistencyError(
                 "kappa division not exact"
             ) from exc
-        check = (self.kappa * den).truncate(self.kappa.precision)
-        if check != num.truncate(self.kappa.precision):
+        if not num.equals_product(self.kappa, den, self.kappa.precision):
             raise InternalConsistencyError("kappa identity failed")
 
     # -- series accessors -----------------------------------------------------

@@ -1,7 +1,10 @@
 """Seeded random generators for property suites.
 
 All sampling goes through an explicit ``random.Random`` so that suites are
-reproducible from a seed recorded in their configuration.
+reproducible from a seed recorded in their configuration.  Integers are drawn
+with ``rng.randrange(a, b + 1)``, the documented equivalent of
+``rng.randint(a, b)`` without its extra call, so the stream of draws and the
+samples are the ones ``randint`` gives.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from .series import GradedSeries
 
 
 def random_composition(rng: Random, total: int, parts: int) -> tuple:
-    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    cuts = sorted(rng.randrange(0, total + 1) for _ in range(parts - 1))
     prev = 0
     out = []
     for c in cuts + [total]:
@@ -26,7 +29,7 @@ def random_b_monomial(rng: Random, weight: int, ngens: int) -> tuple:
     exp = [0] * ngens
     remaining = weight
     while remaining > 0:
-        part = rng.randint(1, min(remaining, ngens))
+        part = rng.randrange(1, min(remaining, ngens) + 1)
         exp[part - 1] += 1
         remaining -= part
     while exp and exp[-1] == 0:
@@ -55,12 +58,12 @@ def random_homogeneous(
         )
     max_extra = 0 if (b_free or ctx.ngens == 0) else ctx.precision - degree
     terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        extra = rng.randint(0, max_extra) if max_extra else 0
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        extra = rng.randrange(0, max_extra + 1) if max_extra else 0
         tdeg = degree + extra
         texp = random_composition(rng, tdeg, nvars)
         bexp = random_b_monomial(rng, extra, ctx.ngens) if extra else ()
-        c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+        c = rng.randrange(1, coeff_bound + 1) * rng.choice((1, -1))
         coeff = terms.setdefault(texp, {})
         v = coeff.get(bexp, 0) + c
         if v:

@@ -234,11 +234,13 @@ def _check_weights(k1: int, keys, lim: int, lay: _Layout) -> None:
             raise _Overflow
 
 
-def _product(a, b: tuple, lim: int, lay: _Layout) -> dict:
+def _product(a, b: tuple, lim: int, lay: _Layout, out: dict | None = None) -> dict:
     """The terms below key ``lim`` of the product of the (key, value) pairs
-    ``a`` and the sorted view ``b`` of :func:`_image`.  Raises
-    :class:`_Overflow` before a kept product passes the weight bound."""
-    out: dict = {}
+    ``a`` and the sorted view ``b`` of :func:`_image`, added into ``out``
+    when given.  Raises :class:`_Overflow` before a kept product passes the
+    weight bound."""
+    if out is None:
+        out = {}
     bw, keys, values = b
     if not keys:
         return out
@@ -481,6 +483,32 @@ class GradedSeries:
         if d is None:
             d = min(self.precision, other.precision)
         return self.truncate(d) == other.truncate(d)
+
+    def equals_product(
+        self, a: "GradedSeries", b: "GradedSeries", d: int | None = None
+    ) -> bool:
+        """``(a * b).equals_truncated(self, d)``, with its exceptions, without
+        building the product: when the three series share a layout, ``-self``
+        below the degree limit seeds an accumulator that the product of a
+        and b is added into, and they are equal exactly when it ends empty."""
+        lay = self.layout
+        if a.layout is lay and b.layout is lay:
+            p = min(a.precision, b.precision)
+            if d is None:
+                d = min(p, self.precision)
+            top = min(d, p)
+            if top == min(d, self.precision):
+                lim = (top + 1) << lay.dshift
+                acc = {k: -v for k, v in self.packed.items() if k < lim}
+                if len(a.packed) > len(b.packed):
+                    a, b = b, a
+                try:
+                    _product(a.packed.items(), b.packed_sorted(), lim, lay, acc)
+                except _Overflow:
+                    pass
+                else:
+                    return not acc
+        return (a * b).equals_truncated(self, d)
 
     # -- ring operations ---------------------------------------------------
 

@@ -24,7 +24,7 @@ from .gkm import (
     surjectivity_probe,
     tensor_to_gkm,
 )
-from .roots import build_root_datum, build_symmetric_datum, divided_difference, weyl_act
+from .roots import build_root_datum, build_symmetric_datum, weyl_act
 from .sampling import random_homogeneous, random_monomial_series
 from .schubert import (
     bott_samelson,
@@ -107,32 +107,39 @@ def suite_fgl_check(cfg: RunConfig) -> dict:
 
 def suite_lemma_div(cfg: RunConfig) -> dict:
     """Divisibility of f - s_beta(f) by the class of beta, for seeded random
-    homogeneous f and every positive root.  Each quotient comes from the
-    memoised divided difference (:func:`roots.divided_difference`) and is
-    certified per sample by multiplying back."""
+    homogeneous f and every positive root.  The law context's memoised
+    operators for beta (the substitution s_beta, the divided difference
+    (f - s_beta(f)) / x_beta and x_beta itself) are fetched once per root;
+    each sample's quotient is certified by multiplying it back, in one pass
+    that adds q * x_beta to -(f - s_beta(f)) (see
+    :meth:`GradedSeries.equals_product`)."""
     datum = build_root_datum(cfg.type_tag)
     ctx = cfg.context()
     rng = Random(cfg.seed)
     max_deg = min(5, ctx.precision)
     samples = [
-        random_homogeneous(rng, ctx, datum.rank, rng.randint(1, max_deg))
+        random_homogeneous(rng, ctx, datum.rank, rng.randrange(1, max_deg + 1))
         for _ in range(cfg.count)
     ]
-    reflections = [
-        (beta, datum.reflection_element(beta)) for beta in datum.positive_roots
-    ]
+    operators = []
+    for beta in datum.positive_roots:
+        chars = list(zip(*datum.reflection_element(beta).matrix))
+        operators.append((
+            beta,
+            ctx.substitution(chars).apply,
+            ctx.divided_difference(chars, beta).apply,
+            ctx.formal_sum(beta),
+        ))
 
     def run(f: GradedSeries):
         failures = []
-        for beta, s in reflections:
-            diff = f - weyl_act(s, f, ctx, datum)
+        for beta, act, quotient, x_beta in operators:
             try:
-                q = divided_difference(s, beta, f, ctx, datum)
+                q = quotient(f)
             except NotDivisibleError as exc:
                 failures.append({"root": list(beta), "degree": exc.degree})
                 continue
-            x_beta = ctx.formal_sum(beta)
-            if not (q * x_beta).equals_truncated(diff, q.precision):
+            if not (f - act(f)).equals_product(q, x_beta, q.precision):
                 failures.append({"root": list(beta), "certificate": "failed"})
         return failures
 
@@ -142,7 +149,7 @@ def suite_lemma_div(cfg: RunConfig) -> dict:
             "name": "divisibility",
             "pass": not all_failures,
             "samples": len(samples),
-            "roots": len(reflections),
+            "roots": len(operators),
             "witnesses": all_failures[:5],
         }
     ]

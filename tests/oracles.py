@@ -12,7 +12,12 @@ of basis in place of the long-division remainder.  ``formal_sum_reference`` and
 ``kappa_of_character_reference`` compute x_chi and kappa(x_chi) character by
 character from the package's law and substitution.
 ``random_homogeneous_reference``, the old one-term-at-a-time sample
-construction, adds the package's series.  ``demazure_gkm_reference``, the
+construction, adds the package's series; it draws through
+``random_composition_reference`` and ``random_b_monomial_reference``, the
+samplers as they were written with ``randint``.  ``lemma_div_reference`` is
+the lemma-div loop that went through ``weyl_act`` and
+``roots.divided_difference`` for every sample and root and multiplied each
+quotient back with ``*``.  ``demazure_gkm_reference``, the
 equivariant Demazure operator computed at both vertices of every pair,
 divides with the package's law context.
 ``kernel_int_reference`` and ``span_equal_int_reference`` (the old lattice
@@ -42,6 +47,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
 from operator import add, sub
+from random import Random
 
 from cobcalc.errors import (
     ConstantTermError,
@@ -59,8 +65,8 @@ from cobcalc.linalg import (
     require_primitive,
     vsub,
 )
-from cobcalc.roots import mat_mul, weyl_act
-from cobcalc.sampling import random_b_monomial, random_composition
+from cobcalc.roots import build_root_datum, divided_difference, mat_mul, weyl_act
+from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries, Substitution
 
 
@@ -630,6 +636,30 @@ def kappa_of_character_reference(ctx, chi) -> GradedSeries:
 # -- seeded samples, one term at a time ---------------------------------------
 
 
+def random_composition_reference(rng, total: int, parts: int) -> tuple:
+    """``sampling.random_composition`` as it drew with ``randint``."""
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    prev = 0
+    out = []
+    for c in cuts + [total]:
+        out.append(c - prev)
+        prev = c
+    return tuple(out)
+
+
+def random_b_monomial_reference(rng, weight: int, ngens: int) -> tuple:
+    """``sampling.random_b_monomial`` as it drew with ``randint``."""
+    exp = [0] * ngens
+    remaining = weight
+    while remaining > 0:
+        part = rng.randint(1, min(remaining, ngens))
+        exp[part - 1] += 1
+        remaining -= part
+    while exp and exp[-1] == 0:
+        exp.pop()
+    return tuple(exp)
+
+
 def random_homogeneous_reference(
     rng, ctx, nvars, degree, max_terms=4, coeff_bound=3, b_free=False
 ):
@@ -641,14 +671,62 @@ def random_homogeneous_reference(
     for _ in range(rng.randint(1, max_terms)):
         extra = rng.randint(0, max_extra) if max_extra else 0
         tdeg = degree + extra
-        texp = random_composition(rng, tdeg, nvars)
-        bexp = random_b_monomial(rng, extra, ctx.ngens) if extra else ()
+        texp = random_composition_reference(rng, tdeg, nvars)
+        bexp = random_b_monomial_reference(rng, extra, ctx.ngens) if extra else ()
         c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
         f = f + GradedSeries.from_terms(nvars, ctx.precision, {texp: {bexp: c}})
     if f.is_zero():
-        texp = random_composition(rng, degree, nvars)
+        texp = random_composition_reference(rng, degree, nvars)
         f = GradedSeries.from_terms(nvars, ctx.precision, {texp: {(): 1}})
     return f
+
+
+def lemma_div_reference(cfg) -> dict:
+    """The lemma-div report as ``verify.suite_lemma_div`` computed it with
+    one Weyl action, one divided difference and one product per sample and
+    root."""
+    datum = build_root_datum(cfg.type_tag)
+    ctx = cfg.context()
+    rng = Random(cfg.seed)
+    max_deg = min(5, ctx.precision)
+    samples = [
+        random_homogeneous(rng, ctx, datum.rank, rng.randint(1, max_deg))
+        for _ in range(cfg.count)
+    ]
+    reflections = [
+        (beta, datum.reflection_element(beta)) for beta in datum.positive_roots
+    ]
+
+    def run(f: GradedSeries):
+        failures = []
+        for beta, s in reflections:
+            diff = f - weyl_act(s, f, ctx, datum)
+            try:
+                q = divided_difference(s, beta, f, ctx, datum)
+            except NotDivisibleError as exc:
+                failures.append({"root": list(beta), "degree": exc.degree})
+                continue
+            x_beta = ctx.formal_sum(beta)
+            if not (q * x_beta).equals_truncated(diff, q.precision):
+                failures.append({"root": list(beta), "certificate": "failed"})
+        return failures
+
+    all_failures = [f for sample in samples for f in run(sample)]
+    checks = [
+        {
+            "name": "divisibility",
+            "pass": not all_failures,
+            "samples": len(samples),
+            "roots": len(reflections),
+            "witnesses": all_failures[:5],
+        }
+    ]
+    return {
+        "suite": "lemma-div",
+        "config": cfg.to_json(),
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks),
+    }
 
 
 def demazure_gkm_reference(c, i: int):

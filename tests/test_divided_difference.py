@@ -1,22 +1,32 @@
 """The memoised divided difference (f - w(f)) / x_beta against the direct
-long division of the whole difference, and the one-pass sample builder
-against the old one-term-at-a-time construction."""
+long division of the whole difference, the one-pass sample builder against
+the old one-term-at-a-time construction and its samplers against their
+``randint`` originals, and the lemma-div suite against its old loop, passing
+and failing."""
 
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from cobcalc import series
+from cobcalc.cli import main
 from cobcalc.errors import NotDivisibleError, PrecisionExhaustedError
 from cobcalc.fgl import FGLContext, build_law
 from cobcalc.roots import build_root_datum, divided_difference, weyl_act
-from cobcalc.sampling import random_homogeneous
+from cobcalc.sampling import random_b_monomial, random_composition, random_homogeneous
 from cobcalc.schubert import demazure, kappa_of_character
 from cobcalc.series import Divisor, GradedSeries
 from cobcalc.verify import RunConfig, suite_lemma_div
 
-from .oracles import nested, random_homogeneous_reference
+from .oracles import (
+    lemma_div_reference,
+    nested,
+    random_b_monomial_reference,
+    random_composition_reference,
+    random_homogeneous_reference,
+)
 
 D = 5
 LAWS = ("additive", "multiplicative", "universal:4")
@@ -171,3 +181,109 @@ def test_random_homogeneous_matches_reference(law, precision, nvars, b_free):
                 list(c.items()) for c in nested(g).values()
             ]
             assert rng.getstate() == ref_rng.getstate()
+
+
+def test_samplers_draw_the_randint_stream():
+    for seed in range(40):
+        rng, ref_rng = Random(seed), Random(seed)
+        for total in range(0, 7):
+            for parts in range(1, 5):
+                assert random_composition(rng, total, parts) == (
+                    random_composition_reference(ref_rng, total, parts)
+                )
+                assert rng.getstate() == ref_rng.getstate()
+        for weight in range(0, 9):
+            for ngens in range(1, 5):
+                assert random_b_monomial(rng, weight, ngens) == (
+                    random_b_monomial_reference(ref_rng, weight, ngens)
+                )
+                assert rng.getstate() == ref_rng.getstate()
+
+
+# -- lemma-div, passing and failing -------------------------------------------
+
+
+class _OffByOneTerm:
+    """The real divided difference plus t1 on every quotient."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def apply(self, f):
+        q = self.real.apply(f)
+        one = (1,) + (0,) * (q.nvars - 1)
+        return q + GradedSeries.from_terms(q.nvars, q.precision, {one: {(): 1}})
+
+
+class _NotDivisibleAt:
+    """The real divided difference, except that it finds the samples with a
+    term of odd t-degree not divisible, at degree 3."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def apply(self, f):
+        if any(sum(t) % 2 for t, _, _ in f.items()):
+            raise NotDivisibleError("not divisible", 3)
+        return self.real.apply(f)
+
+
+def _patch_divided_difference(monkeypatch, shim, chi_filter=None):
+    real = FGLContext.divided_difference
+
+    def patched(self, chars, chi):
+        got = real(self, chars, chi)
+        if chi_filter is None or tuple(chi) == chi_filter:
+            got = shim(got)
+        return got
+
+    monkeypatch.setattr(FGLContext, "divided_difference", patched)
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative", "universal:4"])
+@pytest.mark.parametrize("tag", ["gl2", "gl3", "a2", "b2", "g2"])
+@pytest.mark.parametrize("mode", ["exact", "off-by-one", "not-divisible", "one-root"])
+def test_lemma_div_matches_the_old_loop(monkeypatch, tag, law, mode):
+    cfg = RunConfig(law=law, degree=5, type_tag=tag, count=25, seed=11)
+    if mode == "off-by-one":
+        _patch_divided_difference(monkeypatch, _OffByOneTerm)
+    elif mode == "not-divisible":
+        _patch_divided_difference(monkeypatch, _NotDivisibleAt)
+    elif mode == "one-root":
+        last = tuple(build_root_datum(tag).positive_roots[-1])
+        _patch_divided_difference(monkeypatch, _OffByOneTerm, last)
+    report = suite_lemma_div(cfg)
+    assert report == lemma_div_reference(cfg)
+    (check,) = report["checks"]
+    assert report["pass"] is check["pass"] is (mode == "exact")
+    assert len(check["witnesses"]) == (0 if mode == "exact" else 5)
+
+
+def test_lemma_div_certificate_failure_witness(monkeypatch, capsys):
+    _patch_divided_difference(monkeypatch, _OffByOneTerm)
+    cfg = RunConfig(law="universal:4", degree=5, type_tag="gl3", count=4)
+    report = suite_lemma_div(cfg)
+    assert report["pass"] is False
+    # every sample fails at every root, in the datum's order of roots
+    roots = [list(beta) for beta in build_root_datum("gl3").positive_roots]
+    assert sorted(roots) == [[0, 1, -1], [1, -1, 0], [1, 0, -1]]
+    assert report["checks"][0]["witnesses"] == [
+        {"root": beta, "certificate": "failed"} for beta in (roots * 2)[:5]
+    ]
+    argv = ["verify", "lemma-div", "--type", "gl3", "--law", "universal:4",
+            "--degree", "5", "--count", "4"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == report["checks"]
+
+
+def test_lemma_div_not_divisible_witness(monkeypatch, capsys):
+    _patch_divided_difference(monkeypatch, _NotDivisibleAt, (1, 0, -1))
+    cfg = RunConfig(law="additive", degree=5, type_tag="gl3", count=40)
+    report = suite_lemma_div(cfg)
+    assert report["pass"] is False
+    witnesses = report["checks"][0]["witnesses"]
+    assert witnesses == [{"root": [1, 0, -1], "degree": 3}] * 5
+    argv = ["verify", "lemma-div", "--type", "gl3", "--law", "additive",
+            "--degree", "5", "--count", "40"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == report["checks"]

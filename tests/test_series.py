@@ -411,3 +411,155 @@ def test_wire_format_roundtrip_property(f, ngens):
 @given(series)
 def test_identity_substitution(f):
     assert f.substitute([var(i, NV, PREC) for i in range(NV)]) == f
+
+
+# -- equals_product against the product it stands for ------------------------
+
+
+def _mixed(rng, ctx, n):
+    """A seeded series with terms of two degrees and sometimes a constant."""
+    f = GradedSeries.constant(rng.choice((0, 0, 1, -2)), n, ctx.precision)
+    for degree in rng.sample(range(1, ctx.precision + 1), 2):
+        f = f + random_homogeneous(rng, ctx, n, degree)
+    return f
+
+
+def _bumped(c, degree):
+    """c plus t1^degree."""
+    n = c.nvars
+    return c + GradedSeries.from_terms(
+        n, c.precision, {(degree,) + (0,) * (n - 1): {(): 1}}
+    )
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except (PrecisionMismatchError, NVarsMismatchError) as exc:
+        return type(exc)
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """The number of GradedSeries products taken, in a list of one entry."""
+    calls = [0]
+    mul = GradedSeries.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GradedSeries, "__mul__", counting)
+    return calls
+
+
+def _check_equals_product(c, a, b, d, mul_calls):
+    expected = _outcome(lambda: (a * b).equals_truncated(c, d))
+    mul_calls[0] = 0
+    assert _outcome(lambda: c.equals_product(a, b, d)) == expected
+    return expected
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative", "universal:4"])
+def test_equals_product_on_one_layout_runs_without_a_product(law, mul_calls):
+    # samples of one law and nvars at precisions through 14, and products
+    # that stay below the weight bound, share one layout
+    ctx = build_law(law, 5)
+    rng = Random(23)
+    seen = set()
+    for trial in range(60):
+        n = 1 + trial % 3
+        a = _mixed(rng, ctx, n).truncate(rng.choice((3, 4, 5)))
+        b = _mixed(rng, ctx, n).truncate(rng.choice((3, 4, 5)))
+        c = (a * b).truncate(rng.choice((2, 3, 4, 5)))
+        if trial % 2:
+            c = _bumped(c, rng.randrange(0, c.precision + 1))
+        for d in (None, 0, 1, 2, 3, 4, 5):
+            got = _check_equals_product(c, a, b, d, mul_calls)
+            seen.add(got)
+            if got is not PrecisionMismatchError:
+                assert mul_calls[0] == 0
+    assert seen == {True, False, PrecisionMismatchError}
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative", "universal:4"])
+def test_equals_product_across_layouts_falls_back(law, mul_calls):
+    # a b-weight of 16 needs a wider weight field than precision 5 does, and
+    # precision 16 a wider t-field
+    ctx = build_law(law, 5)
+    rng = Random(29)
+    heavy = (0,) * 15 + (1,)
+    seen = set()
+    for trial in range(30):
+        n = 1 + trial % 3
+        a, b = _mixed(rng, ctx, n), _mixed(rng, ctx, n)
+        one = (1,) + (0,) * (n - 1)
+        widen = GradedSeries.from_terms(n, 5, {one: {heavy: rng.choice((1, -3))}})
+        which = trial % 4
+        if which == 0:
+            a = a + widen
+        elif which == 1:
+            b = b + widen
+        elif which == 2:
+            a = GradedSeries.from_terms(n, 16, nested(a))
+        c = a * b
+        if which == 3:
+            # the heavy term cancels; the wider layout stays
+            c = c + widen - widen
+        for bump in (None, 1, 5):
+            cc = c if bump is None else _bumped(c, bump)
+            for d in (None, 3, 4, 5):
+                got = _check_equals_product(cc, a, b, d, mul_calls)
+                seen.add(got)
+                assert mul_calls[0] == 1
+    assert seen == {True, False}
+
+
+def test_equals_product_falls_back_past_the_weight_bound(mul_calls):
+    # b8 * b8 passes the bound 15 of the layout that a and b share
+    b8 = (0,) * 7 + (1,)
+    a = GradedSeries.from_terms(2, 5, {(1, 0): {b8: 1}, (0, 1): {(): 2}})
+    b = GradedSeries.from_terms(2, 5, {(1, 0): {b8: -1}, (0, 0): {(): 1}})
+    zero = GradedSeries.zero(2, 5)
+    for c, d, expected in (
+        (zero, None, False),
+        (zero, 2, False),
+        (a * b, None, True),
+        (_bumped(a * b, 3), 2, True),
+        (_bumped(a * b, 2), 2, False),
+    ):
+        assert _check_equals_product(c, a, b, d, mul_calls) is expected
+        assert mul_calls[0] == 1
+    # through degree 1 the b8 * b8 term is not kept: no overflow, no product
+    c = GradedSeries.from_terms(2, 5, {(1, 0): {b8: 1}, (0, 1): {(): 2}})
+    assert _check_equals_product(c, a, b, 1, mul_calls) is True
+    assert mul_calls[0] == 0
+    assert _check_equals_product(_bumped(c, 1), a, b, 1, mul_calls) is False
+    assert mul_calls[0] == 0
+
+
+def test_equals_product_degree_limit_and_errors(mul_calls):
+    ctx = build_law("universal:4", 5)
+    rng = Random(31)
+    a, b = _mixed(rng, ctx, 2), _mixed(rng, ctx, 2)
+    c = a * b
+    for d in range(0, 5):
+        # a term changed at degree <= d is seen, one above d is not
+        for k in range(0, 6):
+            got = _check_equals_product(_bumped(c, k), a, b, d, mul_calls)
+            assert got is (k > d)
+            assert mul_calls[0] == 0
+    # d above a precision raises, as the comparison of the product does
+    low = c.truncate(3)
+    assert _check_equals_product(low, a, b, None, mul_calls) is True
+    assert _check_equals_product(low, a, b, 4, mul_calls) is PrecisionMismatchError
+    with pytest.raises(PrecisionMismatchError):
+        low.equals_product(a, b, 4)
+    with pytest.raises(PrecisionMismatchError):
+        c.equals_product(a.truncate(3), b, 4)
+    # so does an nvars mismatch, between the factors or with self
+    other = _mixed(rng, ctx, 3)
+    with pytest.raises(NVarsMismatchError):
+        c.equals_product(a, other)
+    with pytest.raises(NVarsMismatchError):
+        other.equals_product(a, b)
