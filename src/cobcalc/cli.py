@@ -192,7 +192,7 @@ def _cmd_compute(args, cfg: RunConfig) -> dict:
         graph = flag_gkm(datum, ctx)
         basis = [c.to_json() for c in subring_basis(graph, cfg.degree)]
     else:
-        basis = [s.to_json(ctx.ngens) for s in invariants_basis(datum, ctx, cfg.degree)]
+        basis = [s.to_json(ctx.bgens) for s in invariants_basis(datum, ctx, cfg.degree)]
     return {
         "type": cfg.type_tag,
         "degree": cfg.degree,

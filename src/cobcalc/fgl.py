@@ -130,6 +130,9 @@ class FGLContext:
         self.law = law
         self.precision = precision
         self.ngens = law.ngens
+        # the generators b_1..b_bgens the law is built from: b_i u^(i+1)
+        # vanishes at the internal precision once i > precision
+        self.bgens = min(law.ngens, precision)
         self._internal = precision + 1
         self._build()
         self._k_cache: dict[int, GradedSeries] = {}
@@ -152,9 +155,8 @@ class FGLContext:
         elif law.kind == "multiplicative":
             f_int = x + y - (x * y).scale({(1,): law.scale})
         else:
-            # b_i u^(i+1) vanishes at precision p once i >= p
             b = _uvar(p)
-            for i in range(1, min(law.ngens, p - 1) + 1):
+            for i in range(1, self.bgens + 1):
                 b = b + (_uvar(p) ** (i + 1)).scale({(0,) * (i - 1) + (1,): 1})
             binv = _solve_fixed_point(
                 lambda s: b.substitute([s]) - _uvar(p), _uvar(p), p
@@ -321,19 +323,28 @@ class FGLContext:
             )
         return got
 
-    def remainder_map(self, chi) -> MonomialMap:
+    def remainder_map(self, chi) -> Substitution:
         """The remainder modulo x_chi for a primitive character chi (see
-        :func:`series.remainder`), memoised per chi: it is linear over the
-        coefficient ring, so each t-monomial is reduced once.  It is zero
-        exactly when x_chi divides the series."""
+        :func:`series.remainder`), as a ring map memoised per chi.  It is zero
+        exactly when x_chi divides the series.
+
+        The lowest component of x_chi is the linear form ``sum chi_i t_i``,
+        so the divisor's leading term is chi_k t_k, with t_k the first
+        variable where chi_k != 0.  By Weierstrass preparation x_chi is a unit
+        times ``t_k - g`` with g = r(t_k) free of t_k, so the normal form
+        modulo x_chi is the substitution ``t_k -> g``, every other variable
+        fixed: one long division per character, then products of memoised
+        monomial images.  For a gl_n root e_i - e_j, g is t_j under every
+        law."""
         chi = tuple(map(int, chi))
         got = self._remainder_cache.get(chi)
         if got is None:
             div = self._divisor(chi)
-            got = MonomialMap(
-                lambda f: remainder(f, div), len(chi), len(chi), div.precision, 0
-            )
-            self._remainder_cache[chi] = got
+            n, p = len(chi), div.precision
+            images = [GradedSeries.variable(i, n, p) for i in range(n)]
+            k = next(i for i, c in enumerate(chi) if c)
+            images[k] = remainder(images[k], div)
+            got = self._remainder_cache[chi] = Substitution(images)
         return got
 
 

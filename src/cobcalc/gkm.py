@@ -137,7 +137,7 @@ class GKMClass:
 
     def to_json(self, ngens: int | None = None) -> dict:
         if ngens is None:
-            ngens = self.graph.ctx.ngens
+            ngens = self.graph.ctx.bgens
         return {
             vid: v.to_json(ngens) for vid, v in zip(self.graph.ids, self.values)
         }
@@ -375,8 +375,9 @@ class TupleSystem:
         for v, scale, images in parts:
             memo = self._reduced.get((id(images), chi))
             if memo is None:
-                # modulo x_chi: the remainder of the long division by x_chi,
-                # which is zero exactly when x_chi divides
+                # modulo x_chi: the normal form, zero exactly when x_chi
+                # divides, is the ring map t_k -> remainder(t_k, x_chi) of
+                # FGLContext.remainder_map (Weierstrass preparation)
                 reduce = None if chi is None else self.ctx.remainder_map(chi).apply
                 memo = self._reduced[id(images), chi] = (images, [
                     (s if reduce is None else reduce(s)).coords(p) for s in images

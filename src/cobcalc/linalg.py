@@ -432,14 +432,18 @@ def _hermite(vectors, dim: int, modulus: int = 0) -> list[dict]:
     ``{row: value}`` vectors, as sparse columns in increasing order of pivot
     row.  The vectors are consumed.
 
-    The vectors are inserted one at a time.  At its least nonzero row a
-    vector is reduced by the column with its pivot there: exactly if the
-    pivot divides the entry, and otherwise by extended gcd, which leaves the
-    gcd as the pivot and a remainder that is zero on that row.  A vector
-    that reaches a row with no column becomes a new column.  After each
-    change to a column the echelon is made reduced again, every entry at a
-    later pivot row in ``[0, pivot)``, so that later vectors stay sparse and
-    entries do not grow; at the end it is the canonical form.
+    The nonzero vectors are inserted one at a time, in increasing order of
+    (least nonzero row, number of nonzero entries): the form is canonical,
+    so the order cannot change it, and this one fills the early pivot rows
+    first with the sparsest vectors, which leaves less to reduce.  At its
+    least nonzero row a vector is reduced by the column with its pivot
+    there: exactly if the pivot divides the entry, and otherwise by extended
+    gcd, which leaves the gcd as the pivot and a remainder that is zero on
+    that row.  A vector that reaches a row with no column becomes a new
+    column.  After each change to a column the echelon is made reduced
+    again, every entry at a later pivot row in ``[0, pivot)``, so that later
+    vectors stay sparse and entries do not grow; at the end it is the
+    canonical form.
 
     With ``modulus`` D > 0 the span is that of the vectors and D Z^dim: the
     columns start as D times the unit vectors, and every entry below the row
@@ -448,7 +452,7 @@ def _hermite(vectors, dim: int, modulus: int = 0) -> list[dict]:
     pivots are not touched by then, and they span D Z^dim on those rows.
     """
     cols = {i: {i: modulus} for i in range(dim)} if modulus else {}
-    for v in vectors:
+    for v in sorted((v for v in vectors if v), key=lambda v: (min(v), len(v))):
         while v:
             p = min(v)
             col = cols.get(p)

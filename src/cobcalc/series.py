@@ -43,8 +43,12 @@ divided difference  min(prec f, prec images) - 1
 ==================  ======================================
 
 The divided difference is ``(f - s(f)) / x_chi``, with x_chi (of order 1)
-at the precision of the images of s; it, the remainder modulo x_chi and the
-substitution are memoised per t-monomial by :class:`MonomialMap`.
+at the precision of the images of s; it and the substitution are memoised
+per t-monomial by :class:`MonomialMap`.  The remainder modulo x_chi is a
+substitution: by Weierstrass preparation x_chi is a unit times ``t_k - g``
+with t_k its leading variable and g = remainder(t_k, x_chi) free of t_k, so
+the normal form is the ring map ``t_k -> g`` (see
+:meth:`FGLContext.remainder_map`).
 
 Comparing two series of different precision raises
 :class:`PrecisionMismatchError`; truncate explicitly first.  This is what
@@ -740,9 +744,11 @@ def _sum_images(
 class MonomialMap:
     """A map ``f -> op(f)`` from series in ``nvars_in`` variables to series
     in ``nvars_out``, linear over the coefficient ring and memoised on
-    t-monomials: the substitution (:class:`Substitution`), the divided
-    difference ``(f - s(f)) / x_chi`` and the remainder modulo x_chi (see
-    :meth:`FGLContext.divided_difference` and :meth:`FGLContext.remainder_map`).
+    t-monomials: the substitution (:class:`Substitution`), which includes
+    the remainder modulo x_chi (:meth:`FGLContext.remainder_map`), and the
+    divided difference ``(f - s(f)) / x_chi``
+    (:meth:`FGLContext.divided_difference`), which long-divides once per
+    t-monomial.
 
     ``op`` takes a series to one whose precision is ``drop`` below
     ``min(its own, precision)``; it must commute with truncation and with

@@ -168,6 +168,38 @@ def test_schubert_bott_samelson_artifact(tmp_path, capsys):
         assert json.load(fh) == artifact
 
 
+def _b_lengths(report) -> set:
+    """The lengths of the b-vectors of every term in a report."""
+    if isinstance(report, dict):
+        found = {len(report["b"])} if "b" in report else set()
+        return found.union(*map(_b_lengths, report.values()))
+    if isinstance(report, list):
+        return set().union(*map(_b_lengths, report))
+    return set()
+
+
+@pytest.mark.parametrize(
+    "argv,precision",
+    [
+        (["schubert", "bott-samelson", "--type", "gl2", "--degree", "4", "--word", "1"], 4),
+        (["compute", "subring-basis", "--type", "gl2", "--degree", "1"], 5),
+        (["compute", "invariants", "--type", "gl2", "--degree", "2"], 5),
+    ],
+    ids=["bott-samelson", "subring-basis", "invariants"],
+)
+def test_b_vectors_are_padded_to_the_generators_the_law_builds(capsys, argv, precision):
+    """At precision p, universal:N builds b_1..b_min(N, p), and a report
+    pads every b-vector to that many entries: N above p changes nothing."""
+    outs = {}
+    for n in (precision - 1, precision, 1023):
+        code, out, _ = run_cli(capsys, *argv, "--law", f"universal:{n}")
+        assert code == 0
+        outs[n] = out
+        assert _b_lengths(json.loads(out)) == {min(n, precision)}, n
+    assert outs[1023] == outs[precision]
+    assert len(outs[1023]) < 2 * len(outs[precision - 1])
+
+
 def test_compute_subring_basis(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "subring-basis", "--type", "gl2", "--degree", "1"

@@ -50,6 +50,12 @@ def _hnf(vectors, dim: int):
     return _dense(_hermite(_sparse(vectors), dim), dim)
 
 
+def _hnf_mod(vectors, dim: int, modulus: int):
+    """``_hnf`` of the span of the dense ``vectors`` and ``modulus * Z^dim``,
+    through ``_hermite``'s modulus."""
+    return _dense(_hermite(_sparse(vectors), dim, modulus), dim)
+
+
 def _span_equal_int(vs, ws) -> bool:
     return span_equal(_sparse(vs), _sparse(ws), over="Z")
 
@@ -517,9 +523,25 @@ def test_span_equal_int_matches_reference(seed):
         gens, dim = _random_family(rng)
         hnf = _hnf(gens, dim)
         assert len(hnf) == _rank(_sparse(gens)), gens
+        assert span_equal_int_reference(gens, hnf, dim), gens
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        assert _hnf(shuffled, dim) == hnf, gens
+        # _hermite sorts what it inserts; the form must not depend on the
+        # order it is given, nor on zero and repeated vectors
+        padded = shuffled + [(0,) * dim] + rng.sample(gens, min(2, len(gens)))
+        rng.shuffle(padded)
+        orders = [shuffled, gens[::-1], padded, padded[::-1]]
+        for order in orders:
+            assert _hnf(order, dim) == hnf, (gens, order)
+        # modulo D, the form of the span of the vectors and D Z^dim
+        modulus = rng.choice([2, 3, 4, 6, 12])
+        mod_hnf = _hnf_mod(gens, dim, modulus)
+        lattice = gens + [tuple(modulus * (i == j) for j in range(dim)) for i in range(dim)]
+        assert len(mod_hnf) == dim, (gens, modulus)
+        assert span_equal_int_reference(lattice, mod_hnf, dim), (gens, modulus)
+        assert _hnf(lattice, dim) == mod_hnf, (gens, modulus)
+        for order in orders:
+            assert _hnf_mod(order, dim, modulus) == mod_hnf, (gens, order, modulus)
         variants = [shuffled]
         if gens:
             # one generator doubled: the same lattice or one of index 2
