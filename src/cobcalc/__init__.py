@@ -64,7 +64,6 @@ from .series import (
     GradedSeries,
     MonomialMap,
     Substitution,
-    complete_homogeneous,
     divide_exact,
     elementary_symmetric,
 )

@@ -48,6 +48,10 @@ class LawSpec:
                 "multiplicative law needs a nonzero scale; multiplicative:0 "
                 "is the additive law"
             )
+        if self.kind == "universal" and self.ngens < 0:
+            raise ConfigError(
+                f"universal law needs a generator count >= 0, got {self.ngens}"
+            )
         if self.kind == "universal" and self.ngens > MAX_WEIGHT:
             # a packed series key has no field for b_i with i > MAX_WEIGHT
             raise ConfigError(

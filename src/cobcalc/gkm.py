@@ -336,6 +336,13 @@ class TupleSystem:
     combination of the monomials ``monos`` ((t-exponent, b-exponent) pairs);
     the unknown for (vertex v, monomial k) is column v * len(monos) + k.
     Each row is a sparse ``{column: value}`` dict.
+
+    A condition names Weyl elements, and the system keeps one memo per Weyl
+    matrix: the images of the monomials, through the law context's memoised
+    substitution as :func:`roots.weyl_act` computes them, and their
+    coordinates per character, from :meth:`coords_modulo`.  However many
+    conditions reuse a matrix, its images are computed once and reduced once
+    per character.
     """
 
     def __init__(self, ctx, nvars: int, nvertices: int, monos):
@@ -348,41 +355,46 @@ class TupleSystem:
             for t, b in self.monos
         ]
         self.rows: list[dict] = []
-        # (id(images), chi) -> (images, its coordinate dicts); holding the
-        # list keeps its id from being reused while the entry lives
-        self._reduced: dict = {}
+        # Weyl matrix -> (images of the monomials, {chi: their coordinates});
+        # the identity, also named by None, maps each monomial to itself
+        identity = tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
+        self._memo: dict = dict.fromkeys((None, identity), (self.monomials, {}))
+
+    def coords_modulo(self, series: list[GradedSeries], chi) -> list[dict]:
+        """The coordinates of each series, or, given ``chi``, of its normal
+        form modulo x_chi: the ring map t_k -> remainder(t_k, x_chi) of
+        ``FGLContext.remainder_map`` (Weierstrass preparation), zero exactly
+        when x_chi divides the series."""
+        if chi is not None:
+            series = map(self.ctx.remainder_map(chi).apply, series)
+        return [f.coords(self.ctx.precision) for f in series]
+
+    def _reduced(self, w: WeylElement | None, chi) -> list[dict]:
+        matrix = None if w is None else w.matrix
+        entry = self._memo.get(matrix)
+        if entry is None:
+            subst = self.ctx.substitution(zip(*matrix))
+            entry = self._memo[matrix] = ([subst.apply(f) for f in self.monomials], {})
+        images, reduced = entry
+        got = reduced.get(chi)
+        if got is None:
+            got = reduced[chi] = self.coords_modulo(images, chi)
+        return got
 
     def require(self, parts, chi=None) -> None:
         """Impose one linear condition on the unknown tuple f.
 
-        A part ``(v, scale, images)`` stands for ``scale * T(f_v)``, with the
-        linear map T given on monomials by ``images[k] = T(monomials[k])``.
-        The parts must sum to zero, exactly or, given ``chi``, modulo x_chi.
-        Adds one row per touched coordinate (of the remainder, modulo x_chi)
-        in sorted order and drops zero rows.
-
-        The coordinates of each images list, reduced modulo x_chi, are
-        memoised for the lifetime of the system, keyed by the list's id and
-        ``chi``: a list passed again, in this call or a later one, is not
-        reduced again.  The memo holds the list itself, so its id cannot
-        name another list while the entry lives; the lists must not change
-        once passed.
+        A part ``(v, scale, w)`` stands for ``scale * w(f_v)``, with w a
+        :class:`WeylElement` or None for the identity.  The parts must sum to
+        zero, exactly or, given ``chi``, modulo x_chi.  Adds one row per
+        touched coordinate (of the normal form, modulo x_chi) in sorted order
+        and drops zero rows.
         """
         chi = None if chi is None else tuple(chi)
-        p = self.ctx.precision
         nm = len(self.monos)
         coords: dict = {}
-        for v, scale, images in parts:
-            memo = self._reduced.get((id(images), chi))
-            if memo is None:
-                # modulo x_chi: the normal form, zero exactly when x_chi
-                # divides, is the ring map t_k -> remainder(t_k, x_chi) of
-                # FGLContext.remainder_map (Weierstrass preparation)
-                reduce = None if chi is None else self.ctx.remainder_map(chi).apply
-                memo = self._reduced[id(images), chi] = (images, [
-                    (s if reduce is None else reduce(s)).coords(p) for s in images
-                ])
-            for k, img in enumerate(memo[1]):
+        for v, scale, w in parts:
+            for k, img in enumerate(self._reduced(w, chi)):
                 col = v * nm + k
                 for key, val in img.items():
                     entry = coords.setdefault(key, {})
@@ -432,9 +444,8 @@ def subring_basis(graph: GKMGraph, d: int) -> list[GKMClass]:
         graph.nvertices,
         [(m, ()) for m in t_monomials(graph.nvars, d)],
     )
-    monos = system.monomials
     for (i, j, chi) in graph.edges:
-        system.require([(i, 1, monos), (j, -1, monos)], chi)
+        system.require([(i, 1, None), (j, -1, None)], chi)
     return [validate(GKMClass(graph, values)) for values in system.solve()]
 
 
@@ -454,11 +465,7 @@ def invariants_basis(datum: RootDatum, ctx, d: int) -> list[GradedSeries]:
         if not amb:
             continue
         system = TupleSystem(ctx, n, 1, amb)
-        monos = system.monomials
-        parts = [
-            (0, 1, [weyl_act(g, f, ctx, datum) for f in monos]) for g in gens
-        ]
-        system.require(parts + [(0, -len(gens), monos)])
+        system.require([(0, 1, g) for g in gens] + [(0, -len(gens), None)])
         out.extend(values[0] for values in system.solve())
     return out
 

@@ -1089,23 +1089,3 @@ def elementary_symmetric(i: int, vars: list[GradedSeries]) -> GradedSeries:
             layer[k] = layer[k] + layer[k - 1] * v
     return layer[i]
 
-
-def complete_homogeneous(k: int, vars: list[GradedSeries]) -> GradedSeries:
-    """The sum of all degree-k monomials in the given series (h_k)."""
-    if k < 0:
-        raise IndexOutOfRangeError("complete homogeneous index must be >= 0")
-    if not vars:
-        raise IndexOutOfRangeError("complete homogeneous function of no series")
-    nv, p = vars[0].nvars, min(v.precision for v in vars)
-    if k == 0:
-        return GradedSeries.constant(1, nv, p)
-    # h_k(v1..vm) = sum_j v1^j h_{k-j}(v2..vm)
-    out = GradedSeries.zero(nv, p)
-    head, tail = vars[0], vars[1:]
-    if not tail:
-        return head ** k
-    power = GradedSeries.constant(1, nv, p)
-    for j in range(0, k + 1):
-        out = out + power * complete_homogeneous(k - j, tail)
-        power = power * head
-    return out

@@ -31,7 +31,7 @@ from .gkm import (
     span_equal,
 )
 from .linalg import canonical_sign, vneg, vsub
-from .roots import SymmetricDatum, WeylElement, weyl_act
+from .roots import SymmetricDatum, WeylElement
 from .series import GradedSeries
 
 
@@ -102,13 +102,10 @@ def invariant_subring_X(
     sd = model.sd
     datum = sd.datum
     system = TupleSystem(ctx, datum.rank, 1, ambient_monomials(ctx, datum.rank, degree))
-    monos = system.monomials
-    if not monos:
+    if not system.monos:
         return []
     for i in sd.delta_L:
-        g = datum.simple_reflections[i]
-        system.require([(0, 1, [weyl_act(g, f, ctx, datum) for f in monos]),
-                        (0, -1, monos)])
+        system.require([(0, 1, datum.simple_reflections[i]), (0, -1, None)])
     # f = w(f) mod x_chi for each (w, chi)
     pairs = [
         (sd.restricted_reflection(k), gamma)
@@ -121,7 +118,7 @@ def invariant_subring_X(
             if beta not in set(sd.sigma_L_pos)
         ]
     for (w, chi) in pairs:
-        system.require([(0, 1, [f - weyl_act(w, f, ctx, datum) for f in monos])], chi)
+        system.require([(0, 1, None), (0, -1, w)], chi)
     return [values[0] for values in system.solve(over="Q")]
 
 
@@ -149,7 +146,9 @@ class VertexOrbits:
         n = graph.nvertices
         perms = [[graph.act_vertex(g, u) for u in range(n)] for g in generators]
         rank = graph.datum.rank
-        self.identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        identity = WeylElement(
+            tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)), ()
+        )
         self.roots: list[int] = []
         self.root_of: list = [None] * n
         self.transversal: list = [None] * n
@@ -159,7 +158,7 @@ class VertexOrbits:
             k = len(self.roots)
             self.roots.append(start)
             self.root_of[start] = k
-            self.transversal[start] = WeylElement(self.identity, ())
+            self.transversal[start] = identity
             queue = [start]
             for u in queue:
                 for g, perm in zip(generators, perms):
@@ -233,31 +232,17 @@ def invariant_tuple_basis(
     orbit; so restriction to the roots is a bijection from the invariant
     classes onto the solutions of these conditions."""
     ctx = graph.ctx
-    datum = graph.datum
     orbits = vertex_orbits(graph, generators)
     system = TupleSystem(
         ctx, graph.nvars, len(orbits.roots), ambient_monomials(ctx, graph.nvars, degree)
     )
-    monos = system.monomials
-    if not monos:
+    if not system.monos:
         return []
-    # one images list per Weyl matrix, so the system reduces each once
-    images = {orbits.identity: monos}
-
-    def image(w: WeylElement):
-        out = images.get(w.matrix)
-        if out is None:
-            out = images[w.matrix] = [weyl_act(w, f, ctx, datum) for f in monos]
-        return out
-
     for k, a, b in orbits.stabilizer:
-        system.require([(k, 1, image(a)), (k, -1, image(b))])
+        system.require([(k, 1, a), (k, -1, b)])
     root_of, transversal = orbits.root_of, orbits.transversal
     for (i, j, chi) in orbits.edges:
-        system.require(
-            [(root_of[i], 1, image(transversal[i])), (root_of[j], -1, image(transversal[j]))],
-            chi,
-        )
+        system.require([(root_of[i], 1, transversal[i]), (root_of[j], -1, transversal[j])], chi)
     return system.solve(over="Q")
 
 

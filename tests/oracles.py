@@ -7,10 +7,13 @@ reduction.  The exceptions follow.  ``BasisChangeDivider``, the slow
 reference for division by a character class, is built from the package's own
 series and substitutions and from ``unimodular_with_first_column``, the
 lattice basis completion that the package no longer has;
-``BasisChangeTupleSystem`` feeds the package's solver the rows of that change
-of basis in place of the long-division remainder.  ``formal_sum_reference`` and
-``kappa_of_character_reference`` compute x_chi and kappa(x_chi) character by
-character from the package's law and substitution.
+``BasisChangeTupleSystem`` overrides only the reduction modulo x_chi of the
+package's ``TupleSystem`` (``coords_modulo``): it takes the coordinates of
+the terms free of t1' after that change of basis in place of the remainder
+map, and keeps the package's memo of Weyl images and reductions.
+``formal_sum_reference`` and ``kappa_of_character_reference`` compute x_chi
+and kappa(x_chi) character by character from the package's law and
+substitution.
 ``random_homogeneous_reference``, the old one-term-at-a-time sample
 construction, adds the package's series; it draws through
 ``random_composition_reference`` and ``random_b_monomial_reference``, the
@@ -31,8 +34,8 @@ the packed keys).
 flag and wonderful graph constructions that ``gkm.coset_graph`` replaced,
 read the package's Weyl groups, reflections and symmetric data.
 ``invariant_tuple_basis_reference`` solves, with the package's
-``TupleSystem`` and Weyl action, for one block of unknowns per vertex under
-every edge congruence and every invariance condition, as
+``TupleSystem`` and its conditions on Weyl images, for one block of unknowns
+per vertex under every edge congruence and every invariance condition, as
 ``wonderful.invariant_tuple_basis`` did before it solved for one block per
 orbit root.
 ``TupleSeries`` and its substitution, divisor and divided difference are the
@@ -578,37 +581,30 @@ class BasisChangeTupleSystem(TupleSystem):
         super().__init__(*args)
         self._dividers: dict = {}
 
-    def require(self, parts, chi=None) -> None:
+    def coords_modulo(self, series: list[GradedSeries], chi) -> list[dict]:
         if chi is None:
-            return super().require(parts)
-        chi = tuple(chi)
+            return super().coords_modulo(series, chi)
         div = self._dividers.get(chi)
         if div is None:
             div = self._dividers[chi] = BasisChangeDivider(self.ctx, chi)
-        free: dict = {}
-        for _, _, images in parts:
-            if id(images) not in free:
-                free[id(images)] = [div.free_part(s) for s in images]
-        super().require([(v, scale, free[id(images)]) for v, scale, images in parts])
+        return [div.free_part(f).coords(self.ctx.precision) for f in series]
 
 
 def invariant_tuple_basis_reference(graph, generators, degree: int) -> list[GKMClass]:
     """The invariant classes as whole tuples, one unknown block per vertex:
     every edge congruence, and g(f at u) = f at g u for every generator g
     and vertex u."""
-    ctx, datum = graph.ctx, graph.datum
+    ctx = graph.ctx
     system = TupleSystem(
         ctx, graph.nvars, graph.nvertices, ambient_monomials(ctx, graph.nvars, degree)
     )
-    monos = system.monomials
-    if not monos:
+    if not system.monos:
         return []
     for (i, j, chi) in graph.edges:
-        system.require([(i, 1, monos), (j, -1, monos)], chi)
+        system.require([(i, 1, None), (j, -1, None)], chi)
     for g in generators:
-        images = [weyl_act(g, f, ctx, datum) for f in monos]
         for u in range(graph.nvertices):
-            system.require([(u, 1, images), (graph.act_vertex(g, u), -1, monos)])
+            system.require([(u, 1, g), (graph.act_vertex(g, u), -1, None)])
     return [GKMClass(graph, values) for values in system.solve(over="Q")]
 
 

@@ -585,6 +585,14 @@ def test_multiplicative_zero_scale_is_usage_error(capsys, argv):
     assert LawSpec.parse("multiplicative:-2").scale == -2
 
 
+def test_negative_generator_count_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "fgl", "check", "--law", "universal:-1", "--degree", "2"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: universal law needs a generator count >= 0, got -1\n"
+
+
 def test_bad_word_rejected(capsys):
     code, _, _ = run_cli(
         capsys, "schubert", "bott-samelson", "--type", "gl2", "--word", "x,y"

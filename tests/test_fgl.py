@@ -35,6 +35,10 @@ def test_law_spec_parsing():
     assert LawSpec.parse("multiplicative").canonical() == "multiplicative:1"
     assert LawSpec.parse("multiplicative:2").scale == 2
     assert LawSpec.parse("universal:4").ngens == 4
+    assert LawSpec.parse("universal:0").ngens == 0
+    for make in (lambda: LawSpec.parse("universal:-1"), lambda: LawSpec.universal(-3)):
+        with pytest.raises(ConfigError, match="needs a generator count >= 0, got -"):
+            make()
 
 
 def test_preconditions():

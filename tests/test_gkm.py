@@ -1,8 +1,9 @@
+from collections import Counter
 from random import Random
 
 import pytest
 
-from cobcalc import gkm
+from cobcalc import gkm, series
 from cobcalc.errors import (
     InternalConsistencyError,
     PrecisionExhaustedError,
@@ -27,7 +28,7 @@ from cobcalc.gkm import (
     t_monomials,
     tensor_to_gkm,
 )
-from cobcalc.roots import build_root_datum, build_symmetric_datum, weyl_act
+from cobcalc.roots import WeylElement, build_root_datum, build_symmetric_datum
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
 from cobcalc.wonderful import build_wonderful_graph
@@ -483,31 +484,60 @@ def test_surjectivity_probe_rejects_non_gl():
 # -- the tuple system's memo of reduced images ----------------------------------------
 
 
-def test_tuple_system_memo_survives_fresh_image_lists():
-    # one system gets a fresh images list on every call, dropped right after,
-    # so that a later list may be given the id of an earlier one with other
-    # entries; the other shares one list per map
+def test_tuple_system_substitutes_once_per_matrix_and_reduces_once_per_character(
+    monkeypatch,
+):
+    # conditions reuse the identity, the simple reflections, their product and
+    # fresh elements with the same matrices (two by longer words), under every
+    # edge character and exactly; each Weyl substitution must be applied once
+    # per monomial, and each remainder map once per monomial and matrix
+    # used with its character
     ctx = build_law("universal:3", 3)
     datum = build_root_datum("gl3")
     g = flag_gkm(datum, ctx)
     monos = [(m, ()) for m in t_monomials(3, 2)]
-    fresh = TupleSystem(ctx, 3, g.nvertices, monos)
-    shared = TupleSystem(ctx, 3, g.nvertices, monos)
-    maps = [None] + list(datum.simple_reflections)
+    s1, s2 = datum.simple_reflections
+    elements = [
+        None, s1, s2, s1.compose(s2), s2.compose(s2), s1.compose(s2).compose(s2),
+        WeylElement(s2.matrix, s2.word),
+    ]
+    identity = datum.weyl()[0].matrix
+    matrices = {identity if w is None else w.matrix for w in elements}
+    assert len(matrices) == 4
+    weyl = {m: ctx.substitution(zip(*m)) for m in matrices}
+    rmaps = {tuple(chi): ctx.remainder_map(chi) for _, _, chi in g.edges}
+    calls = Counter()
+    apply = series.Substitution.apply
 
-    def images(w):
-        return [
-            f if w is None else weyl_act(w, f, ctx, datum) for f in shared.monomials
-        ]
+    def counting(self, f):
+        calls[id(self)] += 1
+        return apply(self, f)
 
-    lists = [images(w) for w in maps]
+    conditions = []
+    used: dict = {}
     for k, (i, j, chi) in enumerate(g.edges * 2):
-        a, b = k % len(maps), (k + 1) % len(maps)
-        for c in (chi, None):
-            fresh.require([(i, 1, images(maps[a])), (j, -1, images(maps[b]))], c)
-            shared.require([(i, 1, lists[a]), (j, -1, lists[b])], c)
-    assert fresh.rows == shared.rows
-    assert len(shared.rows) > 0
+        a, b = elements[k % len(elements)], elements[(k + 3) % len(elements)]
+        for c in (tuple(chi), None):
+            conditions.append(([(i, 1, a), (j, -1, b)], c))
+            used.setdefault(c, set()).update(
+                identity if w is None else w.matrix for w in (a, b)
+            )
+    reference = TupleSystem(ctx, 3, g.nvertices, monos)
+    for parts, c in conditions:
+        reference.require(
+            [(v, s, None if w is None else datum.element(w.matrix)) for v, s, w in parts], c
+        )
+    monkeypatch.setattr(series.Substitution, "apply", counting)
+    system = TupleSystem(ctx, 3, g.nvertices, monos)
+    for parts, c in conditions:
+        system.require(parts, c)
+    assert calls[id(weyl[identity])] == 0
+    for m in matrices - {identity}:
+        assert calls[id(weyl[m])] == len(monos)
+    for chi, rmap in rmaps.items():
+        assert calls[id(rmap)] == len(monos) * len(used[chi])
+    assert system.rows == reference.rows
+    assert len(system.rows) > 0
 
 
 # -- invariants ---------------------------------------------------------------------

@@ -18,7 +18,6 @@ from cobcalc.sampling import random_homogeneous
 from cobcalc.series import (
     Divisor,
     GradedSeries,
-    complete_homogeneous,
     divide_exact,
     elementary_symmetric,
 )
@@ -174,23 +173,6 @@ def test_elementary_symmetric():
     assert elementary_symmetric(1, [t1, t2]) == t1 + t2
     with pytest.raises(IndexOutOfRangeError):
         elementary_symmetric(3, [t1, t2])
-
-
-def test_complete_homogeneous():
-    t1, t2 = var(0), var(1)
-    h2 = complete_homogeneous(2, [t1, t2])
-    assert h2 == t1 * t1 + t1 * t2 + t2 * t2
-    t = GradedSeries.variable(0, 1, 6)
-    assert complete_homogeneous(4, [t]) == t ** 4
-    assert complete_homogeneous(0, [t1, t2]) == GradedSeries.constant(1, 2, 5)
-
-
-@pytest.mark.parametrize("k", [0, 1, 3])
-def test_complete_homogeneous_of_no_series(k):
-    # like elementary_symmetric on an empty list: a typed error, not an
-    # IndexError from reading the first series
-    with pytest.raises(IndexOutOfRangeError):
-        complete_homogeneous(k, [])
 
 
 def test_formal_sum_basics():
