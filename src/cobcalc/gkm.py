@@ -404,8 +404,19 @@ class TupleSystem:
             if row:
                 self.rows.append(row)
 
+    def canonical_rows(self) -> tuple:
+        """A key that two systems share exactly when they have the same
+        unknowns and the same set of rows, and so the same solutions:
+        (nvertices, monos, the frozenset of each row's sorted items)."""
+        return (
+            self.nvertices,
+            tuple(self.monos),
+            frozenset(tuple(sorted(row.items())) for row in self.rows),
+        )
+
     def solve(self, over: str = "Z") -> list[list[GradedSeries]]:
-        """A basis of the solutions, each as one series per vertex.
+        """A basis of the solutions, each as one series per vertex; empty
+        when there are no monomials, hence no unknowns.
 
         ``over="Q"``: the certified reduced basis of the rational solutions,
         one primitive integer vector per free unknown.  ``over="Z"``: the
@@ -416,6 +427,8 @@ class TupleSystem:
         Column v * len(monos) + k of a solution is the coefficient of
         monomial k at vertex v."""
         nm = len(self.monos)
+        if not nm:
+            return []
         basis = linalg.kernel(self.rows, self.nvertices * nm, over)
         p = self.ctx.precision
         labels = [label for m in self.monomials for label in m.coords(p)]

@@ -15,7 +15,11 @@ from cobcalc.gkm import flag_gkm, subring_basis
 from cobcalc.roots import build_root_datum, build_symmetric_datum
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries, divide_exact, remainder
-from cobcalc.wonderful import build_wonderful_graph, invariant_subring_X
+from cobcalc.wonderful import (
+    build_wonderful_graph,
+    invariant_subring_X,
+    root_congruence_system,
+)
 
 from .oracles import BasisChangeDivider, BasisChangeTupleSystem
 
@@ -145,8 +149,18 @@ def test_subring_basis_matches_the_change_of_basis_rows(monkeypatch, tag, law, d
 @pytest.mark.parametrize("roots", [False, True])
 @pytest.mark.parametrize("case", ["group:psl2", "group:psl3"])
 def test_invariant_subring_matches_the_change_of_basis_rows(monkeypatch, case, roots):
+    """roots=False: the reduced basis; roots=True: the root-congruence rows,
+    which must be empty under either normal form modulo x_beta."""
     ctx = build_law("additive", 3)
     model = build_wonderful_graph(build_symmetric_datum(case), ctx)
-    got = [invariant_subring_X(model, d, roots) for d in range(4)]
+
+    def route(d):
+        if roots:
+            return root_congruence_system(model, d).rows
+        return invariant_subring_X(model, d)
+
+    got = [route(d) for d in range(4)]
     monkeypatch.setattr(wonderful, "TupleSystem", BasisChangeTupleSystem)
-    assert got == [invariant_subring_X(model, d, roots) for d in range(4)]
+    assert got == [route(d) for d in range(4)]
+    if roots:
+        assert got == [[]] * 4

@@ -2,13 +2,13 @@ from random import Random
 
 import pytest
 
-from cobcalc import linalg
+from cobcalc import linalg, wonderful
 from cobcalc.cli import main
 from cobcalc.errors import InternalConsistencyError, RepeatedWeightError
 from cobcalc.fgl import build_law
-from cobcalc.gkm import GKMClass, GKMGraph, membership, span_equal
+from cobcalc.gkm import GKMClass, GKMGraph, TupleSystem, membership, span_equal
 from cobcalc.linalg import canonical_sign
-from cobcalc.roots import build_symmetric_datum, weyl_act
+from cobcalc.roots import build_root_datum, build_symmetric_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
 from cobcalc.wonderful import (
@@ -18,7 +18,10 @@ from cobcalc.wonderful import (
     invariant_subring_X,
     invariant_subring_Y,
     invariant_tuple_basis,
+    invariant_tuple_system,
     projective_space_model,
+    reduced_system,
+    root_congruence_system,
     verify_esph,
     vertex_orbits,
 )
@@ -210,15 +213,17 @@ def test_specialization_reduces_universal_bases_to_additive(psl2):
 # -- a custom minimal-rank involution: the linear/symplectic pair ---------------------
 
 
-@pytest.fixture(scope="module")
-def linear_symplectic():
-    from cobcalc.roots import build_root_datum, build_symmetric_datum
-
+def _linear_symplectic_datum():
     a3 = build_root_datum("a3")
     # theta fixes the outer simples and folds the middle one across the
     # lowest root; the restricted system has rank one
     theta = [[1, -1, 0], [0, -1, 0], [0, -1, 1]]
     return build_symmetric_datum(a3, theta)
+
+
+@pytest.fixture(scope="module")
+def linear_symplectic():
+    return _linear_symplectic_datum()
 
 
 def test_linear_symplectic_structure(linear_symplectic):
@@ -378,7 +383,7 @@ def test_esph_psl3_additive_linear_systems_pinned(monkeypatch, capsys):
     argv = ["verify", "esph", "--case", "group:psl3", "--law", "additive", "--degree", "3"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert counts == [52, 395, 395]
+    assert counts == [4, 20, 20]
 
 
 @pytest.mark.parametrize(
@@ -396,3 +401,146 @@ def test_esph_ranks_pinned(case, law, ranks):
     assert [(d["rank"], d["x_tuple_rank"], d["y_rank"]) for d in report["degrees"]] == [
         (r, r, r) for r in ranks
     ]
+
+
+# -- one solve per distinct route system -----------------------------------------------
+
+
+def _model_of(case, law, precision):
+    if case == "linear_symplectic":
+        return build_wonderful_graph(_linear_symplectic_datum(), build_law(law, precision))
+    return _model(case, law, precision)
+
+
+def _route_keys(model, degree):
+    sd = model.sd
+    return [
+        system.canonical_rows()
+        for system in (
+            reduced_system(model, degree),
+            invariant_tuple_system(model.x_graph, sd.datum.simple_reflections, degree),
+            invariant_tuple_system(model.y_graph, _w_theta_generators(sd), degree),
+        )
+    ]
+
+
+def test_canonical_rows_key_the_set_of_rows():
+    model = _model_of("linear_symplectic", "additive", 3)
+    reduced = reduced_system(model, 1)
+    x = invariant_tuple_system(model.x_graph, model.sd.datum.simple_reflections, 1)
+    key, x_key = reduced.canonical_rows(), x.canonical_rows()
+    # as many distinct rows on the same unknowns, but other rows
+    assert key[:2] == x_key[:2] and len(key[2]) == len(x_key[2])
+    assert key != x_key
+    # neither the order of the rows nor a repeated row changes the key
+    reduced.rows = reduced.rows[::-1] + reduced.rows[:1]
+    assert reduced.canonical_rows() == key
+
+
+def _count_work(monkeypatch):
+    """Record the canonical rows of every solved system, and every span_equal
+    call of ``verify_esph``."""
+    solved, compared = [], []
+    solve, span = TupleSystem.solve, wonderful.span_equal
+
+    def counted_solve(self, over="Z"):
+        solved.append(self.canonical_rows())
+        return solve(self, over)
+
+    def counted_span(a, b):
+        compared.append((len(a), len(b)))
+        return span(a, b)
+
+    monkeypatch.setattr(TupleSystem, "solve", counted_solve)
+    monkeypatch.setattr(wonderful, "span_equal", counted_span)
+    return solved, compared
+
+
+@pytest.mark.parametrize(
+    "case,law,top,distinct",
+    [
+        ("group:psl3", "additive", 3, [1, 1, 1, 1]),
+        ("group:b2", "universal:3", 3, [1, 1, 1, 1]),
+        ("linear_symplectic", "additive", 3, None),
+    ],
+)
+def test_esph_solves_each_distinct_route_system_once(monkeypatch, case, law, top, distinct):
+    model = _model_of(case, law, top)
+    keys = [_route_keys(model, d) for d in range(top + 1)]
+    solved, compared = _count_work(monkeypatch)
+    report = verify_esph(model, top)
+    assert report["pass"], report
+    # one solve per distinct row set and degree, in route order
+    expected = [key for per_degree in keys for key in dict.fromkeys(per_degree)]
+    assert solved == expected
+    counts = [len(set(per_degree)) for per_degree in keys]
+    if distinct is not None:
+        assert counts == distinct and not compared
+    else:
+        # outside the group case the routes differ, and span_equal compares them
+        assert max(counts) > 1 and compared
+
+
+def _wrong_character(model):
+    (w, _), (_, other) = model.restricted_pairs[:2]
+    return model, "restricted_pairs", [(w, other)] + model.restricted_pairs[1:]
+
+
+def _dropped_edge(model):
+    restricted = {gamma for _, gamma in model.restricted_pairs}
+    orbits = vertex_orbits(model.x_graph, model.sd.datum.simple_reflections)
+    drop = next(e for e in orbits.edges if e[2] in restricted)
+    return orbits, "edges", [e for e in orbits.edges if e != drop]
+
+
+@pytest.mark.parametrize(
+    "patch,affected",
+    [
+        # the reduced route loses a restricted congruence's character: both
+        # tuple routes now disagree with it
+        (_wrong_character, ("x", "y")),
+        # the X-tuple route loses a restricted edge representative
+        (_dropped_edge, ("x",)),
+    ],
+    ids=["wrong-character", "dropped-edge"],
+)
+def test_esph_fallback_comparison_fails_on_a_changed_route(monkeypatch, patch, affected):
+    model = _model("group:psl3", "additive", 3)
+    monkeypatch.setattr(*patch(model))
+    _, compared = _count_work(monkeypatch)
+    report = verify_esph(model, 3)
+    assert not report["pass"]
+    assert compared
+    for route in ("x", "y"):
+        agrees = [d[f"{route}_route_agrees"] for d in report["degrees"]]
+        assert all(agrees) != (route in affected), (route, agrees)
+    assert all(d["root_congruences_automatic"] for d in report["degrees"])
+
+
+# -- the root congruences: no row survives ---------------------------------------------
+
+
+@pytest.mark.parametrize("law", ["additive", "universal:3"])
+@pytest.mark.parametrize("case", ["group:psl3", "group:b2", "group:g2", "linear_symplectic"])
+def test_root_congruence_rows_are_empty(case, law):
+    model = _model_of(case, law, 3)
+    assert model.root_pairs
+    for d in range(4):
+        system = root_congruence_system(model, d)
+        assert system.monos and system.rows == [], (case, law, d)
+
+
+def test_a_root_paired_with_another_reflection_leaves_rows(monkeypatch):
+    model = _model("group:psl3", "additive", 3)
+    pairs = model.root_pairs
+    # each root with the reflection of the next one: never its own
+    wrong = [(w, beta) for (w, _), (_, beta) in zip(pairs[1:] + pairs[:1], pairs)]
+    monkeypatch.setattr(model, "root_pairs", wrong)
+    assert root_congruence_system(model, 0).rows == []  # constants are fixed
+    assert all(root_congruence_system(model, d).rows for d in (1, 2, 3))
+    report = verify_esph(model, 3)
+    assert not report["pass"]
+    assert [d["root_congruences_automatic"] for d in report["degrees"]] == [
+        True, False, False, False
+    ]
+    assert all(d["x_route_agrees"] and d["y_route_agrees"] for d in report["degrees"])
