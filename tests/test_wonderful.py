@@ -264,6 +264,8 @@ def test_linear_symplectic_esph_universal(linear_symplectic):
 
 def _model(case, law, precision):
     ctx = build_law(law, precision)
+    if case == "linear_symplectic":
+        return build_wonderful_graph(_linear_symplectic_datum(), ctx)
     return build_wonderful_graph(build_symmetric_datum(case), ctx)
 
 
@@ -406,12 +408,6 @@ def test_esph_ranks_pinned(case, law, ranks):
 # -- one solve per distinct route system -----------------------------------------------
 
 
-def _model_of(case, law, precision):
-    if case == "linear_symplectic":
-        return build_wonderful_graph(_linear_symplectic_datum(), build_law(law, precision))
-    return _model(case, law, precision)
-
-
 def _route_keys(model, degree):
     sd = model.sd
     return [
@@ -425,7 +421,7 @@ def _route_keys(model, degree):
 
 
 def test_canonical_rows_key_the_set_of_rows():
-    model = _model_of("linear_symplectic", "additive", 3)
+    model = _model("linear_symplectic", "additive", 3)
     reduced = reduced_system(model, 1)
     x = invariant_tuple_system(model.x_graph, model.sd.datum.simple_reflections, 1)
     key, x_key = reduced.canonical_rows(), x.canonical_rows()
@@ -465,7 +461,7 @@ def _count_work(monkeypatch):
     ],
 )
 def test_esph_solves_each_distinct_route_system_once(monkeypatch, case, law, top, distinct):
-    model = _model_of(case, law, top)
+    model = _model(case, law, top)
     keys = [_route_keys(model, d) for d in range(top + 1)]
     solved, compared = _count_work(monkeypatch)
     report = verify_esph(model, top)
@@ -523,7 +519,7 @@ def test_esph_fallback_comparison_fails_on_a_changed_route(monkeypatch, patch, a
 @pytest.mark.parametrize("law", ["additive", "universal:3"])
 @pytest.mark.parametrize("case", ["group:psl3", "group:b2", "group:g2", "linear_symplectic"])
 def test_root_congruence_rows_are_empty(case, law):
-    model = _model_of(case, law, 3)
+    model = _model(case, law, 3)
     assert model.root_pairs
     for d in range(4):
         system = root_congruence_system(model, d)
