@@ -29,7 +29,6 @@ from .fgl import (
 from .gkm import (
     GKMClass,
     GKMGraph,
-    TensorClass,
     TupleSystem,
     constant_class,
     flag_gkm,

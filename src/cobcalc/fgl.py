@@ -133,7 +133,6 @@ class FGLContext:
             )
         self.law = law
         self.precision = precision
-        self.ngens = law.ngens
         # the generators b_1..b_bgens the law is built from: b_i u^(i+1)
         # vanishes at the internal precision once i > precision
         self.bgens = min(law.ngens, precision)

@@ -1,6 +1,6 @@
 """Moment-graph models: fixed points with character-labelled edges, the
 congruence (membership) test, line bundle classes, graded basis solvers, and
-the tensor-product model with its comparison map.
+the comparison map from the Borel presentation, a (x) b -> (w(a) * b)_w.
 
 Every Weyl-labelled graph is a coset graph, built by :func:`coset_graph`:
 the fixed points are cosets w W_L and each curve (r, chi) joins w W_L to
@@ -26,9 +26,6 @@ from . import linalg
 from .linalg import canonical_sign
 from .roots import RootDatum, WeylElement, mat_mul, weyl_act
 from .series import GradedSeries, elementary_symmetric
-
-# When true, every produced class is membership-checked (slow; used in tests).
-DEBUG_VALIDATE = False
 
 
 class GKMGraph:
@@ -152,17 +149,6 @@ def constant_class(graph: GKMGraph, f) -> GKMClass:
     return GKMClass(graph, [f] * graph.nvertices)
 
 
-def validate(cls: GKMClass) -> GKMClass:
-    """Membership-check ``cls`` when DEBUG_VALIDATE is set; returns it."""
-    if DEBUG_VALIDATE:
-        ok, witness = membership(cls, cls.graph)
-        if not ok:
-            raise InternalConsistencyError(
-                f"produced class violates congruences: {witness}"
-            )
-    return cls
-
-
 # -- graphs ------------------------------------------------------------------------
 
 
@@ -230,7 +216,7 @@ def line_bundle_class(chi, graph: GKMGraph) -> GKMClass:
     values = [
         graph.ctx.formal_sum(w.act(chi)) for w in graph.weyl_vertices
     ]
-    return validate(GKMClass(graph, values))
+    return GKMClass(graph, values)
 
 
 def membership(c, graph: GKMGraph):
@@ -316,13 +302,13 @@ def b_monomials_of_weight(weight: int, ngens: int) -> list[tuple]:
 
 
 def ambient_monomials(ctx, nvars: int, coh_degree: int) -> list[tuple]:
-    """(t-exponent, b-exponent) pairs of homogeneous cohomological degree."""
+    """(t-exponent, b-exponent) pairs of homogeneous cohomological degree;
+    a degree above the working precision has none to offer and is refused."""
+    if coh_degree > ctx.precision:
+        raise PrecisionExhaustedError("degree exceeds working precision")
     out = []
     for tdeg in range(coh_degree, ctx.precision + 1):
-        w = tdeg - coh_degree
-        if w < 0:
-            continue
-        bmonos = b_monomials_of_weight(w, ctx.ngens)
+        bmonos = b_monomials_of_weight(tdeg - coh_degree, ctx.bgens)
         if not bmonos:
             continue
         for texp in t_monomials(nvars, tdeg):
@@ -459,7 +445,7 @@ def subring_basis(graph: GKMGraph, d: int) -> list[GKMClass]:
     )
     for (i, j, chi) in graph.edges:
         system.require([(i, 1, None), (j, -1, None)], chi)
-    return [validate(GKMClass(graph, values)) for values in system.solve()]
+    return [GKMClass(graph, values) for values in system.solve()]
 
 
 def invariants_basis(datum: RootDatum, ctx, d: int) -> list[GradedSeries]:
@@ -468,67 +454,30 @@ def invariants_basis(datum: RootDatum, ctx, d: int) -> list[GradedSeries]:
 
     Invariance under the simple reflections suffices since they generate; it
     is imposed as the single summed condition sum_g (g f - f) = 0."""
-    if d > ctx.precision:
-        raise PrecisionExhaustedError("degree exceeds working precision")
     n = datum.rank
     gens = datum.simple_reflections
     out = []
-    for m in range(0, d + 1):
-        amb = ambient_monomials(ctx, n, m)
-        if not amb:
-            continue
+    # every degree's unknowns first: a degree past the precision is refused
+    # before any solve
+    for amb in [ambient_monomials(ctx, n, m) for m in range(d + 1)]:
         system = TupleSystem(ctx, n, 1, amb)
         system.require([(0, 1, g) for g in gens] + [(0, -len(gens), None)])
         out.extend(values[0] for values in system.solve())
     return out
 
 
-# -- tensor model ----------------------------------------------------------------------
+# -- comparison map ------------------------------------------------------------------
 
 
-class TensorClass:
-    """A finite sum of a (x) b pairs; equality is decided via the GKM image."""
-
-    def __init__(self, pairs):
-        self.pairs = [(a, b) for (a, b) in pairs]
-
-    @staticmethod
-    def of(a: GradedSeries, b: GradedSeries) -> "TensorClass":
-        return TensorClass([(a, b)])
-
-    def __add__(self, other: "TensorClass") -> "TensorClass":
-        return TensorClass(self.pairs + other.pairs)
-
-    def __neg__(self) -> "TensorClass":
-        return TensorClass([(-a, b) for (a, b) in self.pairs])
-
-    def __sub__(self, other: "TensorClass") -> "TensorClass":
-        return self + (-other)
-
-    def __mul__(self, other: "TensorClass") -> "TensorClass":
-        return TensorClass(
-            [
-                (a1 * a2, b1 * b2)
-                for (a1, b1) in self.pairs
-                for (a2, b2) in other.pairs
-            ]
-        )
-
-
-def tensor_to_gkm(tc: TensorClass, graph: GKMGraph) -> GKMClass:
-    """The comparison map: a (x) b restricts at w to w(a) * b."""
+def tensor_to_gkm(a: GradedSeries, b: GradedSeries, graph: GKMGraph) -> GKMClass:
+    """The image of the pure tensor a (x) b under the comparison map: the
+    class restricting at w to w(a) * b.  The map is a ring homomorphism,
+    (a1 (x) b1)(a2 (x) b2) = a1 a2 (x) b1 b2, and linear in each factor."""
     if graph.weyl_vertices is None:
         raise UnsupportedTypeError("tensor model needs a Weyl-labelled graph")
-    ctx = graph.ctx
-    datum = graph.datum
-    values = [
-        GradedSeries.zero(graph.nvars, graph.precision)
-        for _ in range(graph.nvertices)
-    ]
-    for (a, b) in tc.pairs:
-        for i, w in enumerate(graph.weyl_vertices):
-            values[i] = values[i] + weyl_act(w, a, ctx, datum) * b
-    return validate(GKMClass(graph, values))
+    ctx, datum = graph.ctx, graph.datum
+    values = [weyl_act(w, a, ctx, datum) * b for w in graph.weyl_vertices]
+    return GKMClass(graph, values)
 
 
 def span_equal(a, b, over: str = "Q") -> bool:
@@ -586,7 +535,7 @@ def surjectivity_probe(graph: GKMGraph, d: int, over: str = "Z") -> dict:
                 a = GradedSeries.from_terms(n, prec, {ea: {(): 1}})
                 wa = [weyl_act(w, a, ctx, datum) for w in graph.weyl_vertices]
                 for b in seconds:
-                    images.append(validate(GKMClass(graph, [x * b for x in wa])))
+                    images.append(GKMClass(graph, [x * b for x in wa]))
         basis = subring_basis(graph, delta)
         same = span_equal(images, basis, over)
         report["degrees"].append(

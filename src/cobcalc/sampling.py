@@ -56,13 +56,13 @@ def random_homogeneous(
         raise InternalConsistencyError(
             f"sample degree {degree} exceeds precision {ctx.precision}"
         )
-    max_extra = 0 if (b_free or ctx.ngens == 0) else ctx.precision - degree
+    max_extra = 0 if (b_free or ctx.bgens == 0) else ctx.precision - degree
     terms: dict = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         extra = rng.randrange(0, max_extra + 1) if max_extra else 0
         tdeg = degree + extra
         texp = random_composition(rng, tdeg, nvars)
-        bexp = random_b_monomial(rng, extra, ctx.ngens) if extra else ()
+        bexp = random_b_monomial(rng, extra, ctx.bgens) if extra else ()
         c = rng.randrange(1, coeff_bound + 1) * rng.choice((1, -1))
         coeff = terms.setdefault(texp, {})
         v = coeff.get(bexp, 0) + c

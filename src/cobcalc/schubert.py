@@ -26,7 +26,7 @@ back by x_beta.
 from __future__ import annotations
 
 from .errors import PrecisionExhaustedError, UnsupportedTypeError
-from .gkm import GKMClass, GKMGraph, validate
+from .gkm import GKMClass, GKMGraph
 from .linalg import vneg
 from .roots import RootDatum, divided_difference
 from .series import GradedSeries
@@ -87,7 +87,7 @@ def point_class(graph: GKMGraph) -> GKMClass:
         euler if i == 0 else GradedSeries.zero(datum.rank, ctx.precision)
         for i in range(graph.nvertices)
     ]
-    return validate(GKMClass(graph, values))
+    return GKMClass(graph, values)
 
 
 def demazure_gkm(c: GKMClass, alpha) -> GKMClass:
@@ -119,7 +119,7 @@ def demazure_gkm(c: GKMClass, alpha) -> GKMClass:
         quotient = ctx.divide_by_character(diff, w_alpha)
         kap = kappa_of_character(ctx, w_alpha)
         out[vi] = out[vj] = (kap * c.values[vi] - quotient).truncate(c.precision - 1)
-    return validate(GKMClass(graph, out))
+    return GKMClass(graph, out)
 
 
 def bott_samelson(word, graph: GKMGraph) -> GKMClass:

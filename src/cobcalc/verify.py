@@ -14,7 +14,6 @@ from random import Random
 from .errors import ConfigError, NotDivisibleError, UnsupportedTypeError
 from .fgl import LawSpec, build_law, fgl_axiom_report
 from .gkm import (
-    TensorClass,
     constant_class,
     flag_gkm,
     gln_relations,
@@ -290,9 +289,8 @@ def suite_tensor_iso(cfg: RunConfig) -> dict:
         b1 = random_homogeneous(rng, ctx, n, rng.randint(1, 2), b_free=True)
         a2 = random_homogeneous(rng, ctx, n, 1, b_free=True)
         b2 = random_homogeneous(rng, ctx, n, 1, b_free=True)
-        tc1, tc2 = TensorClass.of(a1, b1), TensorClass.of(a2, b2)
-        lhs = tensor_to_gkm(tc1 * tc2, graph)
-        rhs = tensor_to_gkm(tc1, graph) * tensor_to_gkm(tc2, graph)
+        lhs = tensor_to_gkm(a1 * a2, b1 * b2, graph)
+        rhs = tensor_to_gkm(a1, b1, graph) * tensor_to_gkm(a2, b2, graph)
         if not (lhs - rhs).is_zero():
             ok = False
     checks.append({"name": "ring_homomorphism", "pass": ok})
@@ -301,18 +299,18 @@ def suite_tensor_iso(cfg: RunConfig) -> dict:
     one = GradedSeries.constant(1, n, ctx.precision)
     for i in range(n):
         chi = tuple(1 if j == i else 0 for j in range(n))
-        img = tensor_to_gkm(TensorClass.of(ctx.formal_sum(chi), one), graph)
+        img = tensor_to_gkm(ctx.formal_sum(chi), one, graph)
         if not (img - line_bundle_class(chi, graph)).is_zero():
             ok = False
     chi = tuple(rng.randint(-2, 2) for _ in range(n))
     if any(chi):
-        img = tensor_to_gkm(TensorClass.of(ctx.formal_sum(chi), one), graph)
+        img = tensor_to_gkm(ctx.formal_sum(chi), one, graph)
         if not (img - line_bundle_class(chi, graph)).is_zero():
             ok = False
     checks.append({"name": "first_factor_restricts_as_line_bundle", "pass": ok})
 
     b = random_homogeneous(rng, ctx, n, 2, b_free=True)
-    img = tensor_to_gkm(TensorClass.of(one, b), graph)
+    img = tensor_to_gkm(one, b, graph)
     checks.append(
         {
             "name": "second_factor_is_constant",
@@ -382,22 +380,12 @@ def suite_bott_samelson(cfg: RunConfig) -> dict:
         checks.append({"name": "edge_pair_constancy_after_step", "pass": ok_pairs})
 
     ok = True
+    one = GradedSeries.constant(1, n, ctx.precision)
     for _ in range(5):
         a = random_homogeneous(rng, ctx, n, rng.randint(1, 2), b_free=True)
         i = rng.randrange(datum.nsimple)
-        lhs = demazure_gkm(
-            tensor_to_gkm(
-                TensorClass.of(a, GradedSeries.constant(1, n, ctx.precision)), graph
-            ),
-            i,
-        )
-        rhs = tensor_to_gkm(
-            TensorClass.of(
-                demazure(a, i, ctx, datum),
-                GradedSeries.constant(1, n, ctx.precision),
-            ),
-            graph,
-        )
+        lhs = demazure_gkm(tensor_to_gkm(a, one, graph), i)
+        rhs = tensor_to_gkm(demazure(a, i, ctx, datum), one, graph)
         if not (lhs - rhs.truncate(lhs.precision)).is_zero():
             ok = False
     checks.append({"name": "compatible_with_tensor_model", "pass": ok})

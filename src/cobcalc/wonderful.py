@@ -17,7 +17,6 @@ from collections.abc import Sequence
 
 from .errors import (
     InternalConsistencyError,
-    PrecisionExhaustedError,
     RepeatedWeightError,
     UnsupportedTypeError,
 )
@@ -96,8 +95,6 @@ def reduced_system(model: WonderfulModel, degree: int) -> TupleSystem:
     f = s_alpha s_{theta alpha}(f) mod x_gamma for every restricted basis
     root."""
     ctx = model.ctx
-    if degree > ctx.precision:
-        raise PrecisionExhaustedError("degree exceeds working precision")
     datum = model.sd.datum
     system = TupleSystem(ctx, datum.rank, 1, ambient_monomials(ctx, datum.rank, degree))
     for i in model.sd.delta_L:
@@ -268,9 +265,6 @@ def _w_theta_generators(sd: SymmetricDatum) -> list[WeylElement]:
 
 def invariant_subring_Y(model: WonderfulModel, degree: int) -> list[GradedSeries]:
     """Invariant classes on the toric subgraph, restricted at the base point."""
-    ctx = model.ctx
-    if degree > ctx.precision:
-        raise PrecisionExhaustedError("degree exceeds working precision")
     basis = invariant_tuple_basis(
         model.y_graph, _w_theta_generators(model.sd), degree
     )
@@ -342,9 +336,10 @@ def projective_space_model(weights, ctx, weyl_vertices=None, element_to_vertex=N
     """The moment graph of P(V) for a torus module with the given (pairwise
     distinct) weights: one vertex per weight, edges labelled by differences.
 
-    Returns (graph, report); the report records that the projective-bundle
-    relation prod_i (zeta +_F x_{chi_i}) vanishes on the tautological tuple
-    zeta|_j = x_{-chi_j}, and that this tuple satisfies the congruences.
+    Returns (graph, zeta, report): zeta is the tautological tuple
+    zeta|_j = x_{-chi_j}, and the report records that the projective-bundle
+    relation prod_i (zeta +_F x_{chi_i}) vanishes on it and that it satisfies
+    the congruences.
     """
     weights = [tuple(w) for w in weights]
     if len(set(weights)) != len(weights):

@@ -662,13 +662,13 @@ def random_homogeneous_reference(
     """``sampling.random_homogeneous`` as it was first written: each random
     term is added to the sample as a one-term series.  The RNG calls are
     the same, in the same order."""
-    max_extra = 0 if (b_free or ctx.ngens == 0) else ctx.precision - degree
+    max_extra = 0 if (b_free or ctx.bgens == 0) else ctx.precision - degree
     f = GradedSeries.zero(nvars, ctx.precision)
     for _ in range(rng.randint(1, max_terms)):
         extra = rng.randint(0, max_extra) if max_extra else 0
         tdeg = degree + extra
         texp = random_composition_reference(rng, tdeg, nvars)
-        bexp = random_b_monomial_reference(rng, extra, ctx.ngens) if extra else ()
+        bexp = random_b_monomial_reference(rng, extra, ctx.bgens) if extra else ()
         c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
         f = f + GradedSeries.from_terms(nvars, ctx.precision, {texp: {bexp: c}})
     if f.is_zero():

@@ -13,7 +13,6 @@ from cobcalc.fgl import build_law
 from cobcalc.gkm import (
     GKMClass,
     GKMGraph,
-    TensorClass,
     TupleSystem,
     constant_class,
     coset_graph,
@@ -31,7 +30,16 @@ from cobcalc.gkm import (
 from cobcalc.roots import WeylElement, build_root_datum, build_symmetric_datum
 from cobcalc.sampling import random_homogeneous
 from cobcalc.series import GradedSeries
-from cobcalc.wonderful import build_wonderful_graph
+from cobcalc.wonderful import (
+    _w_theta_generators,
+    build_wonderful_graph,
+    invariant_subring_X,
+    invariant_subring_Y,
+    invariant_tuple_basis,
+    projective_space_model,
+    reduced_system,
+    root_congruence_system,
+)
 
 from .oracles import (
     ClassicalFlagOracle,
@@ -365,20 +373,21 @@ def test_tensor_basic_images():
     g = flag_gkm(build_root_datum("gl2"), ctx)
     one = GradedSeries.constant(1, 2, 5)
     b = GradedSeries.variable(0, 2, 5) ** 2
-    img = tensor_to_gkm(TensorClass.of(one, b), g)
+    img = tensor_to_gkm(one, b, g)
     assert (img - constant_class(g, b)).is_zero()
     x = ctx.formal_sum((1, -2))
-    img = tensor_to_gkm(TensorClass.of(x, one), g)
+    img = tensor_to_gkm(x, one, g)
     assert (img - line_bundle_class((1, -2), g)).is_zero()
 
 
 def test_tensor_difference_class():
+    # the map is linear: the image of x_alpha (x) 1 - 1 (x) x_alpha is the
+    # difference of the two images
     ctx = build_law("universal:4", 5)
     g = flag_gkm(build_root_datum("gl2"), ctx)
     one = GradedSeries.constant(1, 2, 5)
     x_alpha = ctx.formal_sum((1, -1))
-    tc = TensorClass.of(x_alpha, one) - TensorClass.of(one, x_alpha)
-    img = tensor_to_gkm(tc, g)
+    img = tensor_to_gkm(x_alpha, one, g) - tensor_to_gkm(one, x_alpha, g)
     assert img.values[0].is_zero()
     assert img.values[1] == ctx.formal_sum((-1, 1)) - x_alpha
     ok, _ = membership(img, g)
@@ -394,10 +403,17 @@ def test_tensor_is_ring_homomorphism():
         b1 = random_homogeneous(rng, ctx, 3, 1, b_free=True)
         a2 = random_homogeneous(rng, ctx, 3, 2, b_free=True)
         b2 = random_homogeneous(rng, ctx, 3, 1, b_free=True)
-        t1, t2 = TensorClass.of(a1, b1), TensorClass.of(a2, b2)
-        lhs = tensor_to_gkm(t1 * t2, g)
-        rhs = tensor_to_gkm(t1, g) * tensor_to_gkm(t2, g)
+        lhs = tensor_to_gkm(a1 * a2, b1 * b2, g)
+        rhs = tensor_to_gkm(a1, b1, g) * tensor_to_gkm(a2, b2, g)
         assert (lhs - rhs).is_zero()
+
+
+def test_tensor_needs_weyl_vertices():
+    ctx = build_law("additive", 3)
+    graph = projective_space_model([(1, 0), (0, 0)], ctx)[0]
+    one = GradedSeries.constant(1, 2, 3)
+    with pytest.raises(UnsupportedTypeError):
+        tensor_to_gkm(one, one, graph)
 
 
 def test_surjectivity_probe_gl2():
@@ -460,10 +476,8 @@ def test_surjectivity_probe_images_are_the_comparison_map(monkeypatch, tag, law)
     for delta, images in enumerate(seen):
         expected = [
             tensor_to_gkm(
-                TensorClass.of(
-                    GradedSeries.from_terms(n, 4, {ea: {(): 1}}),
-                    GradedSeries.from_terms(n, 4, {eb: {(): 1}}),
-                ),
+                GradedSeries.from_terms(n, 4, {ea: {(): 1}}),
+                GradedSeries.from_terms(n, 4, {eb: {(): 1}}),
                 g,
             )
             for p in range(delta + 1)
@@ -599,7 +613,24 @@ def test_invariants_are_invariant():
 
 
 def test_degree_exceeds_precision():
+    # one degree past the precision has no unknowns; every builder refuses
+    # it rather than report an empty, vacuously satisfied system
     ctx = build_law("additive", 3)
     g = flag_gkm(build_root_datum("gl2"), ctx)
     with pytest.raises(PrecisionExhaustedError):
         subring_basis(g, 4)
+    with pytest.raises(PrecisionExhaustedError):
+        invariants_basis(build_root_datum("a2"), ctx, 4)
+    model = build_wonderful_graph(build_symmetric_datum("group:psl3"), ctx)
+    gens = model.sd.datum.simple_reflections
+    builders = [
+        lambda: reduced_system(model, 4),
+        lambda: root_congruence_system(model, 4),
+        lambda: invariant_subring_X(model, 4),
+        lambda: invariant_subring_Y(model, 4),
+        lambda: invariant_tuple_basis(model.x_graph, gens, 4),
+        lambda: invariant_tuple_basis(model.y_graph, _w_theta_generators(model.sd), 4),
+    ]
+    for build in builders:
+        with pytest.raises(PrecisionExhaustedError):
+            build()

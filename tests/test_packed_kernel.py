@@ -155,7 +155,7 @@ def test_substitution_matches_the_tuple_kernel(data, law, nvars_in, nvars_out):
             images.append(ctx.formal_sum(chi))
         else:
             terms = data.draw(
-                _terms(nvars_out, precision, ctx.ngens, False, min_order=1)
+                _terms(nvars_out, precision, ctx.bgens, False, min_order=1)
             )
             terms = {t: c for t, c in terms.items() if sum(t)} or {
                 (1,) + (0,) * (nvars_out - 1): {(): 1}
@@ -163,7 +163,7 @@ def test_substitution_matches_the_tuple_kernel(data, law, nvars_in, nvars_out):
             images.append(GradedSeries.from_terms(nvars_out, precision, terms))
     fp = data.draw(st.integers(0, precision + 1))
     fractions = data.draw(st.booleans())
-    f = TupleSeries(nvars_in, fp, data.draw(_terms(nvars_in, fp, ctx.ngens, fractions)))
+    f = TupleSeries(nvars_in, fp, data.draw(_terms(nvars_in, fp, ctx.bgens, fractions)))
     subst = Substitution(images)
     ref = TupleSubstitution([to_tuple(img) for img in images])
     assert _same(subst.apply(from_tuple(f)), ref.apply(f))
@@ -207,7 +207,7 @@ def test_divided_difference_matches_the_tuple_kernel(data, tag, law):
     for _ in range(3):
         fp = data.draw(st.integers(0, ctx.precision + 1))
         fractions = data.draw(st.booleans())
-        f = TupleSeries(n, fp, data.draw(_terms(n, fp, ctx.ngens, fractions)))
+        f = TupleSeries(n, fp, data.draw(_terms(n, fp, ctx.bgens, fractions)))
         got = _outcome(lambda: op.apply(from_tuple(f)), nested)
         assert got == _outcome(lambda: ref.apply(f), lambda q: q.terms)
         if beta == gamma and fp >= 1:
@@ -403,7 +403,7 @@ def test_a_chain_of_divided_differences_matches_the_tuple_kernel(data, tag):
     ctx = _law("multiplicative", 16)
     n = datum.rank
     fractions = data.draw(st.booleans())
-    f = TupleSeries(n, 16, data.draw(_terms(n, 16, ctx.ngens, fractions)))
+    f = TupleSeries(n, 16, data.draw(_terms(n, 16, ctx.bgens, fractions)))
     got, ref = from_tuple(f), f
     for _ in range(3):
         beta = data.draw(st.sampled_from(datum.positive_roots))

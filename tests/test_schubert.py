@@ -3,7 +3,6 @@ from random import Random
 
 import pytest
 
-from cobcalc import gkm
 from cobcalc.errors import PrecisionExhaustedError
 from cobcalc.fgl import build_law
 from cobcalc.gkm import (
@@ -12,7 +11,6 @@ from cobcalc.gkm import (
     line_bundle_class,
     membership,
     tensor_to_gkm,
-    TensorClass,
 )
 from cobcalc.roots import build_root_datum, weyl_act
 from cobcalc.sampling import random_homogeneous
@@ -36,11 +34,11 @@ from .oracles import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _validate_everything():
-    gkm.DEBUG_VALIDATE = True
-    yield
-    gkm.DEBUG_VALIDATE = False
+def member(c):
+    """``c``, after asserting that it meets every edge congruence."""
+    ok, witness = membership(c, c.graph)
+    assert ok, witness
+    return c
 
 
 def test_demazure_of_unit_is_kappa():
@@ -147,7 +145,7 @@ def _monomials(n, d):
 def test_point_class_gl2():
     ctx = build_law("universal:4", 5)
     graph = flag_gkm(build_root_datum("gl2"), ctx)
-    pt = point_class(graph)
+    pt = member(point_class(graph))
     assert pt.values[0] == ctx.formal_sum((-1, 1))
     assert pt.values[1].is_zero()
 
@@ -155,7 +153,7 @@ def test_point_class_gl2():
 def test_point_class_gl3_additive_frozen():
     ctx = build_law("additive", 5)
     graph = flag_gkm(build_root_datum("gl3"), ctx)
-    pt = point_class(graph)
+    pt = member(point_class(graph))
     t = [GradedSeries.variable(i, 3, 5) for i in range(3)]
     expected = (t[1] - t[0]) * (t[2] - t[0]) * (t[2] - t[1])
     assert pt.values[0] == expected
@@ -164,7 +162,7 @@ def test_point_class_gl3_additive_frozen():
 def test_demazure_gkm_constant_one():
     ctx = build_law("universal:4", 5)
     graph = flag_gkm(build_root_datum("gl2"), ctx)
-    out = demazure_gkm(constant_class(graph, 1), 0)
+    out = member(demazure_gkm(constant_class(graph, 1), 0))
     for i, w in enumerate(graph.weyl_vertices):
         expected = kappa_of_character(ctx, w.act((1, -1)))
         assert out.values[i] == expected.truncate(out.precision)
@@ -174,14 +172,14 @@ def test_demazure_gkm_constant_one():
 def test_rank_one_bott_samelson_is_unit(law):
     ctx = build_law(law, 5)
     graph = flag_gkm(build_root_datum("gl2"), ctx)
-    bs = bott_samelson((0,), graph)
+    bs = member(bott_samelson((0,), graph))
     assert bs == constant_class(graph, 1).truncate(bs.precision)
 
 
 def test_empty_word_returns_point_class():
     ctx = build_law("multiplicative", 5)
     graph = flag_gkm(build_root_datum("gl2"), ctx)
-    assert bott_samelson((), graph) == point_class(graph)
+    assert member(bott_samelson((), graph)) == member(point_class(graph))
 
 
 def test_precision_exhaustion():
@@ -200,11 +198,9 @@ def test_demazure_gkm_additive_matches_classical_gkm():
     rng = Random(31)
     # random membership-satisfying class: tensor image
     a = random_homogeneous(rng, ctx, 3, 2, b_free=True)
-    c = tensor_to_gkm(
-        TensorClass.of(a, GradedSeries.constant(1, 3, 5)), graph
-    )
+    c = member(tensor_to_gkm(a, GradedSeries.constant(1, 3, 5), graph))
     for i in range(datum.nsimple):
-        got = demazure_gkm(c, i)
+        got = member(demazure_gkm(c, i))
         values = [None] * len(oracle.vertices)
         for v, perm in enumerate(perm_of_vertex):
             values[oracle.index[perm]] = engine_series_to_poly(c.values[v])
@@ -223,12 +219,12 @@ def test_demazure_gkm_matches_both_vertices_reference(tag, law):
     if law == "universal":
         law = f"universal:{precision - 1}"
     graph = flag_gkm(datum, build_law(law, precision))
-    c = line_bundle_class((1,) + (0,) * (datum.rank - 1), graph)
+    c = member(line_bundle_class((1,) + (0,) * (datum.rank - 1), graph))
     for i in range(datum.nsimple):
-        assert demazure_gkm(c, i) == demazure_gkm_reference(c, i), i
-    c = point_class(graph)
+        assert member(demazure_gkm(c, i)) == demazure_gkm_reference(c, i), i
+    c = member(point_class(graph))
     for i in (0, 1):
-        got = demazure_gkm(c, i)
+        got = member(demazure_gkm(c, i))
         assert got == demazure_gkm_reference(c, i), i
         c = got
 
@@ -243,7 +239,7 @@ def test_bott_samelson_gl3_additive_against_oracle():
     for length in (1, 2, 3):
         words.extend(product(range(2), repeat=length))
     for word in words:
-        got = bott_samelson(word, graph)
+        got = member(bott_samelson(word, graph))
         expected = oracle.bott_samelson(word)
         for v, perm in enumerate(perm_of_vertex):
             assert engine_series_to_poly(got.values[v]) == expected[oracle.index[perm]], (
@@ -280,9 +276,9 @@ def test_demazure_gkm_compatible_with_tensor_model():
     one = GradedSeries.constant(1, 2, 5)
     for _ in range(8):
         a = random_homogeneous(rng, ctx, 2, rng.randint(1, 3), b_free=True)
-        lhs = demazure_gkm(tensor_to_gkm(TensorClass.of(a, one), graph), 0)
+        lhs = member(demazure_gkm(member(tensor_to_gkm(a, one, graph)), 0))
         da = demazure(a, 0, ctx, datum)
-        rhs = tensor_to_gkm(TensorClass.of(da, one), graph)
+        rhs = member(tensor_to_gkm(da, one, graph))
         assert (lhs - rhs.truncate(lhs.precision)).is_zero()
 
 

@@ -221,10 +221,10 @@ def test_wire_format_roundtrip():
     rng = Random(21)
     for _ in range(10):
         f = random_homogeneous(rng, ctx, 2, rng.randint(1, 3))
-        blob = json.dumps(f.to_json(ctx.ngens), sort_keys=True)
+        blob = json.dumps(f.to_json(ctx.bgens), sort_keys=True)
         back = GradedSeries.from_json(json.loads(blob))
         assert back == f
-        assert json.dumps(back.to_json(ctx.ngens), sort_keys=True) == blob
+        assert json.dumps(back.to_json(ctx.bgens), sort_keys=True) == blob
 
 
 def test_wire_format_term_order():
